@@ -1,4 +1,4 @@
-//! Figure runners shared by the `repro` binary and the self-timing benches.
+//! Figure runners behind the `repro` binary.
 //!
 //! One public builder per table/figure of the paper's evaluation section;
 //! each is a *pure* function returning a [`FigureResult`] — no printing.
@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod microtime;
 pub mod modern;
 pub mod report;
 pub mod sweep;
@@ -30,7 +29,6 @@ use ioat_pvfs::harness::{
 
 /// A generic labelled comparison row printed by every figure runner.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Row {
     /// X-axis label (ports, threads, message size, trace, α, ...).
     pub label: String,
@@ -66,7 +64,6 @@ impl Row {
 
 /// One row of the Ablation A2 pinning-cost sensitivity table.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PinningRow {
     /// Copied bytes.
     pub size: u64,
@@ -84,7 +81,6 @@ pub struct PinningRow {
 /// deliberately excluded: like `wall_ms` it describes the host, not the
 /// model, and the determinism contract says it must be unobservable.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ParsimStats {
     /// Which simulation within the figure ("k=16 o=1 102K non", ...).
     pub label: String,
@@ -100,7 +96,6 @@ pub struct ParsimStats {
 
 /// The rows of one figure, preserving each table's native shape.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FigureRows {
     /// The standard 7-column I/OAT vs non-I/OAT comparison.
     Compare(Vec<Row>),
@@ -131,7 +126,6 @@ impl FigureRows {
 
 /// The complete, machine-readable result of one figure run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FigureResult {
     /// Target id (`fig3a`, `abl-faults`, ...).
     pub name: String,
@@ -1674,22 +1668,5 @@ mod tests {
             .expect("known figure");
         assert!(ok.error.is_none());
         assert!(!ok.rows.is_empty());
-    }
-
-    #[test]
-    fn event_budget_watchdog_reports_a_wedged_figure() {
-        // 5000 events is far below what even a quick fig3a point needs,
-        // so every simulation trips the deterministic watchdog; the
-        // supervisor must classify that as `wedged:`, not `panicked:`.
-        let opts = SuperviseOpts {
-            audit: true,
-            event_budget: Some(5_000),
-            ..SuperviseOpts::default()
-        };
-        let fig = run_figure_supervised("fig3a", ExperimentWindow::quick(), 2, &opts)
-            .expect("known figure");
-        let reason = fig.error.as_deref().expect("watchdog fired");
-        assert!(reason.starts_with("wedged:"), "reason: {reason}");
-        assert!(reason.contains("event limit"), "reason: {reason}");
     }
 }

@@ -76,7 +76,6 @@ pub fn modern_cache() -> CacheConfig {
 /// I/OAT's CPU advantage survives two decades of both hardware and stack
 /// evolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeProfile {
     /// The paper's testbed: 4 cores, 2 MB L2, 2007-era per-packet costs.
     #[default]

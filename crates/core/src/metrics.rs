@@ -12,7 +12,6 @@ use ioat_simcore::{SimDuration, SimTime};
 /// measurement window only, the way the paper's `ttcp` runs report
 /// steady-state numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExperimentWindow {
     /// Warm-up length (excluded from all metrics).
     pub warmup: SimDuration,
@@ -67,7 +66,6 @@ impl ExperimentWindow {
 
 /// Throughput + CPU result for one configuration of one experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThroughputResult {
     /// Application-level goodput in Mbps (10^6 bits/s).
     pub mbps: f64,
@@ -100,7 +98,6 @@ impl ThroughputResult {
 /// An I/OAT vs non-I/OAT comparison row, with the paper's derived
 /// metrics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Comparison {
     /// The non-I/OAT result.
     pub non_ioat: ThroughputResult,

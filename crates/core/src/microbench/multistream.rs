@@ -15,7 +15,6 @@ use ioat_simcore::time::Bandwidth;
 
 /// Configuration of a multi-stream run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiStreamConfig {
     /// Number of streaming threads (connections).
     pub threads: usize,

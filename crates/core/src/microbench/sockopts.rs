@@ -14,7 +14,6 @@ use ioat_netsim::SocketOpts;
 
 /// One row of the Fig. 5 sweep.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CaseRow {
     /// Case label ("Case 1" … "Case 5").
     pub case: String,
@@ -24,7 +23,6 @@ pub struct CaseRow {
 
 /// Sweep parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SweepConfig {
     /// Port pairs to drive (the paper uses all six).
     pub ports: usize,

@@ -21,7 +21,6 @@ use ioat_simcore::stats::{relative_benefit, relative_improvement};
 
 /// One row of the Fig. 7 split-up.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SplitupRow {
     /// Message size in bytes.
     pub msg_size: u64,
@@ -58,7 +57,6 @@ impl SplitupRow {
 
 /// Sweep parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SplitupConfig {
     /// Port pairs / client count (the paper uses four).
     pub ports: usize,

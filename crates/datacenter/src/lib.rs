@@ -21,6 +21,8 @@
 //! * [`scale`] — the same tiers behind a Clos fabric at datacenter
 //!   scale: thousands of servers, up to ~10⁶ emulated Zipf clients,
 //!   streaming statistics.
+//! * [`parallel`] — the engine that runs [`scale`], partitioned along
+//!   the fabric for the conservative parallel engine.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

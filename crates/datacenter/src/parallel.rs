@@ -1,5 +1,6 @@
-//! The fabric-scale datacenter of [`crate::scale`], partitioned for the
-//! conservative parallel engine in `ioat-parsim`.
+//! The engine of the fabric-scale datacenter of [`crate::scale`]: the
+//! closed-loop clients, proxy admission control and hedged retries,
+//! partitioned for the conservative parallel engine in `ioat-parsim`.
 //!
 //! # Partitioning
 //!
@@ -8,8 +9,8 @@
 //! forwarding); partitions `1..=G` each own a *group* of servers — the
 //! `f = webs_per_proxy` proxies that share one web subset plus those `f`
 //! web servers — together with the emulated clients driving them. The
-//! sequential subset rule `w = (p·f + j) mod n_webs` makes proxies `p`
-//! and `p + G` (where `G = n_webs / f`) talk to the same webs, so group
+//! subset rule `w = (p·f + j) mod n_webs` makes proxies `p` and `p + G`
+//! (where `G = n_webs / f`) talk to the same webs, so group
 //! `g` holds proxies `{g, g+G, g+2G, …}` and webs `[g·f, (g+1)·f)`; every
 //! connection's two endpoints land in one partition and only *data
 //! frames* cross a boundary (into the fabric and back out). ACKs keep
@@ -25,11 +26,26 @@
 //! Results are a pure function of the configuration: bit-identical for
 //! any worker-thread count (the engine merges boundary messages by
 //! `(time, sending partition, sender sequence)`), and the partition
-//! layout itself is fixed by the config, never by `threads`. They are
-//! *not* numerically identical to the sequential [`crate::scale::run`] —
-//! partitioning reorders same-instant events and decorrelates the
-//! per-group Zipf streams — so sequential/partitioned comparisons are
-//! A/B experiments, not regression checks.
+//! layout itself is fixed by the config, never by `threads`. Each group
+//! draws from its own Zipf stream, so the layout (not the thread count)
+//! fixes which documents a run requests.
+//!
+//! # Admission control and hedged retries
+//!
+//! A client request arriving at a proxy that already has
+//! [`ScaleConfig::admit_budget`] transactions in flight is shed before any
+//! proxy work, and the client backs off one think time. The shed path
+//! costs the proxy nothing, which is the point of admission control.
+//!
+//! Every client carries a request *generation*. Requests, hedge
+//! deadlines and responses are all tagged with the generation they were
+//! fired under. With a [`ScaleConfig::hedge`] policy, a deadline that
+//! fires while its generation is still outstanding sends a duplicate
+//! request (forward cost only — the request was already parsed). The
+//! first response to arrive completes the transaction and bumps the
+//! generation, which instantly stales every outstanding duplicate: later
+//! responses and deadlines for the old generation are discarded before
+//! any proxy work.
 
 use crate::costs::{DataCenterCosts, REQUEST_WIRE_BYTES};
 use crate::msg::{self, MsgSender};
@@ -107,9 +123,9 @@ impl Layout {
     }
 }
 
-/// Per (local proxy, subset slot) request-path endpoints, as in
-/// [`crate::scale`] but indexed group-locally. Request metadata is
-/// `(slot, generation, size)`.
+/// Per (local proxy, subset slot) request-path endpoints: the proxy-side
+/// socket (for compute charging) and the request sender toward the
+/// chosen web server. Request metadata is `(slot, generation, size)`.
 type ReqSlot = Option<(Socket, MsgSender<(u32, u32, u64)>)>;
 
 /// Group-local run state: the partition's slice of the client slab plus
@@ -124,8 +140,10 @@ struct GroupShared {
     trace: RefCell<ZipfTrace>,
     /// Local proxy index of each local client's proxy.
     client_q: Vec<u32>,
+    /// Slab of per-client request start instants, indexed by local slot.
     started: RefCell<Vec<SimTime>>,
-    /// Per-local-client request generation; see [`crate::scale`].
+    /// Per-local-client request generation: completion bumps it, which
+    /// stales every outstanding duplicate (see the module docs).
     generation: RefCell<Vec<u32>>,
     /// Transactions currently admitted per *local* proxy.
     in_flight: RefCell<Vec<u32>>,
@@ -137,8 +155,8 @@ struct GroupShared {
     latency_sum: RefCell<Summary>,
 }
 
-/// One closed-loop client iteration on its group's partition; mirrors
-/// [`crate::scale`]'s `fire` with local indices.
+/// One closed-loop client iteration: draw a document, cross the client
+/// access delay, pass (or fail) proxy admission, run the request path.
 fn fire(shared: &Rc<GroupShared>, sim: &mut Sim, slot: u32) {
     let req = shared.trace.borrow_mut().next_request();
     shared.started.borrow_mut()[slot as usize] = sim.now();
@@ -146,6 +164,7 @@ fn fire(shared: &Rc<GroupShared>, sim: &mut Sim, slot: u32) {
     let idx = q * shared.f + req.file_id as usize % shared.f;
     let sh = Rc::clone(shared);
     sim.schedule(shared.client_latency, move |sim| {
+        // Over budget: shed before any proxy work, retry after a think.
         if let Some(budget) = sh.admit_budget {
             if sh.in_flight.borrow()[q] >= budget {
                 sh.shed.set(sh.shed.get() + 1);
@@ -160,8 +179,11 @@ fn fire(shared: &Rc<GroupShared>, sim: &mut Sim, slot: u32) {
     });
 }
 
-/// One transmission of a request (attempt 0 = original, ≥ 1 = hedges);
-/// mirrors [`crate::scale`]'s `send_attempt` with local indices.
+/// One transmission of a client's request (attempt 0 is the original,
+/// attempts ≥ 1 are hedges): charge the proxy compute, send the
+/// generation-tagged request, and — with a hedge policy installed — arm
+/// the next hedge deadline, which fires only if the generation is still
+/// outstanding.
 fn send_attempt(
     shared: &Rc<GroupShared>,
     sim: &mut Sim,
@@ -175,6 +197,7 @@ fn send_attempt(
         let senders = shared.req.borrow();
         senders[idx].as_ref().expect("sender installed").0.clone()
     };
+    // A hedge re-sends an already-parsed request: forward cost only.
     let cost = if attempt == 0 {
         shared.costs.proxy_parse + shared.costs.proxy_forward
     } else {
@@ -274,7 +297,7 @@ fn build_fabric_part(cfg: &ScaleConfig, lay: Layout, out: Outbox<NetMsg>) -> Fab
     sim.set_event_limit(limit);
     let fabric = Fabric::new(cfg.spec, cfg.fabric);
     // The fault plan is a pure function of (spec, topology, window), so
-    // this partition expands exactly the plan the sequential build would.
+    // every partition layout expands the same plan.
     if cfg.faults.is_active() {
         fabric.set_faults(&cfg.faults.plan(fabric.topology(), &cfg.window));
     }
@@ -423,8 +446,10 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
                 },
             );
 
-            // Response and request paths, exactly as in the sequential
-            // build but over group-local slots.
+            // Responses web → proxy → (after the access delay) client:
+            // relay on the proxy, complete the transaction, think, fire
+            // the client's next request. Requests proxy → web: serve the
+            // document, send it back with the request's generation tag.
             let sh = Rc::clone(&shared);
             let p_sock2 = p_sock.clone();
             let respond = msg::channel(
@@ -646,8 +671,8 @@ impl Partition for DcPartition {
 /// threads, returning the merged result plus the engine's
 /// per-partition/per-window report.
 ///
-/// Results are bit-identical for any `threads ≥ 1` (see the module docs
-/// for why they differ from the sequential [`crate::scale::run`]).
+/// Results are bit-identical for any `threads ≥ 1`; at `threads = 1`
+/// every partition runs inline on the calling thread.
 ///
 /// # Panics
 ///
@@ -741,6 +766,7 @@ pub fn run_partitioned(cfg: &ScaleConfig, threads: usize) -> (ScaleResult, Parsi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::FabricFaultSpec;
     use ioat_netsim::IoatConfig;
 
     #[test]
@@ -774,9 +800,12 @@ mod tests {
             "audits must be clean: {violations:?}"
         );
         assert!(r.tps > 0.0);
+        assert!(r.latency_p50_us > 0);
         assert!(r.latency_p99_us >= r.latency_p50_us);
+        assert!(r.latency_max_us >= r.latency_p99_us as f64 / 2.0);
         assert!(r.proxy_cpu > 0.0 && r.proxy_cpu <= 1.0);
         assert!(r.web_cpu > 0.0 && r.web_cpu <= 1.0);
+        assert!(r.sim_events > 0);
         assert_eq!(rep.partitions, 1 + 2, "fat-tree(4): fabric + 2 groups");
     }
 
@@ -787,12 +816,16 @@ mod tests {
         let b = run_partitioned(&cfg, 3);
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
+        // The workload seed is live: a different seed is a different run.
+        let reseeded = ScaleConfig {
+            seed: cfg.seed + 1,
+            ..cfg
+        };
+        assert_ne!(run_partitioned(&reseeded, 3).0, a.0);
     }
 
     #[test]
     fn faulted_partitioned_runs_are_bit_identical_across_worker_counts() {
-        use crate::scale::FabricFaultSpec;
-        use ioat_simcore::SimDuration;
         let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
         cfg.faults = FabricFaultSpec {
             flaps_per_link: 3,
@@ -819,6 +852,12 @@ mod tests {
             r1.route_blackholes > 0,
             "the crash window must blackhole some frames"
         );
+        assert!(
+            r1.shed > 0 && r1.hedges > 0,
+            "both protections engage (shed {}, hedges {})",
+            r1.shed,
+            r1.hedges
+        );
         assert!(r1.completed > 0, "transactions keep completing");
     }
 
@@ -829,11 +868,109 @@ mod tests {
         let (non, _) = run_partitioned(&cfg, 2);
         cfg.ioat = IoatConfig::full();
         let (ioat, _) = run_partitioned(&cfg, 2);
+        assert!(non.tps > 0.0 && ioat.tps > 0.0, "CPU/txn needs throughput");
         let non_per = (non.proxy_cpu + non.web_cpu) / non.tps;
         let ioat_per = (ioat.proxy_cpu + ioat.web_cpu) / ioat.tps;
         assert!(
             ioat_per < non_per,
             "I/OAT {ioat_per:.3e} vs non {non_per:.3e} CPU/txn"
         );
+    }
+
+    /// Runs `cfg` inline under an audit scope and demands a clean run.
+    fn audited(cfg: &ScaleConfig) -> ScaleResult {
+        let (result, violations) = ioat_guard::with_audit(|| run_partitioned(cfg, 1).0);
+        let r = result.expect("run completes");
+        assert!(
+            violations.is_empty(),
+            "audits must be clean: {violations:?}"
+        );
+        r
+    }
+
+    #[test]
+    fn more_flaps_blackhole_at_least_as_many_frames() {
+        // The flap model draws each link's windows sequentially from one
+        // dedicated stream, so n flaps' schedule is a prefix of n+1's —
+        // degradation is structurally monotone in the flap rate.
+        let mut prev = 0;
+        for flaps in [0u32, 3, 9] {
+            let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
+            cfg.faults = FabricFaultSpec {
+                flaps_per_link: flaps,
+                ..FabricFaultSpec::none()
+            };
+            let r = audited(&cfg);
+            assert!(
+                r.route_blackholes >= prev,
+                "blackholes must not decrease with flap rate \
+                 ({flaps} flaps: {} < {prev})",
+                r.route_blackholes
+            );
+            prev = r.route_blackholes;
+        }
+        assert!(prev > 0, "the densest flap schedule must blackhole frames");
+    }
+
+    #[test]
+    fn fabric_faults_degrade_and_the_run_recovers() {
+        // Flaps and crashed switches with neither protection armed: the
+        // run must ride out the outage on ECMP failover alone.
+        let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
+        cfg.faults = FabricFaultSpec {
+            flaps_per_link: 4,
+            crashed_switches: 2,
+            ..FabricFaultSpec::none()
+        };
+        let r = audited(&cfg);
+        assert!(
+            r.route_blackholes > 0,
+            "flaps + crashed switches must blackhole some frames"
+        );
+        assert!(
+            r.completed > 0,
+            "transactions must keep completing through failover"
+        );
+        assert_eq!((r.shed, r.hedges), (0, 0), "no protection was armed");
+    }
+
+    #[test]
+    fn tiny_admission_budget_sheds_and_caps_in_flight_work() {
+        let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
+        let (open, _) = run_partitioned(&cfg, 1);
+        cfg.admit_budget = Some(1);
+        let capped = audited(&cfg);
+        assert!(capped.shed > 0, "a budget of 1 must shed requests");
+        assert!(
+            capped.completed > 0,
+            "admitted requests must still complete"
+        );
+        assert!(
+            capped.completed < open.completed,
+            "shedding must cost throughput ({} vs {})",
+            capped.completed,
+            open.completed
+        );
+        assert_eq!(open.shed, 0, "no budget, nothing shed");
+    }
+
+    #[test]
+    fn hedged_retries_fire_during_an_outage_and_stale_wins_are_discarded() {
+        let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
+        cfg.faults = FabricFaultSpec {
+            crashed_switches: 2,
+            ..FabricFaultSpec::none()
+        };
+        cfg.hedge = Some(RetryPolicy {
+            timeout: SimDuration::from_millis(4),
+            max_retries: 2,
+            backoff: 2.0,
+        });
+        let r = audited(&cfg);
+        assert!(
+            r.hedges > 0,
+            "outage-lengthened requests must trip the hedge deadline"
+        );
+        assert!(r.completed > 0, "hedged transactions must complete");
     }
 }

@@ -97,7 +97,6 @@ impl DataCenterConfig {
 
 /// Outcome of a data-center run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DataCenterResult {
     /// Transactions per second over the measurement window.
     pub tps: f64,

@@ -11,7 +11,6 @@ use ioat_simcore::SimRng;
 /// One client request: which document, and how many bytes the response
 /// carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Request {
     /// Document identifier (an index into the catalog).
     pub file_id: u32,
@@ -21,7 +20,6 @@ pub struct Request {
 
 /// A catalog of documents with sizes.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FileCatalog {
     sizes: Vec<u64>,
 }

@@ -29,7 +29,6 @@
 
 /// Declarative description of a fabric shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TopologySpec {
     /// 3-tier fat-tree built from `k`-port switches (`k` even, ≥ 4).
     FatTree {

@@ -50,7 +50,6 @@ use std::rc::Rc;
 
 /// Per-link frame-loss model, applied at the sender's egress.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LossModel {
     /// No loss (the hook consumes no randomness).
     #[default]
@@ -110,7 +109,6 @@ impl LossModel {
 
 /// A half-open interval of simulated time `[from, to)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeWindow {
     /// Window start (inclusive).
     pub from: SimTime,
@@ -136,7 +134,6 @@ impl TimeWindow {
 /// crashed and not yet restarted). Service ids are domain-scoped: the
 /// data-center tiers use [`WEB_SERVICE`], PVFS uses the I/O-daemon index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CrashWindow {
     /// Which daemon crashes.
     pub service: u32,
@@ -160,7 +157,6 @@ const FLAP_STREAM_SALT: u64 = 0xF1A9 << 48;
 /// drawn while the simulation runs and the schedule is identical under
 /// any partitioning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkFlapModel {
     /// Down-windows per directed fabric link over the horizon.
     pub flaps_per_link: u32,
@@ -218,7 +214,6 @@ impl LinkFlapModel {
 /// [`FaultPlan::none()`] (also `Default`) configures nothing: every hook
 /// is inert and runs stay bit-identical to fault-free builds.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     /// Seed of the dedicated fault RNG streams (ignored when no
     /// stochastic model is active).
@@ -321,7 +316,6 @@ impl FaultPlan {
 /// Recovery knobs for request/response layers (data-center tiers, PVFS
 /// clients): per-op deadline, bounded retries, exponential backoff.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RetryPolicy {
     /// Deadline for the first attempt.
     pub timeout: SimDuration,

@@ -172,6 +172,11 @@ pub fn enabled() -> bool {
 /// The active scope's deterministic watchdog: a cap on simulator events.
 /// Components constructing a [`Sim`] clamp their event limit to this, so
 /// a wedged job panics reproducibly instead of spinning forever.
+///
+/// The budget is process-wide, not per thread: while a scope holds one,
+/// *every* `Sim` built anywhere in the process inherits it, including
+/// ones built by unscoped code on other threads. A test that sets a
+/// small budget belongs in its own test binary (its own process).
 pub fn event_budget() -> Option<u64> {
     match BUDGET.load(Ordering::Acquire) {
         0 => None,
@@ -242,6 +247,9 @@ pub fn check(
 /// Runs `f` under an audit scope with a sim-event budget, catching
 /// panics. Returns `f`'s outcome (the panic payload on unwind) and every
 /// violation collected while the scope was active.
+///
+/// The budget applies process-wide for the scope's duration (see
+/// [`event_budget`]), so concurrent unscoped simulations see it too.
 pub fn with_audit_budget<T>(
     budget: Option<u64>,
     f: impl FnOnce() -> T,

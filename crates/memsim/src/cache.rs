@@ -18,7 +18,6 @@ use crate::address::Buffer;
 
 /// Geometry of a simulated cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity: u64,
@@ -57,7 +56,6 @@ impl CacheConfig {
 
 /// Whether an access hit or missed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessOutcome {
     /// Line was resident.
     Hit,
@@ -67,7 +65,6 @@ pub enum AccessOutcome {
 
 /// Running hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Number of line accesses that hit.
     pub hits: u64,

@@ -21,7 +21,6 @@ pub const FRAME_OVERHEAD: u64 = 78;
 /// A frame as seen by the receiving NIC: payload bytes of a connection's
 /// stream ending at cumulative sequence `seq_end`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Frame {
     /// The connection the frame belongs to.
     pub conn: ConnId,

@@ -502,7 +502,7 @@ impl HostStack {
     /// count, is the number of cores an operator could reclaim by
     /// switching the node off busy-polling (see DESIGN.md §13).
     pub fn cpu_occupancy(&self, from: SimTime, to: SimTime) -> f64 {
-        if to <= from || self.cores.len() == 0 || !self.ioat.rx_mode.is_polling() {
+        if to <= from || self.cores.is_empty() || !self.ioat.rx_mode.is_polling() {
             return self.cpu_utilization(from, to);
         }
         let mut spinning = vec![false; self.cores.len()];

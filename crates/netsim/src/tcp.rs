@@ -32,7 +32,6 @@ pub const DUP_ACK_THRESHOLD: u32 = 3;
 
 /// Identifies a connection; both endpoints use the same id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConnId(pub u64);
 
 impl fmt::Display for ConnId {

@@ -19,7 +19,6 @@ use std::rc::Rc;
 
 /// Direction of the concurrent test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IoMode {
     /// `pvfs-test` read phase: servers stream to clients.
     Read,
@@ -29,7 +28,6 @@ pub enum IoMode {
 
 /// Per-client driving parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClientParams {
     /// Outstanding piece requests per client process.
     pub pipeline: usize,
@@ -41,7 +39,7 @@ pub struct ClientParams {
     /// CPU performs the kernel→user copy (no DMA engine): the copy plus
     /// the cache pollution it leaves in the process's working set. For
     /// reads this applies to every data piece; for writes only to the
-    /// small ack. Single-threaded model only.
+    /// small ack.
     pub rx_copy_ps_per_byte: u64,
     /// Residual per-byte cost when the I/OAT DMA engine performs the
     /// copy (descriptor posting + completion reaping).
@@ -75,7 +73,7 @@ impl ClientParams {
         }
     }
 
-    /// Single-threaded-model cost to consume a reply whose wire payload
+    /// Client-thread cost to consume a reply whose wire payload
     /// was `rx_bytes` for a piece of `len` bytes: piece bookkeeping plus
     /// the process-context copy of what actually arrived.
     pub fn consume_cost(&self, len: u64, rx_bytes: u64, rx_ps_per_byte: u64) -> SimDuration {
@@ -85,7 +83,6 @@ impl ClientParams {
 
 /// Fault/recovery activity of one client process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClientFaultStats {
     /// Per-op deadlines that expired.
     pub timeouts: u64,
@@ -124,9 +121,9 @@ struct State {
     stats: ClientFaultStats,
     /// Ops whose reply arrived in time (lifecycle audit bookkeeping).
     completed_ops: u64,
-    /// Single-threaded process model: when set, reply processing runs
-    /// through this serial thread with the rx-copy term at `rx_ps`.
-    proc: Option<ProcessCpu>,
+    /// The client's serial process thread: reply processing runs through
+    /// it with the rx-copy term at `rx_ps`.
+    proc: ProcessCpu,
     rx_ps: u64,
 }
 
@@ -134,7 +131,6 @@ struct State {
 pub struct ClientProcess {
     state: Rc<RefCell<State>>,
     senders: Rc<RefCell<Vec<MsgSender<IodRequest>>>>,
-    socket_for_compute: Socket,
 }
 
 impl std::fmt::Debug for ClientProcess {
@@ -149,16 +145,18 @@ impl std::fmt::Debug for ClientProcess {
 
 impl ClientProcess {
     /// Creates a client that will cycle over `[0, region)` of a file with
-    /// the given layout. `done` accumulates completed bytes.
-    /// `socket_for_compute` is any of the client's sockets (used to charge
-    /// processing to the client node).
+    /// the given layout. `done` accumulates completed bytes. Reply
+    /// processing serializes on the process thread `proc`, and each reply
+    /// is charged the process-context rx copy of its wire payload at
+    /// `rx_ps_per_byte` picoseconds per byte.
     pub fn new(
         layout: Layout,
         region: u64,
         mode: IoMode,
         params: ClientParams,
         done: Rc<RefCell<Counter>>,
-        socket_for_compute: Socket,
+        proc: ProcessCpu,
+        rx_ps_per_byte: u64,
     ) -> Self {
         assert!(params.pipeline > 0, "pipeline must be at least 1");
         let pieces = layout.pieces(0, region);
@@ -178,11 +176,10 @@ impl ClientProcess {
                 retry: RetryPolicy::default(),
                 stats: ClientFaultStats::default(),
                 completed_ops: 0,
-                proc: None,
-                rx_ps: 0,
+                proc,
+                rx_ps: rx_ps_per_byte,
             })),
             senders: Rc::new(RefCell::new(Vec::new())),
-            socket_for_compute,
         }
     }
 
@@ -193,18 +190,6 @@ impl ClientProcess {
         let mut st = self.state.borrow_mut();
         st.faults = faults;
         st.retry = retry;
-    }
-
-    /// Switches the client to the single-threaded process model: reply
-    /// processing serializes on `proc` and each reply is charged the
-    /// process-context rx copy of its wire payload at `rx_ps_per_byte`
-    /// picoseconds per byte. Without this call the client keeps the
-    /// legacy behavior (each reply computes on the least-loaded core,
-    /// no rx-copy term).
-    pub fn set_process_cpu(&self, proc: ProcessCpu, rx_ps_per_byte: u64) {
-        let mut st = self.state.borrow_mut();
-        st.proc = Some(proc);
-        st.rx_ps = rx_ps_per_byte;
     }
 
     /// Fault/recovery counters accumulated so far.
@@ -292,16 +277,15 @@ impl ClientProcess {
     }
 
     /// The reply handler for one server connection; pass to
-    /// [`crate::iod::serve`]. Replies are matched to outstanding ops by
-    /// the echoed op id (not arrival order), so the same handler works
-    /// under retries and failover. `conn_sock` is the client endpoint of
-    /// that connection — the handler re-posts its read after processing,
-    /// so a credit-limited connection exerts backpressure while the
-    /// client thread is busy.
+    /// [`crate::iod::serve_shared`]. Replies are matched to outstanding
+    /// ops by the echoed op id (not arrival order), so the same handler
+    /// works under retries and failover. `conn_sock` is the client
+    /// endpoint of that connection — the handler re-posts its read after
+    /// processing, so a credit-limited connection exerts backpressure
+    /// while the client thread is busy.
     pub fn reply_handler(&self, conn_sock: Socket) -> impl FnMut(&mut Sim, IodReply) + 'static {
         let state = Rc::clone(&self.state);
         let senders = Rc::clone(&self.senders);
-        let sock = self.socket_for_compute.clone();
         move |sim, reply| {
             let (cost, proc) = {
                 let mut st = state.borrow_mut();
@@ -318,20 +302,16 @@ impl ClientProcess {
                 st.outstanding -= 1;
                 st.completed_ops += 1;
                 st.done.borrow_mut().add_at(sim.now(), len);
-                let cost = match st.proc {
-                    // Single-threaded model: charge the rx copy of what
-                    // came over the wire — the data piece for reads, the
-                    // 64-byte ack for writes.
-                    Some(_) => {
-                        let rx_bytes = match reply {
-                            IodReply::Data { len, .. } => len,
-                            IodReply::Ack { .. } => WRITE_ACK_BYTES,
-                        };
-                        st.params.consume_cost(len, rx_bytes, st.rx_ps)
-                    }
-                    None => st.params.piece_cost(len),
+                // Charge the rx copy of what came over the wire — the
+                // data piece for reads, the 64-byte ack for writes.
+                let rx_bytes = match reply {
+                    IodReply::Data { len, .. } => len,
+                    IodReply::Ack { .. } => WRITE_ACK_BYTES,
                 };
-                (cost, st.proc.clone())
+                (
+                    st.params.consume_cost(len, rx_bytes, st.rx_ps),
+                    st.proc.clone(),
+                )
             };
             let state2 = Rc::clone(&state);
             let senders2 = Rc::clone(&senders);
@@ -340,10 +320,7 @@ impl ClientProcess {
                 conn2.post_recv(sim);
                 issue(&state2, &senders2, sim);
             };
-            match proc {
-                Some(p) => p.run(sim, cost, then),
-                None => sock.compute(sim, cost, then),
-            }
+            proc.run(sim, cost, then)
         }
     }
 
@@ -528,7 +505,8 @@ mod tests {
             IoMode::Read,
             params,
             done,
-            sock,
+            ProcessCpu::new(sock),
+            0,
         );
     }
 }

@@ -9,7 +9,6 @@ pub const DEFAULT_STRIPE: u64 = 64 * 1024;
 
 /// A file's striping parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Layout {
     /// Stripe unit in bytes.
     pub stripe_size: u64,
@@ -22,7 +21,6 @@ pub struct Layout {
 
 /// One contiguous piece of a request, mapped to a single server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StripePiece {
     /// The I/O server holding the piece.
     pub server: usize,

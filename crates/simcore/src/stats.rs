@@ -20,7 +20,6 @@ use std::fmt;
 /// assert_eq!(bytes.total(), 1_500);
 /// ```
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Counter {
     total: u64,
     window_start: SimTime,
@@ -88,7 +87,6 @@ pub fn bytes_to_mbytes_per_sec(bytes: u64, elapsed: SimDuration) -> f64 {
 /// A windowed throughput meter: counts bytes and reports Mbps/MBps over a
 /// measurement window, excluding warm-up.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RateMeter {
     bytes: Counter,
 }
@@ -132,7 +130,6 @@ impl RateMeter {
 
 /// Online mean/min/max/variance (Welford) summary.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -246,7 +243,6 @@ impl fmt::Display for Summary {
 /// `1/SUB` (≈ 3% with 32 sub-buckets), plenty for reporting latency
 /// percentiles.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,

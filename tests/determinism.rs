@@ -168,7 +168,7 @@ fn fault_enabled_runs_are_bit_reproducible() {
 }
 
 #[test]
-fn fault_failover_is_deterministic_in_the_single_threaded_model() {
+fn fault_failover_is_deterministic_under_process_serialization() {
     // The PR-8 daemon cost model routes every request through serial
     // per-process CPU threads (shared iod thread, serial client thread,
     // serial metadata manager). A daemon crash mid-window must still
@@ -176,10 +176,6 @@ fn fault_failover_is_deterministic_in_the_single_threaded_model() {
     // bit-reproducible — the retry/deadline machinery now runs *under*
     // the process-CPU serialization, not beside it.
     let mut cfg = PvfsConfig::quick_test(2, 3, IoatConfig::full());
-    assert!(
-        cfg.single_threaded,
-        "quick_test must default to the corrected single-threaded model"
-    );
     cfg.faults.crashes.push(CrashWindow {
         service: 0,
         window: TimeWindow::new(
