@@ -356,8 +356,15 @@ fn main() {
         // 'all' runs the umbrella grid once instead of four times.
         let in_all = all && !name.starts_with("abl-modern-");
         if in_all || cli.targets.iter().any(|t| t == name) {
-            let fig = figs::run_figure_supervised(name, window, cli.jobs, &opts)
+            // Figures run one at a time, so a reset here makes each
+            // reading that figure's own peak; without it the reading would
+            // be a process-lifetime mark, so it is dropped.
+            let own_peak = figs::reset_peak_rss();
+            let mut fig = figs::run_figure_supervised(name, window, cli.jobs, &opts)
                 .expect("TARGETS only lists known figures");
+            if !own_peak {
+                fig.peak_rss_bytes = None;
+            }
             if let Some(reason) = &fig.error {
                 eprintln!("\n=== {name}: FAILED ===\n{reason}");
             } else {

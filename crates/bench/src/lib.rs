@@ -147,9 +147,10 @@ pub struct FigureResult {
     /// JSON report derives `events_per_sec` from this and `wall_ms`.
     pub sim_events: u64,
     /// Peak resident set size of the process (Linux `VmHWM`) observed
-    /// when the figure finished, in bytes; `None` off-Linux. A process
-    /// high-water mark, so host-dependent and monotone across figures —
-    /// excluded from determinism comparisons.
+    /// when the figure finished, in bytes; `None` off-Linux. `repro`
+    /// resets the high-water mark before each figure, so there it is the
+    /// figure's own peak at the run's `--jobs`. Host-dependent — excluded
+    /// from determinism comparisons.
     pub peak_rss_bytes: Option<u64>,
     /// Why the figure failed, when it did: the supervisor's classified
     /// reason (`panicked: ...` / `wedged: ...` / `audit: ...`). `None`
@@ -1180,10 +1181,9 @@ pub fn abl_fabric_faults_points(
 }
 
 /// Peak resident set size of this process in bytes (Linux `VmHWM`), or
-/// `None` where `/proc/self/status` is unavailable. Monotone over the
-/// process lifetime — a per-figure reading is "the high-water mark so
-/// far", which is exactly the bound the `fig_fabric` acceptance
-/// criterion cares about.
+/// `None` where `/proc/self/status` is unavailable. The high-water mark
+/// since the process started or since the last successful
+/// [`reset_peak_rss`], whichever is later.
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let kb: u64 = status
@@ -1194,6 +1194,14 @@ pub fn peak_rss_bytes() -> Option<u64> {
         .parse()
         .ok()?;
     Some(kb * 1024)
+}
+
+/// Restarts the process's peak-RSS high-water mark at its current RSS
+/// (Linux: `5` written to `/proc/self/clear_refs`), so the next
+/// [`peak_rss_bytes`] reading covers only what ran after the call.
+/// Returns `false` where the reset is unavailable.
+pub fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 /// Builds one figure by target name, timing the build. Returns `None`

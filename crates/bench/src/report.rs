@@ -17,8 +17,10 @@
 //! fabric family: `sim_events` (deterministic; 0 when a figure does not
 //! report them), `events_per_sec` (derived from `sim_events` and
 //! `wall_ms`, null when either is unavailable), and `peak_rss_bytes`
-//! (process `VmHWM`, null off-Linux). Like `*_wall_ms`, the last two
-//! vary between hosts and must be stripped before determinism diffs.
+//! (process `VmHWM`, reset before each figure so it is that figure's own
+//! peak at the run's `--jobs`; null when it cannot be read or reset).
+//! Like `*_wall_ms`, the last two vary between hosts and must be stripped
+//! before determinism diffs.
 //!
 //! Schema `ioat-bench/4` adds the parallel-in-simulation fields:
 //! `sim_threads` in the header (the `--sim-threads` worker count the run

@@ -499,6 +499,18 @@ impl Cluster {
     }
 }
 
+/// Tearing a cluster down frees its whole model: stacks, sockets and
+/// application handlers point at each other through `Rc`, so every node
+/// is [`stack::detach`]ed before the fields drop. Copy results off the
+/// cluster before it goes.
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        for node in &self.nodes {
+            stack::detach(node);
+        }
+    }
+}
+
 /// A wired pair of port indices: `a`'s port and `b`'s port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortPair {
@@ -594,6 +606,39 @@ mod tests {
         let reg = cluster.metrics();
         assert!(reg.counter("fabric.forwarded") > 0);
         assert_eq!(reg.counter("fabric.tail_drops"), 0);
+    }
+
+    #[test]
+    fn dropping_a_cluster_during_a_panic_unwind_does_not_abort() {
+        let build_and_panic = || {
+            let mut cluster = Cluster::new(1);
+            let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::full()));
+            let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::full()));
+            let ports = cluster.connect_ports(a, b, 1, true);
+            let (sa, _sb) = cluster.open(a, b, ports[0], SocketOpts::tuned());
+            sa.send(cluster.sim_mut(), 1_000_000);
+            // Mid-transfer: frames, ACKs and DMA completions are pending.
+            let held = Rc::clone(cluster.stack(b));
+            cluster
+                .sim_mut()
+                .schedule(SimDuration::from_micros(200), move |_sim| {
+                    let _borrowed = held.borrow_mut();
+                    panic!("scheduled event failed mid-run");
+                });
+            cluster.run();
+        };
+        let outcome = std::panic::catch_unwind(build_and_panic);
+        assert!(outcome.is_err(), "the scheduled panic must propagate");
+        // The unwind dropped the cluster without a second panic, so the
+        // process is still here and can build the next simulation.
+        let mut cluster = Cluster::new(2);
+        let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
+        let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::disabled()));
+        let ports = cluster.connect_ports(a, b, 1, true);
+        let (sa, _sb) = cluster.open(a, b, ports[0], SocketOpts::tuned());
+        sa.send(cluster.sim_mut(), 100_000);
+        cluster.run();
+        assert_eq!(cluster.stack(b).borrow().rx_meter().total_bytes(), 100_000);
     }
 
     #[test]

@@ -204,6 +204,10 @@ where
     // Per-thread attempt-id mints, collected so the lifecycle audit can
     // reconcile attempts against completions after the run.
     let mut attempt_mints: Vec<Rc<RefCell<u64>>> = Vec::with_capacity(cfg.client_threads);
+    // Each thread's self-referential request slot, emptied before return
+    // so the closure it holds (and everything that closure reaches) is
+    // freed with the run.
+    let mut fire_slots = Vec::with_capacity(cfg.client_threads);
 
     for t in 0..cfg.client_threads {
         let cp = client_pairs[t % client_pairs.len()];
@@ -307,6 +311,7 @@ where
             })
         };
         *fire_slot.borrow_mut() = Some(Rc::clone(&fire));
+        fire_slots.push(Rc::clone(&fire_slot));
 
         // (1) Responses proxy → client: complete the transaction, process,
         // fire the next request.
@@ -512,6 +517,9 @@ where
             daemon_drops: web_faults.daemon_drops(),
         }
     };
+    for slot in &fire_slots {
+        drop(slot.take());
+    }
     result
 }
 

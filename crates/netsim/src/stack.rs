@@ -812,6 +812,27 @@ fn install_endpoint(s: &StackRef, port: usize, opts: SocketOpts, id: ConnId) {
     );
 }
 
+/// Breaks the reference cycles that run through `s`: its ports (peer
+/// stacks and routers point back at it) and its connections (application
+/// handlers capture sockets on it). The taken state is dropped after the
+/// `RefCell` borrow is released, so drop code that reaches back into this
+/// stack finds it unborrowed. A stack that is still borrowed is skipped
+/// rather than panicking, because a panic inside `Drop` during an unwind
+/// aborts the process.
+///
+/// The stack stays usable for read-only queries (stats, meters, core
+/// utilization) but can no longer send or receive.
+pub fn detach(s: &StackRef) {
+    let Ok(mut st) = s.try_borrow_mut() else {
+        return;
+    };
+    let ports = std::mem::take(&mut st.ports);
+    let conns = std::mem::take(&mut st.conns);
+    drop(st);
+    drop(ports);
+    drop(conns);
+}
+
 /// Installs the application event handler for `conn` on stack `s`.
 pub fn set_handler<F>(s: &StackRef, conn: ConnId, handler: F)
 where
@@ -2007,6 +2028,33 @@ mod tests {
     #[should_panic(expected = "zero cores")]
     fn zero_core_stack_is_rejected() {
         let _ = HostStack::new("z", 0, StackParams::default(), IoatConfig::disabled());
+    }
+
+    #[test]
+    fn detach_releases_peers_and_skips_a_borrowed_stack() {
+        let (mut sim, a, b, conn) = pair(IoatConfig::full(), SocketOpts::tuned());
+        let a2 = Rc::clone(&a);
+        set_handler(&b, conn, move |_sim, _ev| {
+            let _ = &a2;
+        });
+        app_send(&a, &mut sim, conn, 200_000);
+        sim.run();
+        // Port a→b, port b→a and b's handler each hold the other stack.
+        assert_eq!(Rc::strong_count(&a), 3);
+        assert_eq!(Rc::strong_count(&b), 2);
+        {
+            // Still borrowed: left alone instead of panicking.
+            let held = b.borrow();
+            detach(&b);
+            assert_eq!(held.port_count(), 1);
+        }
+        detach(&a);
+        detach(&b);
+        assert_eq!(Rc::strong_count(&a), 1);
+        assert_eq!(Rc::strong_count(&b), 1);
+        let st = b.borrow();
+        assert_eq!(st.port_count(), 0);
+        assert_eq!(st.rx_meter().total_bytes(), 200_000, "stats survive");
     }
 
     #[cfg(not(feature = "audit-bug"))]

@@ -89,6 +89,15 @@ impl ProcessCpu {
         self.dispatch(sim, cost, Box::new(then));
     }
 
+    /// Drops every job still waiting when the run stops. A waiting job
+    /// usually captures state that owns this very thread (a client's
+    /// reply continuation holds the client), so a queue left populated
+    /// keeps itself alive after the simulation is gone.
+    pub fn clear(&self) {
+        let waiting = std::mem::take(&mut *self.inner.queue.borrow_mut());
+        drop(waiting);
+    }
+
     fn dispatch(&self, sim: &mut Sim, cost: SimDuration, then: Box<dyn FnOnce(&mut Sim)>) {
         let this = self.clone();
         self.inner.sock.compute(sim, cost, move |sim| {
