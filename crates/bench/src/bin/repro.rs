@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! repro [--list] [--quick] [--audit] [--jobs N] [--sim-threads N]
-//!       [--retries N] [--fail <target>] [--json <path>]
-//!       [--trace <path>] [target ...]
+//!       [--fail <target>] [--json <path>] [--trace <path>] [target ...]
 //! ```
 //!
 //! With no targets (or `all`) every figure runs (the `abl-modern-*`
@@ -38,10 +37,10 @@
 //! invariant-audit scope: conservation and lifecycle identities are
 //! checked at the end of every measurement window, and any violation
 //! fails the figure (rows are bit-identical with and without `--audit` —
-//! audits are pure reads). `--retries N` re-attempts a failed figure up
-//! to N extra times before recording the failure. `--fail <target>`
-//! injects a deliberate panic into that figure's sweep — CI's
-//! forced-failure smoke for this whole path.
+//! audits are pure reads). A failed figure is not retried: every figure
+//! is a deterministic function of its configuration, so a second attempt
+//! fails the same way. `--fail <target>` injects a deliberate panic into
+//! that figure's sweep — CI's forced-failure smoke for this whole path.
 
 use ioat_bench as figs;
 use ioat_bench::report::{self, RunMeta};
@@ -120,7 +119,6 @@ const FLAGS: &[&str] = &[
     "--audit",
     "--jobs",
     "--sim-threads",
-    "--retries",
     "--fail",
     "--json",
     "--trace",
@@ -160,7 +158,7 @@ fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: repro [--list] [--quick] [--audit] [--jobs N] [--sim-threads N] \
-         [--retries N] [--fail <target>] [--json <path>] [--trace <path>] [target ...]"
+         [--fail <target>] [--json <path>] [--trace <path>] [target ...]"
     );
     std::process::exit(2);
 }
@@ -172,7 +170,6 @@ struct Cli {
     audit: bool,
     jobs: usize,
     sim_threads: usize,
-    retries: usize,
     fail: Option<String>,
     json_path: Option<String>,
     trace_path: Option<String>,
@@ -191,7 +188,6 @@ fn parse_cli(args: Vec<String>) -> Cli {
         audit: false,
         jobs: figs::sweep::default_jobs(),
         sim_threads: 1,
-        retries: 0,
         fail: None,
         json_path: None,
         trace_path: None,
@@ -199,27 +195,12 @@ fn parse_cli(args: Vec<String>) -> Cli {
     };
     let mut jobs_seen = false;
     let mut sim_threads_seen = false;
-    let mut retries_seen = false;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--list" => cli.list = true,
             "--quick" => cli.quick = true,
             "--audit" => cli.audit = true,
-            "--retries" => {
-                if retries_seen {
-                    die("--retries given more than once");
-                }
-                retries_seen = true;
-                let val = it
-                    .next()
-                    .unwrap_or_else(|| die("--retries needs an attempt count"));
-                cli.retries = val.parse::<usize>().unwrap_or_else(|_| {
-                    die(&format!(
-                        "--retries needs a non-negative integer, got '{val}'"
-                    ))
-                });
-            }
             "--fail" => {
                 if cli.fail.is_some() {
                     die("--fail given more than once");
@@ -345,7 +326,6 @@ fn main() {
     let all = cli.targets.is_empty() || cli.targets.iter().any(|t| t == "all");
     let opts = figs::SuperviseOpts {
         audit: cli.audit,
-        retries: cli.retries,
         event_budget: None,
         force_fail: cli.fail.clone(),
         sim_threads: cli.sim_threads,

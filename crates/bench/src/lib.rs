@@ -1274,8 +1274,6 @@ pub struct SuperviseOpts {
     /// debug-panicking, and any violation marks the figure failed. Audits
     /// are pure reads over counters, so rows stay bit-identical either way.
     pub audit: bool,
-    /// Extra whole-figure attempts after a failure before giving up.
-    pub retries: usize,
     /// Deterministic watchdog: clamps every simulation the figure builds
     /// to this many events, so a wedged job dies with a reproducible
     /// `event limit exceeded` panic rather than hanging. Rides on the
@@ -1296,7 +1294,6 @@ impl Default for SuperviseOpts {
     fn default() -> Self {
         SuperviseOpts {
             audit: false,
-            retries: 0,
             event_budget: None,
             force_fail: None,
             sim_threads: 1,
@@ -1306,9 +1303,10 @@ impl Default for SuperviseOpts {
 
 /// [`run_figure`] under supervision: panics (including the event-budget
 /// watchdog's) and audit violations become [`FigureResult::error`]
-/// instead of crashing the run, after up to `opts.retries` whole-figure
-/// re-attempts. Successful figures are byte-for-byte what [`run_figure`]
-/// returns (modulo `wall_ms`). Returns `None` only for an unknown name.
+/// instead of crashing the run. A failed figure is not retried: it is a
+/// deterministic function of its configuration, so it would fail again.
+/// Successful figures are byte-for-byte what [`run_figure`] returns
+/// (modulo `wall_ms`). Returns `None` only for an unknown name.
 pub fn run_figure_supervised(
     name: &str,
     window: ExperimentWindow,
@@ -1317,73 +1315,66 @@ pub fn run_figure_supervised(
 ) -> Option<FigureResult> {
     let start = std::time::Instant::now();
     let force = opts.force_fail.as_deref() == Some(name);
-    let mut attempts = 0usize;
-    loop {
-        attempts += 1;
-        let build = || {
-            if force {
-                // Push the deliberate panic through the sweep pool so the
-                // smoke exercises the exact worker/catch_unwind path a real
-                // point failure takes under `--jobs N`.
-                let poison: Vec<Box<dyn FnOnce() + Send>> = vec![
-                    Box::new(|| ()),
-                    Box::new(move || panic!("deliberate failure injected by --fail")),
-                ];
-                sweep::run_jobs(poison, jobs);
-            }
-            run_figure(name, window, jobs, opts.sim_threads)
-        };
-        let (result, violations) = if opts.audit {
-            ioat_guard::with_audit_budget(opts.event_budget, build)
-        } else {
-            (
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)),
-                Vec::new(),
-            )
-        };
-        // A failure carries the classified reason plus, for audit
-        // failures, the rows that were built anyway (evidence for the
-        // report reader; `status: "failed"` still marks them suspect).
-        let (reason, partial) = match result {
-            Err(payload) => (ioat_guard::failure_reason(payload.as_ref()), None),
-            Ok(None) => return None,
-            Ok(Some(mut fig)) => {
-                if violations.is_empty() {
-                    fig.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                    return Some(fig);
-                }
-                (
-                    format!(
-                        "audit: {} violation(s); first: {}",
-                        violations.len(),
-                        violations[0]
-                    ),
-                    Some(fig),
-                )
-            }
-        };
-        if attempts <= opts.retries {
-            continue;
+    let build = || {
+        if force {
+            // Push the deliberate panic through the sweep pool so the
+            // smoke exercises the exact worker/catch_unwind path a real
+            // point failure takes under `--jobs N`.
+            let poison: Vec<Box<dyn FnOnce() + Send>> = vec![
+                Box::new(|| ()),
+                Box::new(move || panic!("deliberate failure injected by --fail")),
+            ];
+            sweep::run_jobs(poison, jobs);
         }
-        let mut fig = partial.unwrap_or_else(|| {
-            FigureResult::new(
-                name,
-                &format!("{name} (failed)"),
-                "",
-                FigureRows::Compare(Vec::new()),
+        run_figure(name, window, jobs, opts.sim_threads)
+    };
+    let (result, violations) = if opts.audit {
+        ioat_guard::with_audit_budget(opts.event_budget, build)
+    } else {
+        (
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)),
+            Vec::new(),
+        )
+    };
+    // A failure carries the classified reason plus, for audit failures,
+    // the rows that were built anyway (evidence for the report reader;
+    // `status: "failed"` still marks them suspect).
+    let (reason, partial) = match result {
+        Err(payload) => (ioat_guard::failure_reason(payload.as_ref()), None),
+        Ok(None) => return None,
+        Ok(Some(mut fig)) => {
+            if violations.is_empty() {
+                fig.wall_ms = start.elapsed().as_secs_f64() * 1e3;
+                return Some(fig);
+            }
+            (
+                format!(
+                    "audit: {} violation(s); first: {}",
+                    violations.len(),
+                    violations[0]
+                ),
+                Some(fig),
             )
-        });
-        fig.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        fig.peak_rss_bytes = peak_rss_bytes();
-        fig.error = Some(reason);
-        return Some(fig);
-    }
+        }
+    };
+    let mut fig = partial.unwrap_or_else(|| {
+        FigureResult::new(
+            name,
+            &format!("{name} (failed)"),
+            "",
+            FigureRows::Compare(Vec::new()),
+        )
+    });
+    fig.wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    fig.peak_rss_bytes = peak_rss_bytes();
+    fig.error = Some(reason);
+    Some(fig)
 }
 
 /// Runs the Fig. 7 configuration with tracing on, prints the per-category
 /// CPU split-up over the measurement window for non-I/OAT and full I/OAT,
 /// and writes the full-I/OAT run as a Perfetto-loadable Chrome trace plus
-/// companion event/metrics CSVs next to it. Tracing is inherently
+/// companion event CSV next to it. Tracing is inherently
 /// single-threaded; this path never uses the sweep pool.
 pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
     use ioat_telemetry::{cpu_splitup, export, Tracer};

@@ -1,4 +1,4 @@
-//! The parallel sweep executor and its supervisor.
+//! The parallel sweep executor.
 //!
 //! Every figure of the paper's evaluation is a grid of *independent*
 //! configuration points (ports × I/OAT on/off, thread counts, Zipf α,
@@ -10,22 +10,12 @@
 //! input order, which keeps the output bit-identical to a sequential
 //! run (asserted by `tests/parallel_determinism.rs`).
 //!
-//! Supervision: every job runs under its own `catch_unwind`, so one
-//! panicking point can never take down in-flight siblings or leak the
-//! pool — the other workers drain their queues normally and every
-//! completed result survives. What happens to the caught panic depends
-//! on the entry point:
-//!
-//! * [`run_jobs`] re-raises the first panic (in input order) after the
-//!   pool drains — the historical contract, kept for figure builders
-//!   where a panic means the figure itself is broken.
-//! * [`run_jobs_supervised`] converts each panic into
-//!   [`JobOutcome::Failed`] with a reason classified by
-//!   [`ioat_guard::failure_reason`] (`wedged:` for the deterministic
-//!   sim-event-budget watchdog, `panicked:` for everything else), and
-//!   optionally re-runs a failed job up to `retries` times before giving
-//!   up on it. Successful jobs are byte-for-byte unaffected by the
-//!   supervision (the closure result is moved out, never cloned).
+//! Panics: every job runs under its own `catch_unwind`, so one panicking
+//! point can never take down in-flight siblings or leak the pool — the
+//! other workers drain their queues normally, and [`run_jobs`] re-raises
+//! the first panic (in input order) afterwards: a panic means the figure
+//! itself is broken. The figure-level supervisor
+//! (`run_figure_supervised`) turns that panic into a reported failure.
 //!
 //! Determinism contract:
 //!
@@ -51,57 +41,13 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// What the supervisor reports for one job: its result, or the reason
-/// it was given up on after every allowed attempt panicked.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobOutcome<T> {
-    /// The job returned normally (possibly after retries).
-    Ok(T),
-    /// Every attempt panicked; `reason` is the final attempt's panic
-    /// classified by [`ioat_guard::failure_reason`].
-    Failed {
-        /// `wedged: ...` (event-budget watchdog) or `panicked: ...`.
-        reason: String,
-    },
-}
-
-impl<T> JobOutcome<T> {
-    /// The success value, if any.
-    pub fn ok(self) -> Option<T> {
-        match self {
-            JobOutcome::Ok(v) => Some(v),
-            JobOutcome::Failed { .. } => None,
-        }
-    }
-
-    /// True for [`JobOutcome::Failed`].
-    pub fn is_failed(&self) -> bool {
-        matches!(self, JobOutcome::Failed { .. })
-    }
-}
-
 type JobResult<T> = Result<T, Box<dyn Any + Send>>;
 
-/// One supervised attempt sequence: run `job`, retrying a panicking run
-/// up to `retries` extra times, and hand back the last panic payload if
-/// none succeeds. `AssertUnwindSafe` is sound here because a failed
-/// attempt's partially-mutated state is dropped wholesale — the next
-/// attempt re-runs the deterministic simulation from scratch and nothing
-/// outside the closure observes the torn state.
-fn attempt<T, F: FnMut() -> T>(job: &mut F, retries: usize) -> JobResult<T> {
-    let mut last = None;
-    for _ in 0..=retries {
-        match panic::catch_unwind(AssertUnwindSafe(&mut *job)) {
-            Ok(v) => return Ok(v),
-            Err(payload) => last = Some(payload),
-        }
-    }
-    Err(last.expect("at least one attempt always runs"))
-}
-
-/// The shared executor core: runs every job (with per-job panic
-/// isolation and retries) and returns `Result`s **in input order**, the
-/// panic payload preserved for the caller to classify or re-raise.
+/// The executor core: runs every job (with per-job panic isolation) and
+/// returns `Result`s **in input order**, the panic payload preserved for
+/// the caller to re-raise. `AssertUnwindSafe` is sound because a
+/// panicking job's partially-mutated state is dropped wholesale and
+/// nothing outside the closure observes it.
 ///
 /// `workers` is clamped to `1..=jobs.len()`; `workers <= 1` (or a
 /// single job) degenerates to a plain sequential loop on the calling
@@ -116,10 +62,10 @@ fn attempt<T, F: FnMut() -> T>(job: &mut F, retries: usize) -> JobResult<T> {
 /// bug, and silently returning an empty table would let it masquerade
 /// as a completed run (the config-validation counterpart to the
 /// zero-bandwidth-link and zero-core-node constructor asserts).
-fn run_jobs_raw<T, F>(jobs: Vec<F>, workers: usize, retries: usize) -> Vec<JobResult<T>>
+fn run_jobs_raw<T, F>(jobs: Vec<F>, workers: usize) -> Vec<JobResult<T>>
 where
     T: Send,
-    F: FnMut() -> T + Send,
+    F: FnOnce() -> T + Send,
 {
     let n = jobs.len();
     assert!(
@@ -130,7 +76,7 @@ where
     if workers <= 1 || n == 1 {
         return jobs
             .into_iter()
-            .map(|mut job| attempt(&mut job, retries))
+            .map(|job| panic::catch_unwind(AssertUnwindSafe(job)))
             .collect();
     }
     let workers = workers.min(n);
@@ -148,12 +94,12 @@ where
                 if i >= n {
                     return;
                 }
-                let mut job = job_cells[i]
+                let job = job_cells[i]
                     .lock()
                     .expect("job mutex never poisoned: taken exactly once")
                     .take()
                     .expect("each job index is claimed exactly once");
-                let out = attempt(&mut job, retries);
+                let out = panic::catch_unwind(AssertUnwindSafe(job));
                 *result_cells[i]
                     .lock()
                     .expect("result mutex never poisoned: written exactly once") = Some(out);
@@ -173,8 +119,7 @@ where
 
 /// Runs every job and returns their results **in input order**.
 ///
-/// See the module docs for the pool mechanics. This is the
-/// panic-*propagating* entry point used by the figure builders.
+/// See the module docs for the pool mechanics.
 ///
 /// # Panics
 ///
@@ -189,22 +134,9 @@ where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    // Adapt `FnOnce` to the executor's re-runnable `FnMut` interface;
-    // with zero retries each slot is taken exactly once.
-    let wrapped: Vec<_> = jobs
-        .into_iter()
-        .map(|job| {
-            let mut slot = Some(job);
-            move || {
-                (slot
-                    .take()
-                    .expect("zero retries: each job runs at most once"))()
-            }
-        })
-        .collect();
     let mut first_panic: Option<Box<dyn Any + Send>> = None;
-    let mut out = Vec::with_capacity(wrapped.len());
-    for result in run_jobs_raw(wrapped, workers, 0) {
+    let mut out = Vec::with_capacity(jobs.len());
+    for result in run_jobs_raw(jobs, workers) {
         match result {
             Ok(v) => out.push(v),
             Err(payload) => {
@@ -216,30 +148,6 @@ where
         panic::resume_unwind(payload);
     }
     out
-}
-
-/// Runs every job under full supervision: a job whose every attempt
-/// (1 + `retries`) panics becomes [`JobOutcome::Failed`] instead of
-/// killing the sweep, and all other jobs' results are returned intact,
-/// in input order.
-///
-/// # Panics
-///
-/// Only on an empty job list (harness bug — see [`run_jobs_raw`]).
-pub fn run_jobs_supervised<T, F>(jobs: Vec<F>, workers: usize, retries: usize) -> Vec<JobOutcome<T>>
-where
-    T: Send,
-    F: FnMut() -> T + Send,
-{
-    run_jobs_raw(jobs, workers, retries)
-        .into_iter()
-        .map(|result| match result {
-            Ok(v) => JobOutcome::Ok(v),
-            Err(payload) => JobOutcome::Failed {
-                reason: ioat_guard::failure_reason(payload.as_ref()),
-            },
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -341,76 +249,6 @@ mod tests {
             .expect_err("panics propagate");
         let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "slow early panic");
-    }
-
-    #[test]
-    fn supervised_isolates_a_panicking_job() {
-        let jobs: Vec<Box<dyn FnMut() -> u32 + Send>> = (0..6u32)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 2 {
-                        panic!("point 2 is cursed");
-                    }
-                    i * 10
-                }) as Box<dyn FnMut() -> u32 + Send>
-            })
-            .collect();
-        let out = run_jobs_supervised(jobs, 3, 0);
-        assert_eq!(out.len(), 6);
-        for (i, outcome) in out.into_iter().enumerate() {
-            if i == 2 {
-                let JobOutcome::Failed { reason } = outcome else {
-                    panic!("job 2 must fail");
-                };
-                assert!(reason.starts_with("panicked:"), "reason: {reason}");
-                assert!(reason.contains("point 2 is cursed"), "reason: {reason}");
-            } else {
-                assert_eq!(outcome.ok(), Some(i as u32 * 10), "job {i} unaffected");
-            }
-        }
-    }
-
-    #[test]
-    fn retries_rerun_the_same_job_until_it_succeeds() {
-        // A job that panics on its first attempts and succeeds later:
-        // recoverable only through the supervised entry point, and only
-        // when the retry budget covers it.
-        let mk = |failures: u32| {
-            let mut calls = 0u32;
-            move || {
-                calls += 1;
-                if calls <= failures {
-                    panic!("transient failure #{calls}");
-                }
-                calls
-            }
-        };
-        let out = run_jobs_supervised(vec![mk(2)], 1, 2);
-        assert_eq!(out, vec![JobOutcome::Ok(3)], "succeeds on attempt 3 of 3");
-        let out = run_jobs_supervised(vec![mk(2)], 1, 1);
-        assert!(out[0].is_failed(), "retry budget of 1 is not enough");
-        let JobOutcome::Failed { reason } = &out[0] else {
-            unreachable!()
-        };
-        assert!(
-            reason.contains("transient failure #2"),
-            "the *last* attempt's panic is reported: {reason}"
-        );
-    }
-
-    #[test]
-    fn watchdog_panics_classify_as_wedged() {
-        // The deterministic event-budget watchdog kills a wedged job with
-        // an "event limit ... exceeded" panic; the supervisor labels it
-        // `wedged:` so a report reader can tell livelock from a crash.
-        let jobs: Vec<Box<dyn FnMut() + Send>> = vec![Box::new(|| {
-            panic!("event limit 5000 exceeded at t=1.2ms — possible event loop")
-        })];
-        let out = run_jobs_supervised(jobs, 1, 0);
-        let JobOutcome::Failed { reason } = &out[0] else {
-            panic!("watchdog panic must surface as Failed");
-        };
-        assert!(reason.starts_with("wedged:"), "reason: {reason}");
     }
 
     #[test]

@@ -203,18 +203,6 @@ fn sim_threads_is_recorded_in_the_report_header() {
 }
 
 #[test]
-fn retries_flag_validates_its_value() {
-    for bad in [&["--retries"][..], &["--retries", "soon"]] {
-        let out = repro(bad);
-        assert_eq!(out.status.code(), Some(2), "args: {bad:?}");
-        assert!(stderr(&out).contains("--retries"), "args: {bad:?}");
-    }
-    let out = repro(&["--retries", "1", "--retries", "1"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("more than once"));
-}
-
-#[test]
 fn fail_flag_rejects_unknown_targets() {
     let out = repro(&["--fail", "fig3c"]);
     assert_eq!(out.status.code(), Some(2));

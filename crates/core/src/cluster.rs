@@ -1,17 +1,17 @@
-//! Cluster assembly: nodes, fabrics and connections.
+//! Cluster assembly: nodes, ports and connections.
 //!
 //! A [`Cluster`] owns the simulator and the nodes; experiments build one,
 //! wire ports, open connections and run. Nodes are [`HostStack`]s under
 //! the hood — this module only adds the testbed-shaped conveniences.
 
 use crate::calibration;
-use ioat_fabric::{Fabric, FabricParams, FabricRef, TopologySpec};
+use ioat_fabric::FabricParams;
 use ioat_faults::{FaultInjector, FaultPlan};
 use ioat_netsim::stack::{self, HostStack, StackRef};
 use ioat_netsim::{ConnId, IoatConfig, Link, Socket, SocketOpts, StackParams};
 use ioat_simcore::time::Bandwidth;
 use ioat_simcore::{Sim, SimDuration};
-use ioat_telemetry::{Category, MetricsRegistry, Tracer, TrackId};
+use ioat_telemetry::{Category, Tracer, TrackId};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -82,7 +82,6 @@ pub struct Cluster {
     latency: SimDuration,
     tracer: Tracer,
     faults: FaultPlan,
-    fabric: Option<FabricRef>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -118,54 +117,16 @@ impl Cluster {
             latency: calibration::switch_latency(),
             tracer: Tracer::disabled(),
             faults: FaultPlan::none(),
-            fabric: None,
         }
     }
 
-    /// Compiles and installs a switch fabric: nodes can then attach to
-    /// leaf ports with [`Cluster::attach_fabric_host`] and connect through
-    /// it with [`Cluster::open_on_fabric`], as an alternative to the
-    /// point-to-point [`Cluster::connect_ports`]. Fabric tail-drops are
-    /// folded into [`Cluster::run_audits`]' conservation identity and
-    /// [`Cluster::metrics`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fabric is already installed.
-    pub fn install_fabric(&mut self, spec: TopologySpec, params: FabricParams) -> FabricRef {
-        assert!(self.fabric.is_none(), "fabric already installed");
-        assert!(
-            !self.faults.has_fabric_faults(),
-            "install the fabric before the fault plan: the installed plan \
-             has fabric faults the new fabric would silently miss"
-        );
-        let fabric = Fabric::new(spec, params);
-        self.fabric = Some(Rc::clone(&fabric));
-        fabric
-    }
-
-    /// The installed fabric, if any.
-    pub fn fabric(&self) -> Option<&FabricRef> {
-        self.fabric.as_ref()
-    }
-
-    /// Attaches `node` to the installed fabric at topology host index
-    /// `host`; returns the node's new NIC port index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no fabric is installed, or the attachment point is taken.
-    pub fn attach_fabric_host(&mut self, node: NodeHandle, host: usize) -> usize {
-        let fabric = self.fabric.as_ref().expect("no fabric installed");
-        fabric.attach(&self.nodes[node.0], host)
-    }
-
-    /// Attaches `node` to an arbitrary [`FrameRouter`] at attachment index
-    /// `attachment` with an access link cut from `params` — the partition
-    ///-local counterpart of [`Cluster::attach_fabric_host`] for parallel
-    /// runs, where the real fabric lives in another partition and `router`
-    /// is the partition's cross-boundary proxy. Returns the node's new NIC
-    /// port index.
+    /// Attaches `node` to a [`FrameRouter`](stack::FrameRouter) at
+    /// attachment index `attachment` (its topology host index) with an
+    /// access link cut from the fabric's `params`, as an alternative to the
+    /// point-to-point [`Cluster::connect_ports`]. The router carries the
+    /// node's frames to the fabric — in a parallel run the fabric lives in
+    /// another partition and `router` is this partition's cross-boundary
+    /// proxy. Returns the node's new NIC port index.
     pub fn attach_router_host(
         &mut self,
         node: NodeHandle,
@@ -191,8 +152,7 @@ impl Cluster {
     /// ports with a caller-chosen [`ConnId`]. Parallel runs use this to
     /// assign globally deterministic connection ids independent of the
     /// per-partition open order; the id must not collide with the
-    /// auto-assigned sequence of [`Cluster::open`]/
-    /// [`Cluster::open_on_fabric`] on the same cluster.
+    /// auto-assigned sequence of [`Cluster::open`] on the same cluster.
     pub fn open_with_id(
         &mut self,
         a: NodeHandle,
@@ -209,44 +169,16 @@ impl Cluster {
         )
     }
 
-    /// Opens a connection routed through the fabric between the nodes
-    /// attached at `att_a` and `att_b`; returns the two socket endpoints
-    /// `(on_a, on_b)`.
-    pub fn open_on_fabric(
-        &mut self,
-        a: NodeHandle,
-        att_a: usize,
-        b: NodeHandle,
-        att_b: usize,
-        opts: SocketOpts,
-    ) -> (Socket, Socket) {
-        let fabric = self.fabric.as_ref().expect("no fabric installed");
-        let id = ConnId(self.next_conn);
-        self.next_conn += 1;
-        fabric.open(att_a, att_b, opts, id);
-        (
-            Socket::new(Rc::clone(&self.nodes[a.0]), id),
-            Socket::new(Rc::clone(&self.nodes[b.0]), id),
-        )
-    }
-
     /// Installs a fault plan: every node already added (and every node
     /// added afterwards) gets a [`FaultInjector`] for it, keyed by the
-    /// node's index, and an installed fabric receives the plan's
-    /// link-flap and switch-crash entries. Installing [`FaultPlan::none()`]
-    /// (the default) keeps every hook inert and runs bit-identical to a
-    /// fault-free build.
-    ///
-    /// Install the fabric before the plan — a fabric installed afterwards
-    /// would silently miss the fabric-facing entries, so that order is
-    /// rejected by [`Cluster::install_fabric`].
+    /// node's index. Installing [`FaultPlan::none()`] (the default) keeps
+    /// every hook inert and runs bit-identical to a fault-free build. The
+    /// plan's fabric entries (link flaps, switch crashes) belong to the
+    /// fabric itself: install them with `Fabric::set_faults`.
     pub fn set_faults(&mut self, plan: &FaultPlan) {
         for (i, node) in self.nodes.iter().enumerate() {
             node.borrow_mut()
                 .set_fault_injector(FaultInjector::new(plan, i as u32));
-        }
-        if let Some(fabric) = &self.fabric {
-            fabric.set_faults(plan);
         }
         self.faults = plan.clone();
     }
@@ -280,56 +212,9 @@ impl Cluster {
         &self.tracer
     }
 
-    /// Snapshots every node's stack and DMA-engine statistics into a
-    /// metrics registry, keys prefixed with the node name.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        for node in &self.nodes {
-            let st = node.borrow();
-            let name = st.name().to_string();
-            let s = st.stats();
-            reg.add(&format!("{name}.frames_processed"), s.frames_processed);
-            reg.add(&format!("{name}.interrupts"), s.interrupts);
-            reg.add(&format!("{name}.deliveries"), s.deliveries);
-            reg.add(&format!("{name}.dma_deliveries"), s.dma_deliveries);
-            reg.add(&format!("{name}.acks"), s.acks);
-            reg.add(&format!("{name}.stalled_frames"), s.stalled_frames);
-            reg.set_gauge(&format!("{name}.peak_backlog_bytes"), s.peak_backlog as f64);
-            reg.add(&format!("{name}.frames_dropped"), s.frames_dropped);
-            reg.add(&format!("{name}.rx_ring_drops"), s.rx_ring_drops);
-            reg.add(&format!("{name}.ooo_frames"), s.ooo_frames);
-            reg.add(&format!("{name}.retransmits"), s.retransmits);
-            reg.add(
-                &format!("{name}.retransmitted_bytes"),
-                s.retransmitted_bytes,
-            );
-            reg.add(&format!("{name}.rto_timeouts"), s.rto_timeouts);
-            reg.add(&format!("{name}.dma_fallbacks"), s.dma_fallbacks);
-            if let Some(dma) = st.dma() {
-                let d = dma.borrow().stats();
-                reg.add(&format!("{name}.dma.requests"), d.requests);
-                reg.add(&format!("{name}.dma.bytes"), d.bytes);
-                reg.add(&format!("{name}.dma.pages_pinned"), d.pages_pinned);
-                reg.add(&format!("{name}.dma.cpu_fallbacks"), d.cpu_fallbacks);
-            }
-        }
-        if let Some(fabric) = &self.fabric {
-            reg.add("fabric.forwarded", fabric.forwarded());
-            reg.add("fabric.tail_drops", fabric.tail_drops());
-            reg.add("fabric.route_blackholes", fabric.blackholes());
-            reg.set_gauge("fabric.peak_buffer_bytes", fabric.peak_occupancy() as f64);
-        }
-        reg
-    }
-
     /// Overrides the fabric line rate for subsequently wired ports.
     pub fn set_bandwidth(&mut self, bw: Bandwidth) {
         self.bandwidth = bw;
-    }
-
-    /// Overrides the fabric latency for subsequently wired ports.
-    pub fn set_latency(&mut self, latency: SimDuration) {
-        self.latency = latency;
     }
 
     /// Adds a node.
@@ -449,20 +334,7 @@ impl Cluster {
         for node in &self.nodes {
             node.borrow().audit(now);
         }
-        let quiescent = self.sim.events_pending() == 0;
-        let (switch_dropped, route_blackholed) = if let Some(fabric) = &self.fabric {
-            fabric.audit(now, quiescent);
-            (fabric.tail_drops(), fabric.blackholes())
-        } else {
-            (0, 0)
-        };
-        stack::audit_cluster_conservation_ext(
-            &self.nodes,
-            switch_dropped,
-            route_blackholed,
-            now,
-            quiescent,
-        );
+        stack::audit_cluster_conservation(&self.nodes, now, self.sim.events_pending() == 0);
         if self.tracer.records(Category::Audit) {
             for v in ioat_guard::violations_since(before) {
                 // Event names must be `'static`; the invariant name is,
@@ -560,13 +432,19 @@ mod tests {
         cluster.run();
         assert!(!tracer.is_empty());
         assert_eq!(tracer.process_names()[&1], "b");
-        let reg = cluster.metrics();
-        assert!(reg.counter("b.deliveries") > 0);
-        assert!(reg.counter("b.dma.bytes") > 0);
-        assert!(reg.gauge("b.peak_backlog_bytes").is_some());
-        assert_eq!(
-            reg.counter("a.dma.requests"),
-            0,
+        let b_stats = cluster.stack(b).borrow().stats();
+        assert!(b_stats.deliveries > 0);
+        assert!(b_stats.peak_backlog > 0);
+        let b_dma = cluster
+            .stack(b)
+            .borrow()
+            .dma()
+            .expect("I/OAT node")
+            .borrow()
+            .stats();
+        assert!(b_dma.bytes > 0);
+        assert!(
+            cluster.stack(a).borrow().dma().is_none(),
             "non-I/OAT node has no engine"
         );
     }
@@ -577,35 +455,6 @@ mod tests {
         let mut cluster = Cluster::new(1);
         cluster.add_node(NodeConfig::testbed("x", IoatConfig::disabled()));
         cluster.add_node(NodeConfig::testbed("x", IoatConfig::disabled()));
-    }
-
-    #[test]
-    fn fabric_backed_cluster_transfers_and_audits() {
-        let mut cluster = Cluster::new(1);
-        let fabric = cluster.install_fabric(
-            ioat_fabric::TopologySpec::FatTree { k: 4 },
-            ioat_fabric::FabricParams::gige(),
-        );
-        let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
-        let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::full()));
-        cluster.attach_fabric_host(a, 0);
-        cluster.attach_fabric_host(b, 15);
-        let (sa, sb) = cluster.open_on_fabric(a, 0, b, 15, SocketOpts::tuned());
-        let got = Rc::new(RefCell::new(0u64));
-        let g = Rc::clone(&got);
-        sb.set_handler(move |_s, ev| {
-            if let SocketEvent::Delivered(n) = ev {
-                *g.borrow_mut() += n;
-            }
-        });
-        sa.send(cluster.sim_mut(), 300_000);
-        cluster.run();
-        assert_eq!(*got.borrow(), 300_000);
-        assert!(fabric.forwarded() > 0);
-        cluster.run_audits();
-        let reg = cluster.metrics();
-        assert!(reg.counter("fabric.forwarded") > 0);
-        assert_eq!(reg.counter("fabric.tail_drops"), 0);
     }
 
     #[test]

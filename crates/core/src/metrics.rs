@@ -87,12 +87,6 @@ impl ThroughputResult {
     pub fn mbytes_per_sec(&self) -> f64 {
         self.mbps / 8.0
     }
-
-    /// The fraction of receiver capacity burned spinning: occupancy
-    /// minus useful utilization, clamped at zero.
-    pub fn rx_spin_overhead(&self) -> f64 {
-        (self.rx_occupancy - self.rx_cpu).max(0.0)
-    }
 }
 
 /// An I/OAT vs non-I/OAT comparison row, with the paper's derived

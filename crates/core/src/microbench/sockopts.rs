@@ -83,14 +83,6 @@ pub fn sweep_bandwidth(cfg: &SweepConfig) -> Vec<CaseRow> {
         .collect()
 }
 
-/// Runs the Fig. 5b sweep (bi-directional bandwidth).
-pub fn sweep_bidirectional(cfg: &SweepConfig) -> Vec<CaseRow> {
-    SocketOpts::all_cases()
-        .into_iter()
-        .map(|(label, opts)| case_bidirectional(cfg, label, opts))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

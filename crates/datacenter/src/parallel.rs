@@ -54,7 +54,7 @@ use crate::workload::{FileCatalog, Trace, ZipfTrace};
 use ioat_core::cluster::{Cluster, NodeConfig, NodeHandle};
 use ioat_fabric::{Fabric, FabricRef, Topology};
 use ioat_faults::RetryPolicy;
-use ioat_netsim::stack::{self, ClusterFrameTotals, EgressMode, FrameRouter, StackRef};
+use ioat_netsim::stack::{self, ClusterFrameTotals, FrameRouter, StackRef};
 use ioat_netsim::{ConnId, Frame, Socket};
 use ioat_parsim::{Outbox, ParsimReport, Partition};
 use ioat_simcore::{Counter, Histogram, Sim, SimDuration, SimRng, SimTime, Summary};
@@ -231,7 +231,7 @@ struct ConnRoute {
     stack_a: StackRef,
     stack_b: StackRef,
     /// Reverse-path ACK latency: `switch_latency × path_links(a, b)`,
-    /// exactly the fabric's own ACK model.
+    /// netsim's latency-only ACK model on the fabric's topology.
     ack_delay: SimDuration,
 }
 
@@ -244,8 +244,8 @@ struct GroupRouter {
 }
 
 impl FrameRouter for GroupRouter {
-    fn frame_ingress(self: Rc<Self>, _sim: &mut Sim, _src: usize, _frame: Frame) {
-        unreachable!("group ports hand frames off to the fabric partition");
+    fn frame_departed(self: Rc<Self>, _sim: &mut Sim, src: usize, frame: Frame, arrive: SimTime) {
+        self.out.send(0, arrive, NetMsg::Ingress { src, frame });
     }
 
     fn ack_ingress(
@@ -270,14 +270,6 @@ impl FrameRouter for GroupRouter {
         sim.schedule(delay, move |sim| {
             stack::ack_received(&stack, sim, conn, seq, window, dup);
         });
-    }
-
-    fn egress_mode(&self) -> EgressMode {
-        EgressMode::Handoff
-    }
-
-    fn frame_departed(self: Rc<Self>, _sim: &mut Sim, src: usize, frame: Frame, arrive: SimTime) {
-        self.out.send(0, arrive, NetMsg::Ingress { src, frame });
     }
 }
 
@@ -306,12 +298,12 @@ fn build_fabric_part(cfg: &ScaleConfig, lay: Layout, out: Outbox<NetMsg>) -> Fab
     for p in 0..lay.n_proxies {
         for j in 0..lay.f {
             let w = (p * lay.f + j) % lay.n_webs;
-            fabric.open_remote(p, lay.n_proxies + w, ConnId(1 + (p * lay.f + j) as u64));
+            fabric.open(p, lay.n_proxies + w, ConnId(1 + (p * lay.f + j) as u64));
         }
     }
     // Final hops leave this partition: stage the delivery for the host's
     // group at the frame's arrival instant.
-    fabric.set_remote_delivery(move |_sim, host, frame, arrive| {
+    fabric.set_delivery(move |_sim, host, frame, arrive| {
         out.send(
             lay.partition_of_host(host),
             arrive,
@@ -595,7 +587,7 @@ impl Partition for DcPartition {
             (DcPartition::Fabric(p), NetMsg::Ingress { src, frame }) => {
                 let fabric = Rc::clone(&p.fabric);
                 p.sim.schedule_at(fire_at, move |sim| {
-                    fabric.frame_ingress(sim, src, frame);
+                    fabric.ingress(sim, src, frame);
                 });
             }
             (DcPartition::Group(p), NetMsg::Deliver { host, frame }) => {

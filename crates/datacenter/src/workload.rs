@@ -185,11 +185,6 @@ impl ZipfTrace {
         self.alpha
     }
 
-    /// The α values the paper sweeps (high → low temporal locality).
-    pub fn paper_alphas() -> [f64; 4] {
-        [0.95, 0.90, 0.75, 0.50]
-    }
-
     /// The underlying catalog.
     pub fn catalog(&self) -> &FileCatalog {
         &self.catalog

@@ -3,8 +3,12 @@
 //!
 //! A [`Fabric`] compiles a [`Topology`] into per-switch runtime state
 //! (one [`Link`] per output port, a shared output-buffer occupancy
-//! counter) and implements netsim's [`FrameRouter`] so host stacks attach
-//! to it instead of to a directly wired peer:
+//! counter). Host stacks never hold the fabric: their ports attach to a
+//! netsim [`FrameRouter`](ioat_netsim::FrameRouter) that hands departing
+//! frames to [`Fabric::ingress`], and the fabric hands every final hop to
+//! the hook installed with [`Fabric::set_delivery`]. Both directions are
+//! staged by the caller, so the fabric runs on its own event queue or on
+//! the hosts' one alike:
 //!
 //! * **Data path**: a frame serializes on the host's access link, enters
 //!   the source host's edge switch, and is forwarded hop by hop. Each hop
@@ -22,11 +26,12 @@
 //!   excluding any per-run state makes the choice seed-stable and
 //!   bit-identical across `--jobs` layouts.
 //! * **ACK path**: netsim ACKs are latency-only (documented
-//!   simplification), so the fabric delivers them after the topology's
-//!   path-link count × per-hop latency without touching buffers or
-//!   serializers. ACK loss stays unmodeled — windows cannot deadlock, and
-//!   tail-dropped data frames are recovered by fast retransmit or the
-//!   RTO, which netsim arms automatically on router-attached ports.
+//!   simplification) and never enter the fabric: the router turns them
+//!   around after the topology's path-link count × per-hop latency,
+//!   without touching buffers or serializers. ACK loss stays unmodeled —
+//!   windows cannot deadlock, and tail-dropped data frames are recovered
+//!   by fast retransmit or the RTO, which netsim arms automatically on
+//!   router-attached ports.
 //! * **Fault domain**: [`Fabric::set_faults`] installs the fabric-facing
 //!   entries of a seed-driven [`FaultPlan`] — per-link flap windows and
 //!   switch crash windows — materialized once at install time, so the
@@ -45,8 +50,7 @@
 use crate::topology::{Hop, Topology, TopologySpec};
 use ioat_faults::{FaultPlan, TimeWindow};
 use ioat_netsim::link::Link;
-use ioat_netsim::stack::{self, FrameRouter, StackRef};
-use ioat_netsim::{ConnId, Frame, SocketOpts};
+use ioat_netsim::{ConnId, Frame};
 use ioat_simcore::hash::FastHasher;
 use ioat_simcore::time::Bandwidth;
 use ioat_simcore::{FastHashMap, Sim, SimDuration, SimTime};
@@ -159,28 +163,22 @@ impl FaultState {
     }
 }
 
-struct Attachment {
-    stack: StackRef,
-    port: usize,
-}
+/// Hook receiving `(sim, host, frame, arrive)` for every frame whose final
+/// hop targets topology host `host`: it stages the frame for the host's
+/// stack at `arrive`.
+type Delivery = Box<dyn Fn(&mut Sim, usize, Frame, SimTime)>;
 
-/// Hook receiving `(sim, host, frame, arrive)` for frames whose final hop
-/// targets a host that is not attached locally — the host's stack lives
-/// in another partition of a parallel run, and the hook stages the frame
-/// for cross-partition delivery at `arrive`.
-type RemoteDelivery = Box<dyn Fn(&mut Sim, usize, Frame, SimTime)>;
-
-/// A compiled, running switch fabric. Create with [`Fabric::new`], attach
-/// host stacks with [`Fabric::attach`], open connections between
-/// attachments with [`Fabric::open`].
+/// A compiled, running switch fabric. Create with [`Fabric::new`], route
+/// connections between topology hosts with [`Fabric::open`], install the
+/// final-hop hook with [`Fabric::set_delivery`], and feed departing frames
+/// to [`Fabric::ingress`].
 pub struct Fabric {
     topo: Topology,
     params: FabricParams,
     switches: RefCell<Vec<SwitchRt>>,
-    hosts: RefCell<Vec<Option<Attachment>>>,
     conns: RefCell<FastHashMap<ConnId, (usize, usize)>>,
     stats: RefCell<GlobalStats>,
-    remote: RefCell<Option<RemoteDelivery>>,
+    delivery: RefCell<Option<Delivery>>,
     faults: RefCell<Option<FaultState>>,
 }
 
@@ -230,13 +228,12 @@ impl Fabric {
             })
             .collect();
         Rc::new(Fabric {
-            hosts: RefCell::new((0..topo.hosts()).map(|_| None).collect()),
             topo,
             params,
             switches: RefCell::new(switches),
             conns: RefCell::new(FastHashMap::default()),
             stats: RefCell::new(GlobalStats::default()),
-            remote: RefCell::new(None),
+            delivery: RefCell::new(None),
             faults: RefCell::new(None),
         })
     }
@@ -299,76 +296,43 @@ impl Fabric {
         self.params
     }
 
-    /// Attaches `stack` at topology host index `host` by adding a
-    /// router-backed NIC port on it (access link at `host_bandwidth`).
-    /// Returns the stack's new port index.
+    /// Routes connection `id` between topology hosts `att_a` and `att_b`.
+    /// Only the routing entry lives here: the endpoint stacks are opened
+    /// against each other wherever they run, and their frames enter
+    /// through [`Fabric::ingress`].
     ///
     /// # Panics
     ///
-    /// Panics if `host` is out of range or already attached.
-    pub fn attach(self: &Rc<Self>, stack: &StackRef, host: usize) -> usize {
-        let access = Link::new(
-            &format!("host{host}->fabric"),
-            self.params.host_bandwidth,
-            self.params.switch_latency,
-        );
-        let port = stack::attach_router(
-            stack,
-            access,
-            self.params.coalescing,
-            Rc::clone(self) as Rc<dyn FrameRouter>,
-            host,
-        );
-        let prev = self.hosts.borrow_mut()[host].replace(Attachment {
-            stack: Rc::clone(stack),
-            port,
-        });
-        assert!(prev.is_none(), "host {host} attached twice");
-        port
-    }
-
-    /// Opens a connection between the stacks attached at `att_a` and
-    /// `att_b`, registering it for routing. Both attachments must exist
-    /// and differ.
-    pub fn open(
-        self: &Rc<Self>,
-        att_a: usize,
-        att_b: usize,
-        opts: SocketOpts,
-        id: ConnId,
-    ) -> ConnId {
-        assert_ne!(att_a, att_b, "connection endpoints must differ");
-        let (a, pa, b, pb) = {
-            let hosts = self.hosts.borrow();
-            let a = hosts[att_a].as_ref().expect("attachment A missing");
-            let b = hosts[att_b].as_ref().expect("attachment B missing");
-            (Rc::clone(&a.stack), a.port, Rc::clone(&b.stack), b.port)
-        };
-        let prev = self.conns.borrow_mut().insert(id, (att_a, att_b));
-        assert!(prev.is_none(), "connection {id} already routed");
-        stack::open_connection(&a, &b, pa, pb, opts, id)
-    }
-
-    /// Registers a connection between hosts whose stacks live in *other*
-    /// partitions of a parallel run: only the routing entry is created
-    /// here — the endpoint stacks are opened against each other inside
-    /// their own partition, and their frames enter this fabric through
-    /// [`FrameRouter::frame_ingress`] via cross-partition injection.
-    pub fn open_remote(&self, att_a: usize, att_b: usize, id: ConnId) {
+    /// Panics if the endpoints are equal or `id` is already routed.
+    pub fn open(&self, att_a: usize, att_b: usize, id: ConnId) {
         assert_ne!(att_a, att_b, "connection endpoints must differ");
         let prev = self.conns.borrow_mut().insert(id, (att_a, att_b));
         assert!(prev.is_none(), "connection {id} already routed");
     }
 
-    /// Installs the cross-partition delivery hook: a frame whose final
-    /// hop targets an *unattached* host is handed to `hook` as
-    /// `(sim, host, frame, arrive)` at the forwarding decision instead of
-    /// panicking. The switch's shared-buffer claim is still released at
-    /// `arrive`, so back-pressure accounting is identical to local
-    /// delivery.
-    pub fn set_remote_delivery(&self, hook: impl Fn(&mut Sim, usize, Frame, SimTime) + 'static) {
-        let prev = self.remote.borrow_mut().replace(Box::new(hook));
-        assert!(prev.is_none(), "remote delivery hook installed twice");
+    /// Installs the delivery hook: every final hop to a host is handed to
+    /// `hook` as `(sim, host, frame, arrive)` at the forwarding decision.
+    /// The switch's shared-buffer claim is released at `arrive`, when the
+    /// frame has finished arriving at the host.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a second install.
+    pub fn set_delivery(&self, hook: impl Fn(&mut Sim, usize, Frame, SimTime) + 'static) {
+        let prev = self.delivery.borrow_mut().replace(Box::new(hook));
+        assert!(prev.is_none(), "delivery hook installed twice");
+    }
+
+    /// A data frame from topology host `src` has finished serializing on
+    /// its access link and enters the fabric at its edge switch now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame's connection was never [opened](Fabric::open).
+    pub fn ingress(self: &Rc<Self>, sim: &mut Sim, src: usize, frame: Frame) {
+        let dst = self.conn_peer(src, frame.conn);
+        let edge = self.topo.host_edge(src);
+        self.hop(sim, edge, frame, src, dst);
     }
 
     /// The minimum cross-partition latency this fabric guarantees: every
@@ -578,7 +542,7 @@ impl Fabric {
         }
     }
 
-    /// The attachment opposite `src` on `conn`.
+    /// The endpoint opposite `src` on `conn`.
     fn conn_peer(&self, src: usize, conn: ConnId) -> usize {
         let (a, b) = *self
             .conns
@@ -640,174 +604,40 @@ impl Fabric {
             (out.link.clone(), out.dest)
         };
         self.stats.borrow_mut().forwarded += 1;
-        // A final hop to a host living in another partition: identical
-        // serializer and shared-buffer accounting, but the delivery event
-        // belongs to the host's partition — stage it through the remote
-        // hook and release the buffer claim here at the arrival instant.
-        if let Hop::Host(h) = dest {
-            if self.hosts.borrow()[h].is_none() {
-                let remote = self.remote.borrow();
-                let hook = remote
-                    .as_ref()
-                    .expect("frame for an unattached host with no remote delivery hook");
+        let f2 = Rc::clone(self);
+        match dest {
+            Hop::Switch(next) => {
+                link.transmit(sim, wire, move |sim| {
+                    f2.switches.borrow_mut()[sw].occupancy -= wire;
+                    f2.hop(sim, next, frame, src, dst);
+                });
+            }
+            // The final hop: identical serializer and shared-buffer
+            // accounting, but the arrival event belongs to the host's
+            // stack, so stage it through the delivery hook and release the
+            // buffer claim here at the arrival instant.
+            Hop::Host(h) => {
                 let arrive = link.transmit_dropped(sim, wire);
-                let f2 = Rc::clone(self);
                 sim.schedule_at(arrive, move |_sim| {
                     f2.switches.borrow_mut()[sw].occupancy -= wire;
                 });
+                let delivery = self.delivery.borrow();
+                let hook = delivery
+                    .as_ref()
+                    .expect("frame reached a host with no delivery hook installed");
                 hook(sim, h, frame, arrive);
-                return;
             }
         }
-        let f2 = Rc::clone(self);
-        link.transmit(sim, wire, move |sim| {
-            f2.switches.borrow_mut()[sw].occupancy -= wire;
-            match dest {
-                Hop::Switch(next) => f2.hop(sim, next, frame, src, dst),
-                Hop::Host(h) => {
-                    let (stack, port) = {
-                        let hosts = f2.hosts.borrow();
-                        let att = hosts[h].as_ref().expect("frame for an unattached host");
-                        (Rc::clone(&att.stack), att.port)
-                    };
-                    stack::frame_arrived(&stack, sim, port, frame);
-                }
-            }
-        });
-    }
-}
-
-impl FrameRouter for Fabric {
-    fn frame_ingress(self: Rc<Self>, sim: &mut Sim, src: usize, frame: Frame) {
-        let dst = self.conn_peer(src, frame.conn);
-        let edge = self.topo.host_edge(src);
-        self.hop(sim, edge, frame, src, dst);
-    }
-
-    fn ack_ingress(
-        self: Rc<Self>,
-        sim: &mut Sim,
-        src: usize,
-        conn: ConnId,
-        seq: u64,
-        window: u64,
-        dup: u32,
-    ) {
-        let dst = self.conn_peer(src, conn);
-        let stack = {
-            let hosts = self.hosts.borrow();
-            Rc::clone(
-                &hosts[dst]
-                    .as_ref()
-                    .expect("ACK for an unattached host")
-                    .stack,
-            )
-        };
-        let delay = self.params.switch_latency * self.topo.path_links(src, dst) as u64;
-        sim.schedule(delay, move |sim| {
-            stack::ack_received(&stack, sim, conn, seq, window, dup);
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioat_faults::{CrashWindow, LinkFlapModel};
-    use ioat_netsim::config::{IoatConfig, StackParams};
-    use ioat_netsim::socket::SocketEvent;
-    use ioat_netsim::HostStack;
+    use ioat_faults::CrashWindow;
 
-    fn small_fabric(buffer_bytes: u64) -> (Sim, FabricRef) {
-        let mut sim = Sim::new();
-        sim.set_event_limit(50_000_000);
-        let params = FabricParams {
-            buffer_bytes,
-            ..FabricParams::gige()
-        };
-        (sim, Fabric::new(TopologySpec::FatTree { k: 4 }, params))
-    }
-
-    fn host(name: &str) -> StackRef {
-        HostStack::new(name, 2, StackParams::default(), IoatConfig::disabled())
-    }
-
-    #[test]
-    fn bytes_cross_the_fabric_exactly_once() {
-        let (mut sim, fabric) = small_fabric(1 << 20);
-        let a = host("a");
-        let b = host("b");
-        fabric.attach(&a, 0);
-        fabric.attach(&b, 15); // inter-pod: full 6-link path
-        fabric.open(0, 15, SocketOpts::tuned(), ConnId(1));
-        let total = 1_000_000u64;
-        let got = Rc::new(RefCell::new(0u64));
-        let g = Rc::clone(&got);
-        stack::set_handler(&b, ConnId(1), move |_sim, ev| {
-            if let SocketEvent::Delivered(n) = ev {
-                *g.borrow_mut() += n;
-            }
-        });
-        stack::app_send(&a, &mut sim, ConnId(1), total);
-        sim.run();
-        assert_eq!(*got.borrow(), total);
-        assert_eq!(fabric.tail_drops(), 0, "ample buffers must not drop");
-        // Every data frame crosses 5 switches on an inter-pod path
-        // (edge → agg → core → agg → edge).
-        let sent = a.borrow().stats().frames_sent;
-        assert_eq!(fabric.forwarded(), 5 * sent);
-        fabric.audit(sim.now(), true);
-        stack::audit_cluster_conservation_ext(
-            &[Rc::clone(&a), Rc::clone(&b)],
-            fabric.tail_drops(),
-            fabric.blackholes(),
-            sim.now(),
-            true,
-        );
-    }
-
-    #[test]
-    fn tiny_buffers_tail_drop_and_the_sender_recovers() {
-        // A shared buffer that fits barely more than one frame forces
-        // drops under a windowed burst; retransmission must still land
-        // every byte, and the conservation identity must hold with the
-        // switch-drop term.
-        let (mut sim, fabric) = small_fabric(4_000);
-        let a = host("a");
-        let b = host("b");
-        fabric.attach(&a, 0);
-        fabric.attach(&b, 15);
-        fabric.open(0, 15, SocketOpts::tuned(), ConnId(1));
-        let total = 300_000u64;
-        let got = Rc::new(RefCell::new(0u64));
-        let g = Rc::clone(&got);
-        stack::set_handler(&b, ConnId(1), move |_sim, ev| {
-            if let SocketEvent::Delivered(n) = ev {
-                *g.borrow_mut() += n;
-            }
-        });
-        stack::app_send(&a, &mut sim, ConnId(1), total);
-        sim.run();
-        assert_eq!(*got.borrow(), total, "retransmits must recover drops");
-        assert!(fabric.tail_drops() > 0, "tiny buffer must tail-drop");
-        assert!(
-            a.borrow().stats().retransmits > 0,
-            "recovery must go through the retransmit path"
-        );
-        // With the deliberate audit-bug skew compiled in, these audits
-        // (correctly) fail once drops occur — the gated integration test
-        // asserts exactly that.
-        #[cfg(not(feature = "audit-bug"))]
-        {
-            fabric.audit(sim.now(), true);
-            stack::audit_cluster_conservation_ext(
-                &[Rc::clone(&a), Rc::clone(&b)],
-                fabric.tail_drops(),
-                fabric.blackholes(),
-                sim.now(),
-                true,
-            );
-        }
+    fn small_fabric() -> FabricRef {
+        Fabric::new(TopologySpec::FatTree { k: 4 }, FabricParams::gige())
     }
 
     #[test]
@@ -826,133 +656,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "attached twice")]
-    fn double_attach_rejected() {
-        let (_sim, fabric) = small_fabric(1 << 20);
-        let a = host("a");
-        fabric.attach(&a, 0);
-        let b = host("b");
-        fabric.attach(&b, 0);
-    }
-
-    /// Runs one inter-pod bulk transfer (host 0 → host 15) under `plan`
-    /// and returns (delivered, blackholes, end-of-run instant, frames
-    /// sent by the source).
-    fn faulted_transfer(plan: &FaultPlan, total: u64) -> (u64, u64, SimTime, u64) {
-        let (mut sim, fabric) = small_fabric(1 << 20);
-        fabric.set_faults(plan);
-        let a = host("a");
-        let b = host("b");
-        fabric.attach(&a, 0);
-        fabric.attach(&b, 15);
-        fabric.open(0, 15, SocketOpts::tuned(), ConnId(1));
-        let got = Rc::new(RefCell::new(0u64));
-        let g = Rc::clone(&got);
-        stack::set_handler(&b, ConnId(1), move |_sim, ev| {
-            if let SocketEvent::Delivered(n) = ev {
-                *g.borrow_mut() += n;
-            }
-        });
-        stack::app_send(&a, &mut sim, ConnId(1), total);
-        sim.run();
-        #[cfg(not(feature = "audit-bug"))]
-        {
-            fabric.audit(sim.now(), true);
-            stack::audit_cluster_conservation_ext(
-                &[Rc::clone(&a), Rc::clone(&b)],
-                fabric.tail_drops(),
-                fabric.blackholes(),
-                sim.now(),
-                true,
-            );
-        }
-        let delivered = *got.borrow();
-        let sent = a.borrow().stats().frames_sent;
-        (delivered, fabric.blackholes(), sim.now(), sent)
-    }
-
-    #[test]
-    fn single_agg_crash_reroutes_with_zero_blackholes() {
-        // Crash one of pod 0's two aggregation switches for the whole
-        // run: the source edge switch always has the other uplink alive,
-        // so ECMP's surviving-set re-hash routes around the outage and no
-        // frame ever lacks a live path.
-        let plan = FaultPlan {
-            switch_crashes: vec![CrashWindow {
-                service: 8,
-                window: TimeWindow::new(SimTime::ZERO, SimTime::from_millis(1_000)),
-            }],
-            ..FaultPlan::none()
-        };
-        let total = 500_000;
-        let (delivered, blackholes, _, _) = faulted_transfer(&plan, total);
-        assert_eq!(delivered, total, "failover path must carry every byte");
-        assert_eq!(blackholes, 0, "a surviving uplink means no blackhole");
-    }
-
-    #[test]
-    fn pod_uplink_outage_blackholes_then_recovers() {
-        // Crash *both* pod-0 aggregation switches for the first 2 ms:
-        // inter-pod frames blackhole at the edge until the window closes,
-        // then go-back-N retransmission re-traverses the restored paths
-        // and the quiescent conservation identity (checked inside the
-        // helper) balances with the blackhole term.
-        let down = TimeWindow::new(SimTime::ZERO, SimTime::from_millis(2));
-        let plan = FaultPlan {
-            switch_crashes: vec![
-                CrashWindow {
-                    service: 8,
-                    window: down,
-                },
-                CrashWindow {
-                    service: 9,
-                    window: down,
-                },
-            ],
-            ..FaultPlan::none()
-        };
-        let total = 500_000;
-        let (delivered, blackholes, _, _) = faulted_transfer(&plan, total);
-        assert_eq!(delivered, total, "recovery must deliver every byte");
-        assert!(blackholes > 0, "a severed pod must blackhole frames");
-    }
-
-    #[test]
-    fn link_flaps_reroute_and_recover() {
-        // Seed-driven flap windows on every directed link: paths die and
-        // return throughout the run. Delivery must still complete and the
-        // conservation identity must balance (blackholes occur whenever a
-        // flap severs the last candidate, e.g. an access link).
-        let plan = FaultPlan {
-            link_flap: Some(LinkFlapModel {
-                flaps_per_link: 3,
-                down_for: SimDuration::from_micros(400),
-                horizon: SimTime::from_millis(8),
-            }),
-            seed: 7,
-            ..FaultPlan::none()
-        };
-        let total = 500_000;
-        let (delivered, _, _, _) = faulted_transfer(&plan, total);
-        assert_eq!(delivered, total, "flapped paths must still deliver");
-    }
-
-    #[test]
-    fn armed_but_never_triggering_plan_is_bit_identical() {
-        // A fault plan whose only window sits far beyond the run installs
-        // real fault state (the survivor filter runs on every hop) but
-        // must not perturb a single routing choice or timestamp.
-        let plan = FaultPlan {
-            switch_crashes: vec![CrashWindow {
-                service: 8,
-                window: TimeWindow::new(SimTime::from_millis(60_000), SimTime::from_millis(61_000)),
-            }],
-            ..FaultPlan::none()
-        };
-        let total = 500_000;
-        let base = faulted_transfer(&FaultPlan::none(), total);
-        let armed = faulted_transfer(&plan, total);
-        assert_eq!(base, armed, "dormant fault state must be invisible");
+    #[should_panic(expected = "connection conn1 already routed")]
+    fn connection_routed_twice_rejected() {
+        let fabric = small_fabric();
+        fabric.open(0, 15, ConnId(1));
+        fabric.open(3, 12, ConnId(1));
     }
 
     #[test]
@@ -960,7 +668,7 @@ mod tests {
         // A plan with node faults but no fabric entries must install
         // nothing — a second call would otherwise hit the double-install
         // panic, so its success is the observable proof of inertness.
-        let (_sim, fabric) = small_fabric(1 << 20);
+        let fabric = small_fabric();
         let plan = FaultPlan::bernoulli_loss(1, 0.01);
         fabric.set_faults(&plan);
         fabric.set_faults(&plan);
@@ -969,7 +677,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fabric fault plan installed twice")]
     fn second_fabric_fault_install_panics() {
-        let (_sim, fabric) = small_fabric(1 << 20);
+        let fabric = small_fabric();
         let plan = FaultPlan {
             switch_crashes: vec![CrashWindow {
                 service: 0,
@@ -984,7 +692,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "the topology has only")]
     fn out_of_range_switch_crash_rejected() {
-        let (_sim, fabric) = small_fabric(1 << 20);
+        let fabric = small_fabric();
         let plan = FaultPlan {
             switch_crashes: vec![CrashWindow {
                 service: 999,

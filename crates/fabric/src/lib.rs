@@ -11,29 +11,38 @@
 //!   and closed-form count/path formulas.
 //! * [`fabric`] — the runtime: per-port serializing links, shared
 //!   output-buffered switches with tail-drop, deterministic seed-stable
-//!   ECMP, and hop-by-hop forwarding behind netsim's
-//!   [`FrameRouter`](ioat_netsim::FrameRouter) hook. Tail-drops feed the
-//!   cluster-wide frame-conservation audit as a distinct counter.
+//!   ECMP, and hop-by-hop forwarding. Frames enter through
+//!   [`Fabric::ingress`] and leave through the hook installed with
+//!   [`Fabric::set_delivery`]; host stacks reach it through a netsim
+//!   [`FrameRouter`](ioat_netsim::FrameRouter) that hands departing frames
+//!   off (the datacenter crate's partitioned engine is the production
+//!   user). Tail-drops feed the cluster-wide frame-conservation audit as a
+//!   distinct counter.
 //!
 //! # Example
 //!
+//! One frame across pods of a fat-tree(4), with no host stacks: the hook
+//! sees where and when the final hop lands.
+//!
 //! ```rust
 //! use ioat_fabric::{Fabric, FabricParams, TopologySpec};
-//! use ioat_netsim::config::{IoatConfig, StackParams};
-//! use ioat_netsim::stack::{self};
-//! use ioat_netsim::{HostStack, ConnId, SocketOpts};
+//! use ioat_netsim::{ConnId, Frame};
 //! use ioat_simcore::Sim;
+//! use std::cell::Cell;
+//! use std::rc::Rc;
 //!
 //! let mut sim = Sim::new();
 //! let fabric = Fabric::new(TopologySpec::FatTree { k: 4 }, FabricParams::gige());
-//! let a = HostStack::new("a", 2, StackParams::default(), IoatConfig::disabled());
-//! let b = HostStack::new("b", 2, StackParams::default(), IoatConfig::disabled());
-//! fabric.attach(&a, 0);
-//! fabric.attach(&b, 15);
-//! fabric.open(0, 15, SocketOpts::tuned(), ConnId(1));
-//! stack::app_send(&a, &mut sim, ConnId(1), 100_000);
+//! fabric.open(0, 15, ConnId(1));
+//! let landed = Rc::new(Cell::new(None));
+//! let seen = Rc::clone(&landed);
+//! fabric.set_delivery(move |_sim, host, frame, _arrive| seen.set(Some((host, frame.payload))));
+//! let frame = Frame { conn: ConnId(1), payload: 1448, seq_end: 1448 };
+//! fabric.ingress(&mut sim, 0, frame);
 //! sim.run();
-//! assert_eq!(b.borrow().rx_meter().total_bytes(), 100_000);
+//! assert_eq!(landed.get(), Some((15, 1448)));
+//! // edge → aggregation → core → aggregation → edge
+//! assert_eq!(fabric.forwarded(), 5);
 //! ```
 
 #![warn(missing_docs)]

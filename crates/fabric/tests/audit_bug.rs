@@ -5,8 +5,12 @@
 //! a tiny shared buffer must then trip both the fabric's own
 //! per-switch-vs-global cross-check and the cluster-wide frame
 //! conservation identity — evidence the audits detect real accounting
-//! defects rather than vacuously passing.
+//! defects rather than vacuously passing. Both runs put the stacks on the
+//! fabric through the hand-off path (see `common`).
 
+mod common;
+
+use common::Loopback;
 use ioat_fabric::{Fabric, FabricParams, TopologySpec};
 use ioat_faults::{CrashWindow, FaultPlan, TimeWindow};
 use ioat_netsim::config::{IoatConfig, StackParams};
@@ -30,11 +34,12 @@ fn audit_catches_a_miscounted_switch_drop() {
         let a = HostStack::new("a", 2, StackParams::default(), IoatConfig::disabled());
         let b = HostStack::new("b", 2, StackParams::default(), IoatConfig::disabled());
         let d = HostStack::new("d", 2, StackParams::default(), IoatConfig::disabled());
-        fabric.attach(&a, 0);
-        fabric.attach(&b, 4);
-        fabric.attach(&d, 15);
-        fabric.open(0, 15, SocketOpts::default(), ConnId(1));
-        fabric.open(4, 15, SocketOpts::default(), ConnId(2));
+        let lb = Loopback::new(&fabric);
+        lb.attach(&a, 0);
+        lb.attach(&b, 4);
+        lb.attach(&d, 15);
+        lb.open(0, 15, SocketOpts::default(), ConnId(1));
+        lb.open(4, 15, SocketOpts::default(), ConnId(2));
         stack::app_send(&a, &mut sim, ConnId(1), 400_000);
         stack::app_send(&b, &mut sim, ConnId(2), 400_000);
         sim.run();
@@ -103,6 +108,7 @@ fn audit_catches_a_miscounted_route_blackhole() {
             ..FaultPlan::none()
         };
         fabric.set_faults(&plan);
+        let lb = Loopback::new(&fabric);
         let mut stacks = Vec::new();
         for (i, (src, dst)) in [(0usize, 12usize), (1, 13), (2, 14), (3, 15)]
             .into_iter()
@@ -110,9 +116,9 @@ fn audit_catches_a_miscounted_route_blackhole() {
         {
             let s = HostStack::new("s", 2, StackParams::default(), IoatConfig::disabled());
             let r = HostStack::new("r", 2, StackParams::default(), IoatConfig::disabled());
-            fabric.attach(&s, src);
-            fabric.attach(&r, dst);
-            fabric.open(src, dst, SocketOpts::tuned(), ConnId(1 + i as u64));
+            lb.attach(&s, src);
+            lb.attach(&r, dst);
+            lb.open(src, dst, SocketOpts::tuned(), ConnId(1 + i as u64));
             stack::app_send(&s, &mut sim, ConnId(1 + i as u64), 200_000);
             stacks.push(s);
             stacks.push(r);

@@ -19,9 +19,10 @@
 //!   [`event_budget`]), so a wedged job dies with a reproducible "event
 //!   limit exceeded" panic after a fixed number of events, never a
 //!   wall-clock timeout.
-//! * [`Audit`] + [`AuditRegistry`] — how long-lived components (host
-//!   stacks, DMA engines) plug their end-of-run self-checks into the
-//!   harness that owns them.
+//!
+//! Components expose their end-of-run self-checks as plain methods (host
+//! stacks, DMA engines and the fabric each have an `audit`), and the
+//! harness that owns them calls those directly at a quiescent point.
 //!
 //! The scope is process-global and serialized: figure jobs inside one
 //! scope may fan out across sweep-pool worker threads, and their audits
@@ -59,87 +60,6 @@ impl std::fmt::Display for AuditViolation {
             "audit violation [{}] {} at {}: {}",
             self.component, self.invariant, self.at, self.detail
         )
-    }
-}
-
-/// An end-of-run self-check a component exposes to its owning harness.
-///
-/// Implementations call [`check`] (directly or via free functions) for
-/// each identity they maintain; routing — collect vs. debug-panic vs.
-/// no-op — is the scope's concern, not theirs.
-pub trait Audit {
-    /// Diagnostic component name (`stack:server`, `dma:web`, ...).
-    fn component(&self) -> &str;
-    /// Runs every check this component maintains, as of sim-time `now`.
-    fn audit(&self, now: SimTime);
-}
-
-/// Closure adapter so harnesses can register audits without a newtype.
-struct FnAudit<F: Fn(SimTime)> {
-    component: String,
-    f: F,
-}
-
-impl<F: Fn(SimTime)> Audit for FnAudit<F> {
-    fn component(&self) -> &str {
-        &self.component
-    }
-    fn audit(&self, now: SimTime) {
-        (self.f)(now)
-    }
-}
-
-/// An ordered collection of [`Audit`]s owned by a harness (one per
-/// cluster). Registration order is fixed, so violation order — and with
-/// it report output — is deterministic.
-#[derive(Default)]
-pub struct AuditRegistry {
-    entries: Vec<Box<dyn Audit>>,
-}
-
-impl AuditRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a boxed audit.
-    pub fn register(&mut self, audit: Box<dyn Audit>) {
-        self.entries.push(audit);
-    }
-
-    /// Registers a closure as an audit under `component`.
-    pub fn register_fn(&mut self, component: impl Into<String>, f: impl Fn(SimTime) + 'static) {
-        self.entries.push(Box::new(FnAudit {
-            component: component.into(),
-            f,
-        }));
-    }
-
-    /// Number of registered audits.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Runs every registered audit in registration order.
-    pub fn run(&self, now: SimTime) {
-        for a in &self.entries {
-            a.audit(now);
-        }
-    }
-}
-
-impl std::fmt::Debug for AuditRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&str> = self.entries.iter().map(|a| a.component()).collect();
-        f.debug_struct("AuditRegistry")
-            .field("entries", &names)
-            .finish()
     }
 }
 
@@ -390,24 +310,6 @@ mod tests {
         assert!(failure_reason(plain.as_ref()).starts_with("panicked:"));
         let opaque: Box<dyn std::any::Any + Send> = Box::new(17u32);
         assert!(failure_reason(opaque.as_ref()).contains("non-string"));
-    }
-
-    #[test]
-    fn registry_runs_audits_in_registration_order() {
-        let mut reg = AuditRegistry::new();
-        assert!(reg.is_empty());
-        reg.register_fn("first", |now| {
-            check("first", "ordered", now, false, || "a".into());
-        });
-        reg.register_fn("second", |now| {
-            check("second", "ordered", now, false, || "b".into());
-        });
-        assert_eq!(reg.len(), 2);
-        let (_, v) = with_audit(|| reg.run(SimTime::from_nanos(3)));
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[0].component, "first");
-        assert_eq!(v[1].component, "second");
-        assert_eq!(v[1].at, SimTime::from_nanos(3));
     }
 
     #[test]

@@ -169,11 +169,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets statistics (residency is preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift
     }

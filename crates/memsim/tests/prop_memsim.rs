@@ -1,47 +1,62 @@
-//! Property-based tests for memory-model invariants.
+//! Property tests for memory-model invariants.
+//!
+//! Each property runs over `CASES` seeded inputs drawn from [`SimRng`];
+//! a failure message carries the seed for deterministic replay.
 
 use ioat_memsim::{
     AddressAllocator, Buffer, Cache, CacheConfig, CopyParams, CpuCopier, DmaConfig, DmaEngine,
     DmaRequest, PAGE_SIZE,
 };
-use ioat_simcore::Sim;
-use proptest::prelude::*;
+use ioat_simcore::{Sim, SimDuration, SimRng};
 
-proptest! {
-    /// Page chunks always tile the buffer exactly and never straddle a
-    /// page boundary.
-    #[test]
-    fn page_chunks_tile_exactly(addr in 0u64..1_000_000, len in 0u64..100_000) {
+const CASES: u64 = 256;
+
+/// Page chunks always tile the buffer exactly and never straddle a page
+/// boundary.
+#[test]
+fn page_chunks_tile_exactly() {
+    for seed in 0..CASES {
+        let mut rng = SimRng::seed_from(seed);
+        let addr = rng.range(0, 1_000_000);
+        let len = rng.range(0, 100_000);
         let b = Buffer::new(addr, len);
         let chunks: Vec<Buffer> = b.page_chunks().collect();
         let total: u64 = chunks.iter().map(|c| c.len()).sum();
-        prop_assert_eq!(total, len);
+        assert_eq!(total, len, "seed {seed}");
         let mut cursor = addr;
         for c in &chunks {
-            prop_assert_eq!(c.addr(), cursor, "chunks must be contiguous");
+            assert_eq!(c.addr(), cursor, "seed {seed}: chunks must be contiguous");
             cursor += c.len();
             let first = c.addr() / PAGE_SIZE;
             let last = (c.addr() + c.len() - 1) / PAGE_SIZE;
-            prop_assert_eq!(first, last, "chunk straddles a page");
+            assert_eq!(first, last, "seed {seed}: chunk straddles a page");
         }
         if len > 0 {
-            prop_assert_eq!(chunks.len() as u64, b.pages());
+            assert_eq!(chunks.len() as u64, b.pages(), "seed {seed}");
         }
     }
+}
 
-    /// Cache residency never exceeds capacity, and a re-access of a
-    /// just-touched small range always hits.
-    #[test]
-    fn cache_capacity_invariant(
-        accesses in prop::collection::vec((0u64..1u64 << 22, 1u64..8192), 1..60),
-    ) {
-        let cfg = CacheConfig { capacity: 64 * 1024, associativity: 4, line_size: 64 };
+/// Cache residency never exceeds capacity, and hits + misses account for
+/// every line touched.
+#[test]
+fn cache_capacity_invariant() {
+    for seed in 0..CASES {
+        let mut rng = SimRng::seed_from(seed);
+        let n = rng.range(1, 60);
+        let accesses: Vec<(u64, u64)> = (0..n)
+            .map(|_| (rng.range(0, 1 << 22), rng.range(1, 8192)))
+            .collect();
+        let cfg = CacheConfig {
+            capacity: 64 * 1024,
+            associativity: 4,
+            line_size: 64,
+        };
         let mut cache = Cache::new(cfg);
         for &(addr, len) in &accesses {
             cache.access_range(Buffer::new(addr, len));
-            prop_assert!(cache.resident_bytes() <= cfg.capacity);
+            assert!(cache.resident_bytes() <= cfg.capacity, "seed {seed}");
         }
-        // Hits + misses == total line touches.
         let s = cache.stats();
         let touches: u64 = accesses
             .iter()
@@ -51,60 +66,77 @@ proptest! {
                 last - first + 1
             })
             .sum();
-        prop_assert_eq!(s.hits + s.misses, touches);
+        assert_eq!(s.hits + s.misses, touches, "seed {seed}");
     }
+}
 
-    /// A range smaller than one cache way re-accessed immediately is fully
-    /// resident.
-    #[test]
-    fn immediate_reaccess_hits(addr in 0u64..1u64 << 20) {
-        let cfg = CacheConfig::paper_l2();
-        let mut cache = Cache::new(cfg);
+/// A range smaller than one cache way re-accessed immediately is fully
+/// resident.
+#[test]
+fn immediate_reaccess_hits() {
+    for seed in 0..CASES {
+        let addr = SimRng::seed_from(seed).range(0, 1 << 20);
+        let mut cache = Cache::new(CacheConfig::paper_l2());
         let buf = Buffer::new(addr, 4096);
         cache.access_range(buf);
         let out = cache.access_range(buf);
-        prop_assert_eq!(out.miss_lines, 0);
+        assert_eq!(out.miss_lines, 0, "seed {seed}");
     }
+}
 
-    /// Copy cost is monotone in size for fixed residency, and cold ≥ warm.
-    #[test]
-    fn copy_cost_monotone(bytes in 64u64..1_000_000) {
-        let c = CpuCopier::new(CopyParams::default());
+/// Copy cost is monotone in size for fixed residency, and cold ≥ warm.
+#[test]
+fn copy_cost_monotone() {
+    let c = CpuCopier::new(CopyParams::default());
+    for seed in 0..CASES {
+        let bytes = SimRng::seed_from(seed).range(64, 1_000_000);
         let cold = c.cold_cost(bytes, 64);
         let warm = c.warm_cost(bytes, 64);
-        prop_assert!(cold >= warm);
-        prop_assert!(c.cold_cost(bytes + 64, 64) >= cold);
-        prop_assert!(c.warm_cost(bytes + 64, 64) >= warm);
+        assert!(cold >= warm, "seed {seed}");
+        assert!(c.cold_cost(bytes + 64, 64) >= cold, "seed {seed}");
+        assert!(c.warm_cost(bytes + 64, 64) >= warm, "seed {seed}");
     }
+}
 
-    /// DMA accounting: issuing N copies serializes them; the channel's
-    /// total busy time equals the sum of the individual transfer times.
-    #[test]
-    fn dma_channel_busy_time_is_additive(lens in prop::collection::vec(1u64..200_000, 1..20)) {
+/// DMA accounting: issuing N copies serializes them; the channel's total
+/// busy time equals the sum of the individual transfer times.
+#[test]
+fn dma_channel_busy_time_is_additive() {
+    for seed in 0..CASES {
+        let mut rng = SimRng::seed_from(seed);
+        let n = rng.range(1, 20);
+        let lens: Vec<u64> = (0..n).map(|_| rng.range(1, 200_000)).collect();
         let mut sim = Sim::new();
         let engine = DmaEngine::new_ref(DmaConfig::default(), None);
         let mut alloc = AddressAllocator::new();
-        let mut expected = ioat_simcore::SimDuration::ZERO;
+        let mut expected = SimDuration::ZERO;
         for &len in &lens {
             let r = DmaRequest::new(alloc.alloc(len), alloc.alloc(len));
             expected += engine.borrow().transfer_time(&r);
             DmaEngine::issue(&engine, &mut sim, r, |_| {});
         }
         let end = sim.run();
-        prop_assert_eq!(end.as_nanos(), expected.as_nanos());
+        assert_eq!(end.as_nanos(), expected.as_nanos(), "seed {seed}");
         let eng = engine.borrow();
         let chan = eng.channel().borrow();
-        prop_assert_eq!(chan.meter().total_busy().as_nanos(), expected.as_nanos());
-        prop_assert_eq!(eng.stats().bytes, lens.iter().sum::<u64>());
+        assert_eq!(
+            chan.meter().total_busy().as_nanos(),
+            expected.as_nanos(),
+            "seed {seed}"
+        );
+        assert_eq!(eng.stats().bytes, lens.iter().sum::<u64>(), "seed {seed}");
     }
+}
 
-    /// Overlap fraction is always in [0, 1) for non-empty requests.
-    #[test]
-    fn overlap_fraction_bounded(len in 1u64..10_000_000) {
+/// Overlap fraction is always in [0, 1) for non-empty requests.
+#[test]
+fn overlap_fraction_bounded() {
+    for seed in 0..CASES {
+        let len = SimRng::seed_from(seed).range(1, 10_000_000);
         let engine = DmaEngine::new_ref(DmaConfig::default(), None);
         let mut alloc = AddressAllocator::new();
         let r = DmaRequest::new(alloc.alloc(len), alloc.alloc(len));
         let o = engine.borrow().overlap_fraction(&r);
-        prop_assert!((0.0..1.0).contains(&o), "overlap = {}", o);
+        assert!((0.0..1.0).contains(&o), "seed {seed}: overlap = {o}");
     }
 }

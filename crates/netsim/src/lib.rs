@@ -38,5 +38,5 @@ pub use link::{DuplexLink, Link};
 pub use msg::MsgSender;
 pub use nic::{Frame, FRAME_OVERHEAD};
 pub use socket::{Socket, SocketEvent};
-pub use stack::{EgressMode, FrameRouter, HostStack, StackRef};
+pub use stack::{FrameRouter, HostStack, StackRef};
 pub use tcp::ConnId;

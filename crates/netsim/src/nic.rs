@@ -175,15 +175,6 @@ impl RxCoalescer {
     pub fn frames_seen(&self) -> u64 {
         self.frames_seen
     }
-
-    /// Mean frames per interrupt so far (0 when no interrupts yet).
-    pub fn frames_per_interrupt(&self) -> f64 {
-        if self.interrupts_raised == 0 {
-            0.0
-        } else {
-            self.frames_seen as f64 / self.interrupts_raised as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use crate::stack::{self, StackRef};
 use crate::tcp::ConnId;
-use ioat_simcore::{Sim, SimTime};
+use ioat_simcore::Sim;
 use std::rc::Rc;
 
 /// Events delivered to a socket's application handler.
@@ -101,12 +101,6 @@ impl Socket {
         F: FnOnce(&mut Sim) + 'static,
     {
         stack::app_compute(&self.stack, sim, self.conn, duration, then);
-    }
-
-    /// Delivered throughput of this connection in Mbps over the current
-    /// measurement window.
-    pub fn delivered_mbps(&self, now: SimTime) -> f64 {
-        self.stack.borrow().conn_mbps(self.conn, now)
     }
 }
 

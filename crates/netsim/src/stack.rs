@@ -55,15 +55,16 @@ use std::rc::Rc;
 pub type StackRef = Rc<RefCell<HostStack>>;
 
 /// A routed alternative to direct port-to-port wiring: a switch fabric (or
-/// any other forwarding element) that accepts frames and ACKs at an
+/// any other forwarding element) that takes frames and ACKs at an
 /// attachment point and delivers them to their destination itself.
 ///
 /// A port attached to a router (see [`attach_router`]) serializes each
-/// departing frame on its access link exactly like a wired port, but the
-/// delivery callback hands the frame to [`FrameRouter::frame_ingress`]
-/// instead of the peer's `frame_arrived` — the router then owns hop-by-hop
-/// forwarding, buffering and drops. ACKs keep netsim's latency-only
-/// simplification: they bypass serialization and buffers and go straight to
+/// departing frame on its access link exactly like a wired port, but
+/// schedules no arrival event: it hands the frame to
+/// [`FrameRouter::frame_departed`] with the instant it would reach the
+/// fabric, and the router owns hop-by-hop forwarding, buffering and drops
+/// from there. ACKs keep netsim's latency-only simplification: they bypass
+/// serialization and buffers and go straight to
 /// [`FrameRouter::ack_ingress`], which must deliver them after the
 /// topology's reverse-path latency (ACK loss stays unmodeled, so windows
 /// cannot deadlock).
@@ -71,9 +72,11 @@ pub type StackRef = Rc<RefCell<HostStack>>;
 /// Methods take `self: Rc<Self>` so implementations can re-capture
 /// themselves in scheduled continuations without a `&self` lifetime.
 pub trait FrameRouter {
-    /// A data frame from attachment point `src` has finished serializing on
-    /// its access link and enters the fabric.
-    fn frame_ingress(self: Rc<Self>, sim: &mut Sim, src: usize, frame: Frame);
+    /// A frame from attachment `src` finished serializing at
+    /// `arrive - access latency` and enters the fabric at `arrive`.
+    /// Called synchronously (no event is scheduled); the implementation
+    /// stages the frame for whichever simulation owns the fabric.
+    fn frame_departed(self: Rc<Self>, sim: &mut Sim, src: usize, frame: Frame, arrive: SimTime);
     /// An ACK (cumulative `seq`, advertised `window`, `dup` duplicate-ACK
     /// signals) leaves attachment point `src` toward the connection's other
     /// endpoint.
@@ -86,38 +89,6 @@ pub trait FrameRouter {
         window: u64,
         dup: u32,
     );
-    /// How frames leave a port attached to this router; see [`EgressMode`].
-    /// The default keeps every existing router on the in-queue path.
-    fn egress_mode(&self) -> EgressMode {
-        EgressMode::Deliver
-    }
-    /// A frame from attachment `src` finished serializing at
-    /// `arrive - access latency` and would enter the fabric at `arrive`.
-    /// Called synchronously (no event is scheduled) — only when
-    /// [`FrameRouter::egress_mode`] returns [`EgressMode::Handoff`]; the
-    /// implementation stages the frame for its owning partition.
-    fn frame_departed(
-        self: Rc<Self>,
-        _sim: &mut Sim,
-        _src: usize,
-        _frame: Frame,
-        _arrive: SimTime,
-    ) {
-        unreachable!("frame_departed requires EgressMode::Handoff");
-    }
-}
-
-/// How a router-attached port moves departing frames into the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EgressMode {
-    /// The fabric shares this simulation: schedule
-    /// [`FrameRouter::frame_ingress`] at the frame's arrival instant.
-    Deliver,
-    /// The fabric lives in another partition of a parallel run: serialize
-    /// on the access link (identical busy accounting, no delivery event)
-    /// and hand the frame to [`FrameRouter::frame_departed`] for
-    /// cross-partition staging at the window barrier.
-    Handoff,
 }
 
 type Handler = Rc<RefCell<dyn FnMut(&mut Sim, SocketEvent)>>;
@@ -523,11 +494,6 @@ impl HostStack {
         busy.as_secs_f64() / (window.as_secs_f64() * self.cores.len() as f64)
     }
 
-    /// Bytes delivered to applications on this node during the window.
-    pub fn delivered_bytes(&self) -> u64 {
-        self.rx_meter.window_bytes()
-    }
-
     /// Per-connection delivered throughput in Mbps over the window ending
     /// at `now`.
     pub fn conn_mbps(&self, conn: ConnId, now: SimTime) -> f64 {
@@ -706,8 +672,8 @@ pub fn wire(
 
 /// Adds a port on `s` attached to a [`FrameRouter`] instead of a direct
 /// peer. `tx` is the host's access link into the fabric (frames serialize
-/// on it before `frame_ingress`); `attachment` is the index the router
-/// knows this port by. Returns the port index.
+/// on it before [`FrameRouter::frame_departed`]); `attachment` is the
+/// index the router knows this port by. Returns the port index.
 pub fn attach_router(
     s: &StackRef,
     tx: Link,
@@ -1010,7 +976,6 @@ fn pump(s: &StackRef, sim: &mut Sim, conn: ConnId) {
 fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
     enum Egress {
         Peer(StackRef, usize),
-        Routed(Rc<dyn FrameRouter>, usize),
         Handoff(Rc<dyn FrameRouter>, usize),
     }
     let (train, link, egress) = {
@@ -1055,10 +1020,7 @@ fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
         }
         let port = &st.ports[port_idx];
         let egress = if let Some((router, attachment)) = &port.router {
-            match router.egress_mode() {
-                EgressMode::Deliver => Egress::Routed(Rc::clone(router), *attachment),
-                EgressMode::Handoff => Egress::Handoff(Rc::clone(router), *attachment),
-            }
+            Egress::Handoff(Rc::clone(router), *attachment)
         } else {
             Egress::Peer(
                 Rc::clone(port.peer.as_ref().expect("port not wired")),
@@ -1080,17 +1042,10 @@ fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
                     frame_arrived(&peer2, sim, peer_port, frame);
                 });
             }
-            Egress::Routed(router, attachment) => {
-                let r2 = Rc::clone(router);
-                let att = *attachment;
-                link.transmit(sim, frame.wire_bytes(), move |sim| {
-                    r2.frame_ingress(sim, att, frame);
-                });
-            }
             Egress::Handoff(router, attachment) => {
-                // Identical serializer accounting to `transmit`, but the
-                // arrival happens in another partition: no local event,
-                // the router stages the frame at the window barrier.
+                // Identical serializer accounting to `transmit`, but no
+                // local arrival event: the router stages the frame for the
+                // simulation that owns the fabric.
                 let arrive = link.transmit_dropped(sim, frame.wire_bytes());
                 Rc::clone(router).frame_departed(sim, *attachment, frame, arrive);
             }

@@ -1,4 +1,8 @@
-//! Property-based tests for network-stack invariants.
+//! Property tests for network-stack invariants.
+//!
+//! Each property runs over seeded inputs drawn from [`SimRng`] (fewer
+//! cases for the end-to-end transfers, which cost a whole simulation
+//! each); a failure message carries the seed for deterministic replay.
 
 use ioat_netsim::config::{IoatConfig, SocketOpts, StackParams};
 use ioat_netsim::socket::socket_pair;
@@ -6,46 +10,45 @@ use ioat_netsim::stack::HostStack;
 use ioat_netsim::tcp::segment_sizes;
 use ioat_netsim::{ConnId, SocketEvent};
 use ioat_simcore::time::Bandwidth;
-use ioat_simcore::{Sim, SimDuration};
-use proptest::prelude::*;
+use ioat_simcore::{Sim, SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn opts_strategy() -> impl Strategy<Value = SocketOpts> {
-    (
-        prop::sample::select(vec![64 * 1024u64, 256 * 1024, 1024 * 1024]),
-        any::<bool>(),
-        prop::sample::select(vec![1500u64, 2048]),
-        any::<bool>(),
-        any::<bool>(),
-        prop::sample::select(vec![8 * 1024u64, 16 * 1024, 64 * 1024]),
-    )
-        .prop_map(
-            |(buf, tso, mtu, coalescing, sendfile, read_size)| SocketOpts {
-                sndbuf: buf,
-                rcvbuf: buf,
-                tso,
-                mtu,
-                coalescing,
-                sendfile,
-                read_size,
-            },
-        )
+/// Cases per end-to-end transfer property.
+const TRANSFER_CASES: u64 = 24;
+
+/// A uniformly chosen element of `choices`.
+fn pick(rng: &mut SimRng, choices: &[u64]) -> u64 {
+    choices[rng.range(0, choices.len() as u64) as usize]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Socket options with every field drawn independently.
+fn draw_opts(rng: &mut SimRng) -> SocketOpts {
+    let buf = pick(rng, &[64 * 1024, 256 * 1024, 1024 * 1024]);
+    SocketOpts {
+        sndbuf: buf,
+        rcvbuf: buf,
+        tso: rng.chance(0.5),
+        mtu: pick(rng, &[1500, 2048]),
+        coalescing: rng.chance(0.5),
+        sendfile: rng.chance(0.5),
+        read_size: pick(rng, &[8 * 1024, 16 * 1024, 64 * 1024]),
+    }
+}
 
-    /// Conservation: every byte sent is delivered exactly once, under any
-    /// socket-option combination and any feature set.
-    #[test]
-    fn bytes_are_conserved(
-        opts in opts_strategy(),
-        total in 1_000u64..2_000_000,
-        dma in any::<bool>(),
-        split in any::<bool>(),
-    ) {
-        let ioat = IoatConfig { dma_engine: dma, split_header: split, ..IoatConfig::default() };
+/// Conservation: every byte sent is delivered exactly once, under any
+/// socket-option combination and any feature set.
+#[test]
+fn bytes_are_conserved() {
+    for seed in 0..TRANSFER_CASES {
+        let mut rng = SimRng::seed_from(seed);
+        let opts = draw_opts(&mut rng);
+        let total = rng.range(1_000, 2_000_000);
+        let ioat = IoatConfig {
+            dma_engine: rng.chance(0.5),
+            split_header: rng.chance(0.5),
+            ..IoatConfig::default()
+        };
         let mut sim = Sim::new();
         sim.set_event_limit(80_000_000);
         let a = HostStack::new("a", 4, StackParams::default(), ioat);
@@ -67,18 +70,20 @@ proptest! {
         });
         sa.send(&mut sim, total);
         sim.run();
-        prop_assert_eq!(*got.borrow(), total);
-        prop_assert_eq!(b.borrow().rx_meter().total_bytes(), total);
-        prop_assert_eq!(a.borrow().tx_meter().total_bytes(), total);
+        assert_eq!(*got.borrow(), total, "seed {seed}");
+        assert_eq!(b.borrow().rx_meter().total_bytes(), total, "seed {seed}");
+        assert_eq!(a.borrow().tx_meter().total_bytes(), total, "seed {seed}");
     }
+}
 
-    /// Flow control: frames processed by the receiver never exceed what
-    /// the advertised window could have allowed, and stats are coherent.
-    #[test]
-    fn receiver_stats_are_coherent(
-        total in 10_000u64..500_000,
-        opts in opts_strategy(),
-    ) {
+/// Flow control: frames processed by the receiver never exceed what the
+/// advertised window could have allowed, and stats are coherent.
+#[test]
+fn receiver_stats_are_coherent() {
+    for seed in 0..TRANSFER_CASES {
+        let mut rng = SimRng::seed_from(seed);
+        let total = rng.range(10_000, 500_000);
+        let opts = draw_opts(&mut rng);
         let mut sim = Sim::new();
         sim.set_event_limit(80_000_000);
         let a = HostStack::new("a", 4, StackParams::default(), IoatConfig::disabled());
@@ -96,32 +101,42 @@ proptest! {
         let st = b.borrow().stats();
         // Frame count bounds: every frame carries at least one byte and
         // at most one MSS.
-        prop_assert!(st.frames_processed >= total.div_ceil(opts.mss()));
-        prop_assert!(st.frames_processed <= total);
+        assert!(
+            st.frames_processed >= total.div_ceil(opts.mss()),
+            "seed {seed}"
+        );
+        assert!(st.frames_processed <= total, "seed {seed}");
         // Interrupts never exceed frames; deliveries never exceed frames.
-        prop_assert!(st.interrupts <= st.frames_processed);
-        prop_assert!(st.deliveries >= 1);
-        prop_assert!(st.deliveries <= st.frames_processed);
+        assert!(st.interrupts <= st.frames_processed, "seed {seed}");
+        assert!(st.deliveries >= 1, "seed {seed}");
+        assert!(st.deliveries <= st.frames_processed, "seed {seed}");
     }
+}
 
-    /// Segmentation covers every byte with MSS-bounded pieces.
-    #[test]
-    fn segmentation_is_exact(bytes in 0u64..10_000_000, mss in 1u64..10_000) {
+/// Segmentation covers every byte with MSS-bounded pieces.
+#[test]
+fn segmentation_is_exact() {
+    for seed in 0..256 {
+        let mut rng = SimRng::seed_from(seed);
+        let bytes = rng.range(0, 10_000_000);
+        let mss = rng.range(1, 10_000);
         let segs = segment_sizes(bytes, mss);
-        prop_assert_eq!(segs.iter().sum::<u64>(), bytes);
-        prop_assert!(segs.iter().all(|&s| s > 0 && s <= mss));
+        assert_eq!(segs.iter().sum::<u64>(), bytes, "seed {seed}");
+        assert!(segs.iter().all(|&s| s > 0 && s <= mss), "seed {seed}");
         if bytes > 0 {
-            prop_assert_eq!(segs.len() as u64, bytes.div_ceil(mss));
+            assert_eq!(segs.len() as u64, bytes.div_ceil(mss), "seed {seed}");
         }
     }
+}
 
-    /// Determinism under arbitrary configurations: identical runs give
-    /// bit-identical utilization and byte counts.
-    #[test]
-    fn runs_are_reproducible(
-        opts in opts_strategy(),
-        total in 1_000u64..300_000,
-    ) {
+/// Determinism under arbitrary configurations: identical runs give
+/// bit-identical utilization and byte counts.
+#[test]
+fn runs_are_reproducible() {
+    for seed in 0..TRANSFER_CASES {
+        let mut rng = SimRng::seed_from(seed);
+        let opts = draw_opts(&mut rng);
+        let total = rng.range(1_000, 300_000);
         let run = || {
             let mut sim = Sim::new();
             let a = HostStack::new("a", 4, StackParams::default(), IoatConfig::full());
@@ -136,10 +151,10 @@ proptest! {
             );
             sa.send(&mut sim, total);
             let end = sim.run();
-            let util = b.borrow().cpu_utilization(ioat_simcore::SimTime::ZERO, end);
+            let util = b.borrow().cpu_utilization(SimTime::ZERO, end);
             let bytes = b.borrow().rx_meter().total_bytes();
             (end, util.to_bits(), bytes)
         };
-        prop_assert_eq!(run(), run());
+        assert_eq!(run(), run(), "seed {seed}");
     }
 }

@@ -343,11 +343,6 @@ pub fn concurrent_write(cfg: &PvfsConfig) -> PvfsResult {
     run(cfg, IoMode::Write)
 }
 
-/// [`concurrent_write`] with a tracer attached.
-pub fn concurrent_write_traced(cfg: &PvfsConfig, tracer: &Tracer) -> PvfsResult {
-    run_traced(cfg, IoMode::Write, tracer)
-}
-
 /// Fig. 12 — multi-stream read with `threads` emulated clients on the
 /// compute node.
 pub fn multi_stream_read(cfg: &PvfsConfig, threads: usize) -> PvfsResult {

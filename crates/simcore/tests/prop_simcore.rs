@@ -1,15 +1,32 @@
-//! Property-based tests for the simulation kernel invariants.
+//! Property tests for the simulation kernel invariants.
+//!
+//! Each property runs over `CASES` seeded inputs drawn from [`SimRng`];
+//! a failure message carries the seed for deterministic replay.
 
-use ioat_simcore::{Histogram, Sim, SimDuration, SimTime, UtilizationMeter};
-use proptest::prelude::*;
+use ioat_simcore::{Histogram, Sim, SimDuration, SimRng, SimTime, UtilizationMeter};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-proptest! {
-    /// Events always execute in non-decreasing time order, and equal-time
-    /// events execute in scheduling order, regardless of insertion order.
-    #[test]
-    fn events_execute_in_time_then_fifo_order(delays in prop::collection::vec(0u64..1_000, 1..200)) {
+const CASES: u64 = 256;
+
+/// A vector of `rng.range(len_lo, len_hi)` values drawn by `draw`.
+fn vec_of<T>(
+    rng: &mut SimRng,
+    len_lo: u64,
+    len_hi: u64,
+    mut draw: impl FnMut(&mut SimRng) -> T,
+) -> Vec<T> {
+    let len = rng.range(len_lo, len_hi);
+    (0..len).map(|_| draw(rng)).collect()
+}
+
+/// Events always execute in non-decreasing time order, and equal-time
+/// events execute in scheduling order, regardless of insertion order.
+#[test]
+fn events_execute_in_time_then_fifo_order() {
+    for seed in 0..CASES {
+        let mut rng = SimRng::seed_from(seed);
+        let delays = vec_of(&mut rng, 1, 200, |r| r.range(0, 1_000));
         let mut sim = Sim::new();
         let log: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
         for (i, &d) in delays.iter().enumerate() {
@@ -20,37 +37,43 @@ proptest! {
         }
         sim.run();
         let log = log.borrow();
-        prop_assert_eq!(log.len(), delays.len());
+        assert_eq!(log.len(), delays.len(), "seed {seed}");
         for w in log.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time went backwards");
+            assert!(w[0].0 <= w[1].0, "seed {seed}: time went backwards");
             if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO violated at equal times");
+                assert!(w[0].1 < w[1].1, "seed {seed}: FIFO violated at equal times");
             }
         }
         // Each event fires at exactly its requested time.
         for &(at, i) in log.iter() {
-            prop_assert_eq!(at, delays[i]);
+            assert_eq!(at, delays[i], "seed {seed}");
         }
     }
+}
 
-    /// The final clock equals the max scheduled delay.
-    #[test]
-    fn final_clock_is_last_event_time(delays in prop::collection::vec(0u64..10_000, 1..100)) {
+/// The final clock equals the max scheduled delay.
+#[test]
+fn final_clock_is_last_event_time() {
+    for seed in 0..CASES {
+        let mut rng = SimRng::seed_from(seed);
+        let delays = vec_of(&mut rng, 1, 100, |r| r.range(0, 10_000));
         let mut sim = Sim::new();
         for &d in &delays {
             sim.schedule(SimDuration::from_nanos(d), |_| {});
         }
         let end = sim.run();
-        prop_assert_eq!(end.as_nanos(), *delays.iter().max().unwrap());
+        assert_eq!(end.as_nanos(), *delays.iter().max().unwrap(), "seed {seed}");
     }
+}
 
-    /// Utilization is always within [0, 1] and busy_between is additive
-    /// over a partition of the window.
-    #[test]
-    fn utilization_meter_is_consistent(
-        gaps in prop::collection::vec((0u64..50, 1u64..50), 1..100),
-        split in 0u64..5_000,
-    ) {
+/// Utilization is always within [0, 1] and busy_between is additive over
+/// a partition of the window.
+#[test]
+fn utilization_meter_is_consistent() {
+    for seed in 0..CASES {
+        let mut rng = SimRng::seed_from(seed);
+        let gaps = vec_of(&mut rng, 1, 100, |r| (r.range(0, 50), r.range(1, 50)));
+        let split = rng.range(0, 5_000);
         let mut m = UtilizationMeter::new();
         let mut t = 0u64;
         for &(gap, busy) in &gaps {
@@ -61,18 +84,22 @@ proptest! {
         }
         let total = SimTime::from_nanos(t);
         let u = m.utilization_between(SimTime::ZERO, total);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&u));
+        assert!((0.0..=1.0 + 1e-12).contains(&u), "seed {seed}: u = {u}");
         // Additivity across a split point.
         let mid = SimTime::from_nanos(split.min(t));
         let a = m.busy_between(SimTime::ZERO, mid);
         let b = m.busy_between(mid, total);
-        prop_assert_eq!(a + b, m.total_busy());
+        assert_eq!(a + b, m.total_busy(), "seed {seed}");
     }
+}
 
-    /// Histogram quantiles are monotone in q and bounded by recorded
-    /// extremes (within one sub-bucket of relative error).
-    #[test]
-    fn histogram_quantiles_are_monotone(values in prop::collection::vec(0u64..1_000_000, 1..500)) {
+/// Histogram quantiles are monotone in q and bounded by recorded extremes
+/// (within one sub-bucket of relative error).
+#[test]
+fn histogram_quantiles_are_monotone() {
+    for seed in 0..CASES {
+        let mut rng = SimRng::seed_from(seed);
+        let values = vec_of(&mut rng, 1, 500, |r| r.range(0, 1_000_000));
         let mut h = Histogram::new();
         for &v in &values {
             h.record(v);
@@ -81,22 +108,26 @@ proptest! {
         let mut prev = 0;
         for &q in &qs {
             let x = h.quantile(q);
-            prop_assert!(x >= prev, "quantile not monotone");
+            assert!(x >= prev, "seed {seed}: quantile not monotone");
             prev = x;
         }
         let max = *values.iter().max().unwrap();
         let min = *values.iter().min().unwrap();
-        prop_assert!(h.quantile(1.0) <= max);
+        assert!(h.quantile(1.0) <= max, "seed {seed}");
         // Lower bound under-estimates by at most one sub-bucket (~3.2%).
-        prop_assert!(h.quantile(0.0) as f64 >= min as f64 * 0.96 - 1.0);
+        assert!(
+            h.quantile(0.0) as f64 >= min as f64 * 0.96 - 1.0,
+            "seed {seed}"
+        );
     }
+}
 
-    /// Cancelling a random subset of events prevents exactly those events.
-    #[test]
-    fn cancellation_is_exact(
-        n in 1usize..100,
-        cancel_mask in prop::collection::vec(any::<bool>(), 100),
-    ) {
+/// Cancelling a random subset of events prevents exactly those events.
+#[test]
+fn cancellation_is_exact() {
+    for seed in 0..CASES {
+        let mut rng = SimRng::seed_from(seed);
+        let n = rng.range(1, 100) as usize;
         let mut sim = Sim::new();
         let fired: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
         let mut ids = Vec::new();
@@ -107,14 +138,14 @@ proptest! {
             }));
         }
         let mut expect: Vec<usize> = Vec::new();
-        for i in 0..n {
-            if cancel_mask[i] {
-                prop_assert!(sim.cancel(ids[i]));
+        for (i, &id) in ids.iter().enumerate() {
+            if rng.chance(0.5) {
+                assert!(sim.cancel(id), "seed {seed}: event {i} not cancellable");
             } else {
                 expect.push(i);
             }
         }
         sim.run();
-        prop_assert_eq!(&*fired.borrow(), &expect);
+        assert_eq!(*fired.borrow(), expect, "seed {seed}");
     }
 }

@@ -1,4 +1,4 @@
-//! Sim-time tracing and metrics for ioat-sim.
+//! Sim-time tracing for ioat-sim.
 //!
 //! The paper's headline results are *attributions*, not aggregates: Fig. 7
 //! splits receive-path CPU time into interrupt handling, TCP/IP processing
@@ -11,8 +11,6 @@
 //!   [`Category`] per event and a per-node/per-core [`TrackId`]. A disabled
 //!   tracer is a no-op; an enabled tracer only *records* values the models
 //!   already computed, so tracing is bit-for-bit non-perturbing.
-//! * [`MetricsRegistry`] — named counters, gauges and fixed-bucket
-//!   histograms, the structured replacement for ad-hoc stat fields.
 //! * [`export`] — Chrome `trace_event` JSON (loadable in Perfetto /
 //!   `chrome://tracing`) and CSV, hand-rolled with no external
 //!   dependencies.
@@ -23,10 +21,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod export;
-pub mod registry;
 pub mod report;
 pub mod tracer;
 
-pub use registry::{FixedHistogram, MetricsRegistry};
 pub use report::{cpu_splitup, SplitupReport};
 pub use tracer::{Category, Event, EventKind, Tracer, TrackId};
