@@ -13,8 +13,22 @@
 //! * **Coherence invalidation** (§2.2.2): the DMA engine writes memory
 //!   directly, so destination lines must be invalidated — a subsequent CPU
 //!   read of DMA-written data misses.
+//!
+//! # Layout
+//!
+//! Each set is one fixed-width row of tags: the associativity rounded up
+//! to a power of two, at most 64 words (so 8- and 16-way geometries waste
+//! nothing). A `u8` per set counts the occupied ways; the occupied prefix
+//! is kept in LRU-to-MRU order. A range access or invalidation picks the
+//! row width once per call and then runs one compile-time-sized body per
+//! line: a search of the occupied prefix, then explicit shifts within the
+//! row.
 
 use crate::address::Buffer;
+
+/// Most ways a set may have: the widest row a range walk is compiled for
+/// (and well inside a set's `u8` occupancy count).
+const MAX_WAYS: u32 = 64;
 
 /// Geometry of a simulated cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +59,11 @@ impl CacheConfig {
     fn validate(&self) {
         assert!(self.line_size.is_power_of_two(), "line size must be 2^k");
         assert!(self.associativity > 0, "associativity must be positive");
+        assert!(
+            self.associativity <= MAX_WAYS,
+            "associativity {} exceeds the {MAX_WAYS}-way maximum",
+            self.associativity
+        );
         assert!(
             self.capacity
                 .is_multiple_of(self.associativity as u64 * self.line_size),
@@ -115,13 +134,18 @@ impl RangeOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Resident line tags, `associativity` slots per set, most recently
-    /// used last within each set's occupied prefix. One contiguous
-    /// allocation (sets × ways): the per-line lookup loop walks at most
-    /// `associativity` adjacent words — no per-set pointer chase.
+    /// Resident line tags, one fixed-width row of `width` words per set,
+    /// most recently used last within each row's occupied prefix. Words
+    /// past the prefix are dead. One contiguous allocation
+    /// (sets × width): the per-line lookup reads one row — no per-set
+    /// pointer chase.
     tags: Box<[u64]>,
     /// Occupied ways per set.
     lens: Box<[u8]>,
+    /// Row width: `associativity` rounded up to a power of two (at most
+    /// `MAX_WAYS`). Range walks dispatch on it once per call, so the
+    /// per-line body runs on a compile-time-sized row.
+    width: usize,
     stats: CacheStats,
     line_shift: u32,
     /// Cached set count: `config.sets()` divides twice, and the mapping
@@ -133,21 +157,43 @@ pub struct Cache {
     set_mask: u64,
 }
 
+/// The set `line` maps to: a mask when `set_mask` is non-zero (a
+/// power-of-two set count), else a divide.
+#[inline(always)]
+fn set_index(line: u64, set_mask: u64, num_sets: u64) -> usize {
+    if set_mask != 0 {
+        (line & set_mask) as usize
+    } else {
+        (line % num_sets) as usize
+    }
+}
+
+/// What a range walk does to each resident (or missing) line.
+#[derive(Clone, Copy)]
+enum Walk {
+    /// Touch every line: hits move to MRU, misses allocate (evicting LRU).
+    Access,
+    /// Drop every resident line, preserving the survivors' LRU order.
+    Invalidate,
+}
+
 impl Cache {
     /// Creates an empty cache with the given geometry.
     ///
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (non-power-of-two line size,
-    /// capacity not a whole number of sets, ...).
+    /// capacity not a whole number of sets, more than 64 ways, ...).
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
         let sets = config.sets() as usize;
         let num_sets = config.sets();
+        let width = (config.associativity as usize).next_power_of_two();
         Cache {
             config,
-            tags: vec![0u64; sets * config.associativity as usize].into_boxed_slice(),
+            tags: vec![0u64; sets * width].into_boxed_slice(),
             lens: vec![0u8; sets].into_boxed_slice(),
+            width,
             stats: CacheStats::default(),
             line_shift: config.line_size.trailing_zeros(),
             num_sets,
@@ -173,40 +219,13 @@ impl Cache {
         addr >> self.line_shift
     }
 
-    #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        if self.set_mask != 0 {
-            (line & self.set_mask) as usize
-        } else {
-            (line % self.num_sets) as usize
-        }
-    }
-
     /// Accesses one line by address, allocating on miss (write-allocate /
     /// read-allocate — the model does not distinguish).
     pub fn access_line(&mut self, addr: u64) -> AccessOutcome {
         let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
-        let ways = self.config.associativity as usize;
-        let base = set_idx * ways;
-        let len = self.lens[set_idx] as usize;
-        let set = &mut self.tags[base..base + len];
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            // Move to MRU position (end of the occupied prefix).
-            set[pos..].rotate_left(1);
-            self.stats.hits += 1;
+        if self.walk(Walk::Access, line, line).hit_lines == 1 {
             AccessOutcome::Hit
-        } else if len == ways {
-            // Evict LRU (front), insert at MRU (back).
-            set.rotate_left(1);
-            set[ways - 1] = line;
-            self.stats.evictions += 1;
-            self.stats.misses += 1;
-            AccessOutcome::Miss
         } else {
-            self.tags[base + len] = line;
-            self.lens[set_idx] = (len + 1) as u8;
-            self.stats.misses += 1;
             AccessOutcome::Miss
         }
     }
@@ -214,36 +233,25 @@ impl Cache {
     /// Checks residency without updating LRU order or statistics.
     pub fn probe_line(&self, addr: u64) -> bool {
         let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
-        let base = set_idx * self.config.associativity as usize;
+        let set_idx = set_index(line, self.set_mask, self.num_sets);
+        let base = set_idx * self.width;
         let len = self.lens[set_idx] as usize;
         self.tags[base..base + len].contains(&line)
     }
 
     /// Accesses every line in `buf`, returning hit/miss counts.
     pub fn access_range(&mut self, buf: Buffer) -> RangeOutcome {
-        let mut out = RangeOutcome::default();
-        if buf.is_empty() {
-            return out;
+        match self.line_span(buf) {
+            Some((first, last)) => self.walk(Walk::Access, first, last),
+            None => RangeOutcome::default(),
         }
-        let first = buf.addr() >> self.line_shift;
-        let last = (buf.addr() + buf.len() - 1) >> self.line_shift;
-        for line in first..=last {
-            match self.access_line(line << self.line_shift) {
-                AccessOutcome::Hit => out.hit_lines += 1,
-                AccessOutcome::Miss => out.miss_lines += 1,
-            }
-        }
-        out
     }
 
     /// Counts how many lines of `buf` are resident, touching nothing.
     pub fn resident_lines(&self, buf: Buffer) -> u64 {
-        if buf.is_empty() {
+        let Some((first, last)) = self.line_span(buf) else {
             return 0;
-        }
-        let first = buf.addr() >> self.line_shift;
-        let last = (buf.addr() + buf.len() - 1) >> self.line_shift;
+        };
         (first..=last)
             .filter(|&l| self.probe_line(l << self.line_shift))
             .count() as u64
@@ -254,24 +262,98 @@ impl Cache {
     /// engine must maintain cache coherence immediately after data
     /// transfer").
     pub fn invalidate_range(&mut self, buf: Buffer) {
+        if let Some((first, last)) = self.line_span(buf) {
+            self.walk(Walk::Invalidate, first, last);
+        }
+    }
+
+    /// The first and last line numbers `buf` covers, or `None` if empty.
+    fn line_span(&self, buf: Buffer) -> Option<(u64, u64)> {
         if buf.is_empty() {
-            return;
+            return None;
         }
         let first = buf.addr() >> self.line_shift;
         let last = (buf.addr() + buf.len() - 1) >> self.line_shift;
+        Some((first, last))
+    }
+
+    /// Applies `walk` to lines `first..=last`, picking the row width once
+    /// for the whole range.
+    fn walk(&mut self, walk: Walk, first: u64, last: u64) -> RangeOutcome {
+        match self.width {
+            1 => self.lines::<1>(walk, first, last),
+            2 => self.lines::<2>(walk, first, last),
+            4 => self.lines::<4>(walk, first, last),
+            8 => self.lines::<8>(walk, first, last),
+            16 => self.lines::<16>(walk, first, last),
+            32 => self.lines::<32>(walk, first, last),
+            64 => self.lines::<64>(walk, first, last),
+            w => unreachable!("row width {w} is not a power of two <= {MAX_WAYS}"),
+        }
+    }
+
+    /// The per-line body of every range walk, on rows of `W` words.
+    ///
+    /// The matching way is found by a search of the occupied prefix.
+    /// Moves within a row are explicit shifts: a hit slides the ways above
+    /// it down one and re-inserts the line at MRU; a full-set miss slides
+    /// every way down, dropping the LRU front; an invalidation slides the
+    /// ways above it down and shortens the prefix.
+    fn lines<const W: usize>(&mut self, walk: Walk, first: u64, last: u64) -> RangeOutcome {
+        let ways = self.config.associativity as usize;
+        debug_assert!(ways <= W && W == self.width);
+        let (set_mask, num_sets) = (self.set_mask, self.num_sets);
+        let (rows, _) = self.tags.as_chunks_mut::<W>();
+        let lens = &mut self.lens[..rows.len()];
+        let mut out = RangeOutcome::default();
+        let mut evictions = 0;
+        let mut invalidations = 0;
         for line in first..=last {
-            let set_idx = self.set_of(line);
-            let ways = self.config.associativity as usize;
-            let base = set_idx * ways;
-            let len = self.lens[set_idx] as usize;
-            let set = &mut self.tags[base..base + len];
-            if let Some(pos) = set.iter().position(|&t| t == line) {
-                // Close the gap, preserving LRU order of the survivors.
-                set[pos..].rotate_left(1);
-                self.lens[set_idx] = (len - 1) as u8;
-                self.stats.invalidations += 1;
+            let set_idx = set_index(line, set_mask, num_sets);
+            let row = &mut rows[set_idx];
+            let len = lens[set_idx] as usize;
+            // The early exit keeps a short prefix cheap: a lightly used
+            // cache (the fabric runs hold hundreds) is mostly sets with a
+            // few lines, and an empty set's row is not read at all.
+            let hit = row[..len].iter().position(|&t| t == line);
+            match (walk, hit) {
+                (Walk::Access, Some(pos)) => {
+                    for i in pos..len - 1 {
+                        row[i] = row[i + 1];
+                    }
+                    row[len - 1] = line;
+                    out.hit_lines += 1;
+                }
+                (Walk::Access, None) if len == ways => {
+                    // The whole row, for a constant trip count: words
+                    // past `ways` are dead.
+                    for i in 0..W - 1 {
+                        row[i] = row[i + 1];
+                    }
+                    row[ways - 1] = line;
+                    evictions += 1;
+                    out.miss_lines += 1;
+                }
+                (Walk::Access, None) => {
+                    row[len] = line;
+                    lens[set_idx] = (len + 1) as u8;
+                    out.miss_lines += 1;
+                }
+                (Walk::Invalidate, Some(pos)) => {
+                    for i in pos..len - 1 {
+                        row[i] = row[i + 1];
+                    }
+                    lens[set_idx] = (len - 1) as u8;
+                    invalidations += 1;
+                }
+                (Walk::Invalidate, None) => {}
             }
         }
+        self.stats.hits += out.hit_lines;
+        self.stats.misses += out.miss_lines;
+        self.stats.evictions += evictions;
+        self.stats.invalidations += invalidations;
+        out
     }
 
     /// Total lines currently resident.
@@ -403,6 +485,44 @@ mod tests {
             associativity: 2,
             line_size: 60,
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 64-way maximum")]
+    fn associativity_above_64_panics() {
+        // 65 ways × 64 B lines: one set. No row width is compiled past
+        // 64 ways, and past 255 the u8 occupancy would wrap and lose lines.
+        Cache::new(CacheConfig {
+            capacity: 65 * 64,
+            associativity: 65,
+            line_size: 64,
+        });
+    }
+
+    #[test]
+    fn sixty_four_ways_hold_every_line() {
+        // Two sets of 64 ways: the widest row. Every line of a working set
+        // exactly the cache's size stays resident, and LRU still evicts
+        // the oldest line once the set overflows.
+        let cfg = CacheConfig {
+            capacity: 2 * 64 * 64,
+            associativity: 64,
+            line_size: 64,
+        };
+        let mut c = Cache::new(cfg);
+        let all = Buffer::new(0, cfg.capacity);
+        assert_eq!(c.access_range(all).miss_lines, 128);
+        assert_eq!(c.access_range(all).hit_lines, 128);
+        assert_eq!(c.resident_line_count(), 128);
+        assert_eq!(c.resident_lines(all), 128);
+        // Line 128 maps to set 0, whose LRU way is line 0.
+        assert_eq!(c.access_line(128 * 64), AccessOutcome::Miss);
+        assert!(!c.probe_line(0));
+        assert!(c.probe_line(2 * 64));
+        assert_eq!(c.stats().evictions, 1);
+        c.invalidate_range(all);
+        assert_eq!(c.resident_line_count(), 1, "only line 128 survives");
+        assert_eq!(c.stats().invalidations, 127);
     }
 
     #[test]

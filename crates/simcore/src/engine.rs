@@ -9,7 +9,7 @@
 //!
 //! # Queue internals
 //!
-//! The queue is a slab-backed indexed binary min-heap:
+//! The queue is a slab-backed indexed 4-ary min-heap:
 //!
 //! * Every scheduled event owns a **slab slot** holding its boxed action;
 //!   slots are recycled through a free list, so steady-state scheduling
@@ -17,6 +17,13 @@
 //! * The **heap** orders small plain-data entries by `(time, seq)` — the
 //!   classic FIFO-on-ties contract. Entries never move between slots, and
 //!   the hot pop path does one slab index per event — no hash lookups.
+//!   Each node has four children (half the depth of a binary heap) and
+//!   sifts move a hole rather than swapping. Every `(time, seq)` key is
+//!   unique, so the execution order depends on the keys alone, never on
+//!   the heap's shape.
+//! * A **deferred** event (see [`Sim::schedule_deferred`]) is re-keyed in
+//!   place when it surfaces: its top entry is replaced by the fire-time
+//!   entry and sunk, one sift instead of a pop plus a push.
 //! * [`Sim::cancel`] is an O(1) **slot invalidation**: the action is
 //!   dropped immediately (so a cancelled far-future timer releases
 //!   everything its closure captured right away), the slot's generation is
@@ -83,9 +90,21 @@ impl HeapEntry {
     }
 }
 
-/// A hand-rolled binary min-heap over [`HeapEntry`]s. `std`'s
-/// `BinaryHeap` would need an inverted `Ord` wrapper and offers no
-/// in-place retain-and-rebuild; this keeps the hot path free of both.
+/// Children per heap node. A 4-ary heap is half as deep as a binary one,
+/// and a node's four children share one or two cache lines, so a sift
+/// touches fewer lines for the same entry count.
+const ARITY: usize = 4;
+
+/// A hand-rolled 4-ary min-heap over [`HeapEntry`]s. `std`'s
+/// `BinaryHeap` is binary, would need an inverted `Ord` wrapper, and
+/// offers neither in-place retain-and-rebuild nor
+/// [`EventHeap::replace_top`].
+///
+/// Sifts move a *hole*: the entry being placed is held aside while the
+/// entries it passes shift one level, and it is written once at its final
+/// index. Keys `(at, seq)` are unique (every push draws a fresh seq), so
+/// the pop order is fully determined by the keys — not by the heap's arity
+/// or shape.
 #[derive(Default)]
 struct EventHeap {
     entries: Vec<HeapEntry>,
@@ -105,66 +124,83 @@ impl EventHeap {
     #[inline]
     fn push(&mut self, e: HeapEntry) {
         self.entries.push(e);
-        self.sift_up(self.entries.len() - 1);
+        self.sift_up(self.entries.len() - 1, e);
     }
 
     #[inline]
     fn pop(&mut self) -> Option<HeapEntry> {
-        let n = self.entries.len();
-        match n {
-            0 => None,
-            1 => self.entries.pop(),
-            _ => {
-                self.entries.swap(0, n - 1);
-                let top = self.entries.pop();
-                self.sift_down(0);
-                top
-            }
+        let last = self.entries.pop()?;
+        if self.entries.is_empty() {
+            return Some(last);
         }
+        let top = self.entries[0];
+        self.sift_down(0, last);
+        Some(top)
     }
 
-    fn sift_up(&mut self, mut i: usize) {
+    /// Replaces the top entry with `e` and returns the old top: one sift
+    /// instead of a pop plus a push. The heap must be non-empty.
+    #[inline]
+    fn replace_top(&mut self, e: HeapEntry) -> HeapEntry {
+        let top = self.entries[0];
+        self.sift_down(0, e);
+        top
+    }
+
+    /// Places `e` at or above the hole at `i`.
+    #[inline]
+    fn sift_up(&mut self, mut i: usize, e: HeapEntry) {
+        let key = e.key();
         while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.entries[i].key() < self.entries[parent].key() {
-                self.entries.swap(i, parent);
+            let parent = (i - 1) / ARITY;
+            if key < self.entries[parent].key() {
+                self.entries[i] = self.entries[parent];
                 i = parent;
             } else {
                 break;
             }
         }
+        self.entries[i] = e;
     }
 
-    fn sift_down(&mut self, mut i: usize) {
+    /// Places `e` at or below the hole at `i`.
+    #[inline]
+    fn sift_down(&mut self, mut i: usize, e: HeapEntry) {
         let n = self.entries.len();
+        let key = e.key();
         loop {
-            let l = 2 * i + 1;
-            if l >= n {
+            let first = ARITY * i + 1;
+            if first >= n {
                 break;
             }
-            let r = l + 1;
-            let mut smallest = if self.entries[l].key() < self.entries[i].key() {
-                l
+            let mut min = first;
+            let mut min_key = self.entries[first].key();
+            for c in first + 1..(first + ARITY).min(n) {
+                let k = self.entries[c].key();
+                if k < min_key {
+                    min = c;
+                    min_key = k;
+                }
+            }
+            if min_key < key {
+                self.entries[i] = self.entries[min];
+                i = min;
             } else {
-                i
-            };
-            if r < n && self.entries[r].key() < self.entries[smallest].key() {
-                smallest = r;
-            }
-            if smallest == i {
                 break;
             }
-            self.entries.swap(i, smallest);
-            i = smallest;
         }
+        self.entries[i] = e;
     }
 
     /// Drops every entry failing `keep`, then re-heapifies in place.
     fn retain_rebuild(&mut self, keep: impl Fn(&HeapEntry) -> bool) {
         self.entries.retain(|e| keep(e));
-        // Classic bottom-up heapify: O(n).
-        for i in (0..self.entries.len() / 2).rev() {
-            self.sift_down(i);
+        // Classic bottom-up heapify from the last parent: O(n).
+        let n = self.entries.len();
+        if n > 1 {
+            for i in (0..=(n - 2) / ARITY).rev() {
+                self.sift_down(i, self.entries[i]);
+            }
         }
     }
 }
@@ -421,20 +457,9 @@ impl Sim {
         }
     }
 
-    /// Releases a slot after its event fired, returning the action.
-    #[inline]
-    fn take_fired(&mut self, slot: u32) -> Action {
-        let s = &mut self.slots[slot as usize];
-        let action = s.action.take().expect("live heap entry has an action");
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot);
-        self.live -= 1;
-        action
-    }
-
     /// Sweeps stale entries out of the heap once they pile up.
     ///
-    /// `pop_next` drains a stale entry when its time comes, and its boxed
+    /// `pop_due` drains a stale entry when its time comes, and its boxed
     /// action was already dropped at cancel time — but a heavily
     /// cancel-churning model could still accumulate unbounded small
     /// ordering entries for far-future instants. Amortized O(1): each
@@ -448,65 +473,55 @@ impl Sim {
         }
     }
 
-    /// If the heap top is a live deferred entry still at its key instant,
-    /// re-inserts it at its fire time with a freshly drawn seq — the exact
-    /// seq an executing relay event would have drawn at this moment — and
-    /// returns `true`. The slab slot (and thus the event's [`EventId`]) is
-    /// untouched. Callers must have drained stale tops first (via
-    /// [`Sim::peek_next_at`]).
-    fn rekey_top(&mut self) -> bool {
-        match self.heap.peek() {
-            Some(top) if self.slots[top.slot as usize].rekey_at.is_some() => {
-                debug_assert_eq!(self.slots[top.slot as usize].gen, top.gen);
-                let e = self.heap.pop().expect("peeked entry exists");
-                let fire_at = self.slots[e.slot as usize]
-                    .rekey_at
-                    .take()
-                    .expect("checked above");
-                debug_assert!(fire_at >= e.at, "deferred fire instant before key");
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.heap.push(HeapEntry {
-                    at: fire_at,
-                    seq,
-                    slot: e.slot,
-                    gen: e.gen,
-                });
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn pop_next(&mut self) -> Option<(SimTime, u64, Action)> {
-        while let Some(e) = self.heap.pop() {
-            if self.slots[e.slot as usize].gen != e.gen {
+    /// Pops the next live event if its instant satisfies `due`.
+    ///
+    /// Stale (cancelled) tops are drained on the way, due or not. A due
+    /// deferred entry still at its key instant is re-keyed instead of
+    /// popped: the top entry is replaced by one at its fire instant with a
+    /// freshly drawn seq — the exact seq an executing relay event would
+    /// have drawn at this moment — and sunk. Its slab slot, and so its
+    /// [`EventId`], is untouched. The fire instant may lie beyond the
+    /// window, so the loop looks at the new top again.
+    #[inline]
+    fn pop_due(&mut self, due: impl Fn(SimTime) -> bool) -> Option<(SimTime, u64, Action)> {
+        loop {
+            let top = *self.heap.peek()?;
+            let slot = &mut self.slots[top.slot as usize];
+            if slot.gen != top.gen {
+                self.heap.pop();
                 self.stale -= 1;
                 continue;
             }
-            let action = self.take_fired(e.slot);
-            return Some((e.at, e.seq, action));
-        }
-        None
-    }
-
-    /// The instant of the next *live* event, draining any stale entries
-    /// sitting on top of the heap. A plain peek would report a cancelled
-    /// event's time, and `run_until` would then execute a live event
-    /// scheduled beyond its window edge.
-    fn peek_next_at(&mut self) -> Option<SimTime> {
-        while let Some(top) = self.heap.peek() {
-            if self.slots[top.slot as usize].gen == top.gen {
-                return Some(top.at);
+            if !due(top.at) {
+                return None;
             }
+            if let Some(fire_at) = slot.rekey_at.take() {
+                debug_assert!(fire_at >= top.at, "deferred fire instant before key");
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                // The new key is larger than the old one (same or later
+                // instant, fresher seq), so the entry can only sink.
+                self.heap.replace_top(HeapEntry {
+                    at: fire_at,
+                    seq,
+                    ..top
+                });
+                continue;
+            }
+            let action = slot.action.take().expect("live heap entry has an action");
+            slot.gen = slot.gen.wrapping_add(1);
+            self.free.push(top.slot);
+            self.live -= 1;
             self.heap.pop();
-            self.stale -= 1;
+            return Some((top.at, top.seq, action));
         }
-        None
     }
 
-    /// Bumps the executed-event counter and enforces the event limit.
-    fn count_executed(&mut self) {
+    /// Runs a popped event: advances the clock, counts it against the
+    /// event limit, shows it to the hook, then calls its action.
+    fn execute(&mut self, (at, seq, action): (SimTime, u64, Action)) {
+        debug_assert!(at >= self.now, "event time went backwards");
+        self.now = at;
         self.executed += 1;
         assert!(
             self.executed <= self.event_limit,
@@ -514,6 +529,10 @@ impl Sim {
             self.event_limit,
             self.now
         );
+        if let Some(hook) = self.hook.clone() {
+            (hook.borrow_mut())(at, seq);
+        }
+        action(self);
     }
 
     /// Runs until the event queue drains. Returns the final instant.
@@ -537,25 +556,8 @@ impl Sim {
     /// events near the edge. Callers measuring rates over
     /// `run_until(a)..run_until(b)` windows rely on this.
     pub fn run_until(&mut self, limit: SimTime) -> SimTime {
-        while let Some(next_at) = self.peek_next_at() {
-            if next_at > limit {
-                break;
-            }
-            // A deferred entry reaching the top at its key instant is
-            // re-inserted at its fire time, not executed (see
-            // `schedule_deferred`). Its fire time may lie beyond `limit`,
-            // so loop back to re-peek rather than popping blindly.
-            if self.rekey_top() {
-                continue;
-            }
-            let (at, seq, action) = self.pop_next().expect("peek_next_at saw a live event");
-            debug_assert!(at >= self.now, "event time went backwards");
-            self.now = at;
-            self.count_executed();
-            if let Some(hook) = self.hook.clone() {
-                (hook.borrow_mut())(at, seq);
-            }
-            action(self);
+        while let Some(event) = self.pop_due(|at| at <= limit) {
+            self.execute(event);
         }
         // Advance to the window edge on every stop path (drained queue
         // included); only the run-to-completion sentinel is excluded.
@@ -581,23 +583,8 @@ impl Sim {
     /// Panics if the configured event limit is exceeded (see
     /// [`Sim::set_event_limit`]).
     pub fn run_before(&mut self, limit: SimTime) -> SimTime {
-        while let Some(next_at) = self.peek_next_at() {
-            if next_at >= limit {
-                break;
-            }
-            // Deferred entries re-key at their fire time rather than
-            // executing — identical to `run_until`.
-            if self.rekey_top() {
-                continue;
-            }
-            let (at, seq, action) = self.pop_next().expect("peek_next_at saw a live event");
-            debug_assert!(at >= self.now, "event time went backwards");
-            self.now = at;
-            self.count_executed();
-            if let Some(hook) = self.hook.clone() {
-                (hook.borrow_mut())(at, seq);
-            }
-            action(self);
+        while let Some(event) = self.pop_due(|at| at < limit) {
+            self.execute(event);
         }
         self.now = self.now.max(limit);
         self.now
@@ -613,9 +600,17 @@ impl Sim {
     /// never too large (only, occasionally, smaller than necessary).
     ///
     /// Takes `&mut self` because stale (cancelled) heap tops are drained
-    /// on the way; the model state is untouched.
+    /// on the way — a plain peek could report a cancelled event's instant
+    /// — but the model state is untouched.
     pub fn next_event_at(&mut self) -> Option<SimTime> {
-        self.peek_next_at()
+        while let Some(top) = self.heap.peek() {
+            if self.slots[top.slot as usize].gen == top.gen {
+                return Some(top.at);
+            }
+            self.heap.pop();
+            self.stale -= 1;
+        }
+        None
     }
 
     /// Runs a single event if one is pending, returning `true` if an event
@@ -631,22 +626,12 @@ impl Sim {
     /// [`Sim::run`] — a runaway event loop driven one `step` at a time
     /// must fail just as loudly.
     pub fn step(&mut self) -> bool {
-        loop {
-            if self.peek_next_at().is_none() {
-                return false;
+        match self.pop_due(|_| true) {
+            Some(event) => {
+                self.execute(event);
+                true
             }
-            if self.rekey_top() {
-                continue;
-            }
-            let (at, seq, action) = self.pop_next().expect("peek_next_at saw a live event");
-            debug_assert!(at >= self.now, "event time went backwards");
-            self.now = at;
-            self.count_executed();
-            if let Some(hook) = self.hook.clone() {
-                (hook.borrow_mut())(at, seq);
-            }
-            action(self);
-            return true;
+            None => false,
         }
     }
 }
@@ -1060,6 +1045,48 @@ mod tests {
     fn deferred_fire_before_key_panics() {
         let mut sim = Sim::new();
         sim.schedule_deferred(SimTime::from_nanos(10), SimTime::from_nanos(5), |_| {});
+    }
+
+    #[test]
+    fn heap_pops_in_key_order_through_replace_top_and_rebuild() {
+        // Every size from empty to a few full 4-ary levels, with heavy
+        // instant ties: pops come out in (at, seq) order after pushes,
+        // replace_top sinks, and a retain-and-rebuild.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for n in 0..90u64 {
+            let mut heap = EventHeap::default();
+            let mut seq = 0;
+            let mut entry = |at: u64| {
+                seq += 1;
+                HeapEntry {
+                    at: SimTime::from_nanos(at),
+                    seq,
+                    slot: seq as u32,
+                    gen: 0,
+                }
+            };
+            for _ in 0..n {
+                heap.push(entry(next() % 8));
+            }
+            for _ in 0..n / 2 {
+                let top = *heap.peek().expect("non-empty");
+                let later = entry(top.at.as_nanos() + next() % 8);
+                assert_eq!(heap.replace_top(later).key(), top.key());
+            }
+            heap.retain_rebuild(|e| e.slot % 3 != 0);
+            let mut popped = Vec::new();
+            while let Some(e) = heap.pop() {
+                popped.push(e.key());
+            }
+            assert!(popped.windows(2).all(|w| w[0] < w[1]), "n = {n}");
+            assert_eq!(heap.len(), 0);
+        }
     }
 
     #[test]

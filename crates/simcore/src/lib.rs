@@ -4,7 +4,7 @@
 //!
 //! * [`time`] — nanosecond-resolution simulated time ([`SimTime`],
 //!   [`SimDuration`]) with unit helpers (bytes, bandwidths, frequencies).
-//! * [`engine`] — the event loop ([`Sim`]): a binary heap of scheduled
+//! * [`engine`] — the event loop ([`Sim`]): a 4-ary heap of scheduled
 //!   closures with deterministic tie-breaking, event cancellation and
 //!   run-until-limit execution.
 //! * [`resource`] — non-preemptive serialized resources ([`Resource`]) used

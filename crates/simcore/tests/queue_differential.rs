@@ -12,9 +12,13 @@
 //! (both the inclusive [`Sim::run_until`] and the exclusive-edge
 //! [`Sim::run_before`] used by the conservative parallel engine) — and
 //! asserts identical execution order, cancel outcomes, clocks, pending
-//! counts, and [`Sim::next_event_at`] lower bounds at every step. All
-//! randomness comes from a fixed-seed xorshift generator: no host
-//! entropy, bit-reproducible across runs and machines.
+//! counts, and [`Sim::next_event_at`] lower bounds at every step.
+//! [`Sim::schedule_deferred`] is checked against what it stands in for:
+//! the reference schedules a relay event at the key instant that, when it
+//! runs, schedules the payload at the fire instant (the relay logs
+//! nothing and its handle follows the payload). All randomness comes from
+//! a fixed-seed xorshift generator: no host entropy, bit-reproducible
+//! across runs and machines.
 
 use ioat_simcore::{Sim, SimDuration, SimTime};
 use std::cell::RefCell;
@@ -66,6 +70,10 @@ struct RefEvent {
     tag: u64,
     /// `(delta_ns, child_tag)`: on firing, schedule a child.
     child: Option<(u64, u64)>,
+    /// `(fire_at, handle_idx)` for the relay of a deferred event: on
+    /// firing, log nothing and schedule the payload (`tag`) at `fire_at`,
+    /// moving the handle over to it.
+    relay: Option<(u64, usize)>,
     fired: bool,
     cancelled: bool,
 }
@@ -84,19 +92,37 @@ impl RefEngine {
     }
 
     fn schedule(&mut self, delay: u64, tag: u64, child: Option<(u64, u64)>) {
+        let idx = self.push(self.now + delay, tag, child, None);
+        self.handles.push(idx);
+    }
+
+    /// The relay formulation of `schedule_deferred(key_at, fire_at, ..)`.
+    fn schedule_deferred(&mut self, key_at: u64, fire_at: u64, tag: u64) {
+        let handle_idx = self.handles.len();
+        let idx = self.push(key_at, tag, None, Some((fire_at, handle_idx)));
+        self.handles.push(idx);
+    }
+
+    fn push(
+        &mut self,
+        at: u64,
+        tag: u64,
+        child: Option<(u64, u64)>,
+        relay: Option<(u64, usize)>,
+    ) -> usize {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let at = self.now + delay;
         let idx = self.events.len();
         self.events.push(RefEvent {
             seq,
             tag,
             child,
+            relay,
             fired: false,
             cancelled: false,
         });
         self.heap.push(Reverse((at, seq, idx)));
-        self.handles.push(idx);
+        idx
     }
 
     fn cancel(&mut self, handle_idx: usize) -> bool {
@@ -147,6 +173,10 @@ impl RefEngine {
             self.now = at;
             self.events[idx].fired = true;
             let tag = self.events[idx].tag;
+            if let Some((fire_at, handle_idx)) = self.events[idx].relay {
+                self.handles[handle_idx] = self.push(fire_at, tag, None, None);
+                continue;
+            }
             self.log.push(tag);
             if let Some((delta, child_tag)) = self.events[idx].child {
                 self.schedule(delta, child_tag, None);
@@ -191,9 +221,29 @@ fn schedule_real(
     handles.borrow_mut().push(id);
 }
 
+/// Schedules a deferred event on the real [`Sim`] that logs `tag` at
+/// `fire_at`, ordered as if relayed at `key_at`.
+fn schedule_deferred_real(
+    sim: &mut Sim,
+    key_at: u64,
+    fire_at: u64,
+    tag: u64,
+    log: &Rc<RefCell<Vec<u64>>>,
+    handles: &Rc<RefCell<Vec<ioat_simcore::EventId>>>,
+) {
+    let log2 = Rc::clone(log);
+    let id = sim.schedule_deferred(
+        SimTime::from_nanos(key_at),
+        SimTime::from_nanos(fire_at),
+        move |_| log2.borrow_mut().push(tag),
+    );
+    handles.borrow_mut().push(id);
+}
+
 /// One scripted round: apply `ops` random operations to both engines,
-/// checking agreement after every step.
-fn run_script(seed: u64, ops: usize) {
+/// checking agreement after every step. With `deferred`, a seventh of the
+/// operations are [`Sim::schedule_deferred`] calls.
+fn run_script(seed: u64, ops: usize, deferred: bool) {
     let mut rng = XorShift::new(seed);
     let mut reference = RefEngine::new();
     let mut sim = Sim::new();
@@ -202,7 +252,7 @@ fn run_script(seed: u64, ops: usize) {
     let mut next_tag = 0u64;
 
     for step in 0..ops {
-        match rng.below(12) {
+        match rng.below(if deferred { 14 } else { 12 }) {
             // 0..=5: schedule. Tiny delay range (0..16 ns) forces heavy
             // (time) collisions so the FIFO seq tie-break is exercised;
             // a quarter of events schedule a nested child on firing.
@@ -243,6 +293,17 @@ fn run_script(seed: u64, ops: usize) {
                     SimTime::from_nanos(reference.now),
                     "seed {seed} step {step}: clock"
                 );
+            }
+            // 12..=13: schedule deferred. Key and fire offsets of 0..16 ns
+            // collide with plain events at both instants, and
+            // `key_at == fire_at` re-keys at the same instant.
+            12..=13 => {
+                let key_at = reference.now + rng.below(16);
+                let fire_at = key_at + rng.below(16);
+                let tag = next_tag;
+                next_tag += 1;
+                reference.schedule_deferred(key_at, fire_at, tag);
+                schedule_deferred_real(&mut sim, key_at, fire_at, tag, &log, &handles);
             }
             // 10..=11: run a short exclusive-edge window, the
             // conservative parallel engine's execution primitive.
@@ -305,7 +366,101 @@ fn run_script(seed: u64, ops: usize) {
 fn indexed_queue_matches_binary_heap_reference() {
     // A spread of fixed seeds; each script is a few hundred operations.
     for seed in [1, 2, 3, 0xDEAD_BEEF, 0x1234_5678_9ABC_DEF0] {
-        run_script(seed, 400);
+        run_script(seed, 400, false);
+    }
+}
+
+#[test]
+fn deferred_events_match_relay_reference() {
+    // The same scripts with `schedule_deferred` mixed in: the real queue
+    // re-keys each deferred entry in place when it surfaces, the reference
+    // runs a relay event. Order, clocks, cancel outcomes (before and
+    // after the re-key), pending counts and next_event_at must agree.
+    for seed in [4, 5, 6, 0xFEED_F00D, 0x0BAD_CAFE] {
+        run_script(seed, 600, true);
+    }
+}
+
+#[test]
+fn compaction_with_deferred_entries_queued_matches_reference() {
+    // A cancel storm forces compaction sweeps while deferred entries sit
+    // in the heap, some still at their key instant, some already re-keyed
+    // to their fire instant. The sweep rebuilds the heap; the re-keyed
+    // and still-waiting entries must keep their places in the order.
+    for seed in [31, 32, 33] {
+        let mut rng = XorShift::new(seed);
+        let mut reference = RefEngine::new();
+        let mut sim = Sim::new();
+        let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+        let handles: Rc<RefCell<Vec<ioat_simcore::EventId>>> = Rc::new(RefCell::new(Vec::new()));
+        let mut next_tag = 0u64;
+        let mut deferreds = Vec::new();
+        for round in 0..3 {
+            // Deferred entries keyed over the next 64 ns, fired up to
+            // 256 ns later, beside plain events at the same instants.
+            for _ in 0..200 {
+                let key_at = reference.now + rng.below(64);
+                let fire_at = key_at + rng.below(256);
+                deferreds.push(handles.borrow().len());
+                reference.schedule_deferred(key_at, fire_at, next_tag);
+                schedule_deferred_real(&mut sim, key_at, fire_at, next_tag, &log, &handles);
+                next_tag += 1;
+                let delay = rng.below(320);
+                reference.schedule(delay, next_tag, None);
+                schedule_real(&mut sim, delay, next_tag, None, &log, &handles);
+                next_tag += 1;
+            }
+            // Re-key about half of them: every key instant before the
+            // window edge has surfaced.
+            let limit = reference.now + 32;
+            reference.run_until(limit);
+            sim.run_until(SimTime::from_nanos(limit));
+            // Cancel a few deferred handles in either phase.
+            for _ in 0..20 {
+                let i = deferreds[rng.below(deferreds.len() as u64) as usize];
+                let id = handles.borrow()[i];
+                assert_eq!(
+                    sim.cancel(id),
+                    reference.cancel(i),
+                    "seed {seed} round {round}: cancel deferred {i}"
+                );
+            }
+            // The storm: far-future events, each cancelled at once, well
+            // past the compaction floor and half the heap.
+            let before = sim.tombstones();
+            for _ in 0..5_000 {
+                let delay = 1_000_000 + rng.below(1_000);
+                reference.schedule(delay, next_tag, None);
+                schedule_real(&mut sim, delay, next_tag, None, &log, &handles);
+                next_tag += 1;
+                let i = handles.borrow().len() - 1;
+                let id = handles.borrow()[i];
+                assert!(sim.cancel(id));
+                assert!(reference.cancel(i));
+            }
+            assert!(
+                sim.tombstones() < before + 5_000,
+                "seed {seed} round {round}: no compaction ran ({} tombstones)",
+                sim.tombstones()
+            );
+            assert_eq!(
+                sim.next_event_at().map(|t| t.as_nanos()),
+                reference.next_event_at(),
+                "seed {seed} round {round}: next_event_at after compaction"
+            );
+            assert_eq!(sim.events_pending(), reference.pending());
+            let limit = reference.now + 128;
+            reference.run_before(limit);
+            sim.run_before(SimTime::from_nanos(limit));
+            assert_eq!(*log.borrow(), reference.log, "seed {seed} round {round}");
+        }
+        let limit = reference.now + 2_000_000;
+        reference.run_until(limit);
+        sim.run_until(SimTime::from_nanos(limit));
+        assert_eq!(*log.borrow(), reference.log, "seed {seed}: final order");
+        assert_eq!(sim.events_pending(), 0);
+        assert_eq!(reference.pending(), 0);
+        assert_eq!(sim.events_executed(), reference.log.len() as u64);
     }
 }
 
