@@ -292,17 +292,6 @@ fn main() {
             );
             std::process::exit(2);
         }
-        // The forced-panic smoke drives the sequential sweep pool; with
-        // partitioned-engine workers live the panic could land while a
-        // worker holds the window barrier, turning a clean classified
-        // failure into a wedged run. Unsupported, so rejected up front.
-        if cli.sim_threads > 1 {
-            eprintln!(
-                "error: --fail cannot be combined with --sim-threads > 1 — the \
-                 forced-panic watchdog smoke only supports the sequential engine"
-            );
-            std::process::exit(2);
-        }
     }
 
     if let Some(path) = &cli.trace_path {

@@ -21,7 +21,7 @@ use ioat_core::microbench::{bandwidth, bidirectional, copybench, multistream, so
 use ioat_core::{IoatConfig, SocketOpts};
 use ioat_datacenter::emulated::{self, EmulatedConfig};
 use ioat_datacenter::run_partitioned;
-use ioat_datacenter::scale::ScaleConfig;
+use ioat_datacenter::scale::{ScaleConfig, ScaleResult};
 use ioat_datacenter::tiers::{self, DataCenterConfig};
 use ioat_pvfs::harness::{
     concurrent_read, concurrent_write, mixed_streams, multi_stream_read, PvfsConfig,
@@ -306,6 +306,63 @@ where
         jobs,
     );
     FigureResult::new(name, title, unit, FigureRows::Compare(rows))
+}
+
+/// One sweep cell of a comparison figure: its row, notes, simulator
+/// events and parallel-engine telemetry.
+type Cell = (Row, Vec<String>, u64, Vec<ParsimStats>);
+
+/// Folds sweep cells, in order, into a comparison figure.
+fn cells_figure(name: &str, title: &str, unit: &str, cells: Vec<Cell>) -> FigureResult {
+    let mut fig = FigureResult::new(name, title, unit, FigureRows::Compare(Vec::new()));
+    let mut rows = Vec::with_capacity(cells.len());
+    for (row, notes, events, parsim) in cells {
+        rows.push(row);
+        fig.notes.extend(notes);
+        fig.sim_events += events;
+        fig.parsim.extend(parsim);
+    }
+    fig.rows = FigureRows::Compare(rows);
+    fig
+}
+
+/// One partitioned I/OAT-pair cell: runs `non_cfg` then `ioat_cfg` on
+/// the parallel engine and compares TPS and proxy-tier CPU under
+/// `label`. `notes` renders the cell's note lines from the two results;
+/// the pair's [`ParsimStats`] are labelled `"{label} non"` and
+/// `"{label} ioat"`.
+fn dc_pair_cell(
+    label: String,
+    non_cfg: &ScaleConfig,
+    ioat_cfg: &ScaleConfig,
+    sim_threads: usize,
+    notes: impl FnOnce(&ScaleResult, &ScaleResult) -> Vec<String>,
+) -> Cell {
+    let (non, non_rep) = run_partitioned(non_cfg, sim_threads);
+    let (ioat, ioat_rep) = run_partitioned(ioat_cfg, sim_threads);
+    let parsim = [("non", &non_rep), ("ioat", &ioat_rep)]
+        .into_iter()
+        .map(|(suffix, rep)| ParsimStats {
+            label: format!("{label} {suffix}"),
+            partitions: rep.partitions,
+            rounds: rep.rounds,
+            mean_window_ns: rep.mean_window_ns(),
+            events: rep.events.clone(),
+        })
+        .collect();
+    let row = Row {
+        label,
+        non_ioat: non.tps,
+        ioat: ioat.tps,
+        non_cpu: non.proxy_cpu,
+        ioat_cpu: ioat.proxy_cpu,
+    };
+    (
+        row,
+        notes(&non, &ioat),
+        non.sim_events + ioat.sim_events,
+        parsim,
+    )
 }
 
 /// Fig. 3a — bandwidth vs number of ports.
@@ -1015,56 +1072,29 @@ pub fn fig_fabric_points(
                     non_cfg.window = window;
                     let mut ioat_cfg = non_cfg;
                     ioat_cfg.ioat = IoatConfig::full();
-                    let (non, non_rep) = run_partitioned(&non_cfg, sim_threads);
-                    let (ioat, ioat_rep) = run_partitioned(&ioat_cfg, sim_threads);
                     let label = format!("k={k} o={oversub:.0} {}K", clients / 1000);
-                    let row = Row {
-                        label: label.clone(),
-                        non_ioat: non.tps,
-                        ioat: ioat.tps,
-                        non_cpu: non.proxy_cpu,
-                        ioat_cpu: ioat.proxy_cpu,
-                    };
-                    let note = format!(
-                        "  k={k:<2} o={oversub:.0} {:>5} hosts {clients:>9} clients: \
-                         p50 {:>6} us  p99 {:>7} us  drops {:>7}  web-cpu {:>5.1}%",
-                        k * k * k / 4,
-                        ioat.latency_p50_us,
-                        ioat.latency_p99_us,
-                        non.tail_drops + ioat.tail_drops,
-                        ioat.web_cpu * 100.0
-                    );
-                    let parsim: Vec<ParsimStats> = [("non", &non_rep), ("ioat", &ioat_rep)]
-                        .into_iter()
-                        .map(|(suffix, rep)| ParsimStats {
-                            label: format!("{label} {suffix}"),
-                            partitions: rep.partitions,
-                            rounds: rep.rounds,
-                            mean_window_ns: rep.mean_window_ns(),
-                            events: rep.events.clone(),
-                        })
-                        .collect();
-                    (row, note, non.sim_events + ioat.sim_events, parsim)
+                    dc_pair_cell(label, &non_cfg, &ioat_cfg, sim_threads, |non, ioat| {
+                        vec![format!(
+                            "  k={k:<2} o={oversub:.0} {:>5} hosts {clients:>9} clients: \
+                             p50 {:>6} us  p99 {:>7} us  drops {:>7}  web-cpu {:>5.1}%",
+                            k * k * k / 4,
+                            ioat.latency_p50_us,
+                            ioat.latency_p99_us,
+                            non.tail_drops + ioat.tail_drops,
+                            ioat.web_cpu * 100.0
+                        )]
+                    })
                 }
             })
             .collect::<Vec<_>>(),
         jobs,
     );
-    let mut fig = FigureResult::new(
+    cells_figure(
         "fig_fabric",
         "Fabric: fat-tree datacenter TPS, hosts x oversubscription",
         "TPS",
-        FigureRows::Compare(Vec::with_capacity(results.len())),
-    );
-    for (row, note, events, parsim) in results {
-        if let FigureRows::Compare(rows) = &mut fig.rows {
-            rows.push(row);
-        }
-        fig.notes.push(note);
-        fig.sim_events += events;
-        fig.parsim.extend(parsim);
-    }
-    fig
+        results,
+    )
 }
 
 /// Ablation A5 — the fabric fault domain at datacenter scale.
@@ -1128,56 +1158,29 @@ pub fn abl_fabric_faults_points(
                     non_cfg.hedge = Some(hedge);
                     let mut ioat_cfg = non_cfg;
                     ioat_cfg.ioat = IoatConfig::full();
-                    let (non, non_rep) = run_partitioned(&non_cfg, sim_threads);
-                    let (ioat, ioat_rep) = run_partitioned(&ioat_cfg, sim_threads);
                     let label = format!("abl.fabfault/f{flaps}c{crashed}");
-                    let row = Row {
-                        label: label.clone(),
-                        non_ioat: non.tps,
-                        ioat: ioat.tps,
-                        non_cpu: non.proxy_cpu,
-                        ioat_cpu: ioat.proxy_cpu,
-                    };
-                    let note = format!(
-                        "  f{flaps} c{crashed}: p99 {:>7}/{:>7} us  blackholes {:>7}  \
-                         shed {:>6}  hedges {:>6}",
-                        non.latency_p99_us,
-                        ioat.latency_p99_us,
-                        non.route_blackholes + ioat.route_blackholes,
-                        non.shed + ioat.shed,
-                        non.hedges + ioat.hedges,
-                    );
-                    let parsim: Vec<ParsimStats> = [("non", &non_rep), ("ioat", &ioat_rep)]
-                        .into_iter()
-                        .map(|(suffix, rep)| ParsimStats {
-                            label: format!("{label} {suffix}"),
-                            partitions: rep.partitions,
-                            rounds: rep.rounds,
-                            mean_window_ns: rep.mean_window_ns(),
-                            events: rep.events.clone(),
-                        })
-                        .collect();
-                    (row, note, non.sim_events + ioat.sim_events, parsim)
+                    dc_pair_cell(label, &non_cfg, &ioat_cfg, sim_threads, |non, ioat| {
+                        vec![format!(
+                            "  f{flaps} c{crashed}: p99 {:>7}/{:>7} us  blackholes {:>7}  \
+                             shed {:>6}  hedges {:>6}",
+                            non.latency_p99_us,
+                            ioat.latency_p99_us,
+                            non.route_blackholes + ioat.route_blackholes,
+                            non.shed + ioat.shed,
+                            non.hedges + ioat.hedges,
+                        )]
+                    })
                 }
             })
             .collect::<Vec<_>>(),
         jobs,
     );
-    let mut fig = FigureResult::new(
+    cells_figure(
         "abl-fabric-faults",
         "Ablation A5: fabric faults, flaps x crashed switches, protection armed",
         "TPS",
-        FigureRows::Compare(Vec::with_capacity(results.len())),
-    );
-    for (row, note, events, parsim) in results {
-        if let FigureRows::Compare(rows) = &mut fig.rows {
-            rows.push(row);
-        }
-        fig.notes.push(note);
-        fig.sim_events += events;
-        fig.parsim.extend(parsim);
-    }
-    fig
+        results,
+    )
 }
 
 /// Peak resident set size of this process in bytes (Linux `VmHWM`), or

@@ -17,12 +17,11 @@
 //! per-workload verdict (does the CPU advantage grow, shrink, vanish or
 //! invert?) lands in [`FigureResult::notes`].
 
-use crate::{sweep, FigureResult, FigureRows, ParsimStats, Row};
+use crate::{cells_figure, dc_pair_cell, sweep, Cell, FigureResult, FigureRows, Row};
 use ioat_core::calibration::NodeProfile;
 use ioat_core::metrics::ExperimentWindow;
 use ioat_core::microbench::multistream::{self, MultiStreamConfig};
 use ioat_core::IoatConfig;
-use ioat_datacenter::run_partitioned;
 use ioat_datacenter::scale::ScaleConfig;
 use ioat_netsim::RxMode;
 use ioat_pvfs::harness::{concurrent_read, PvfsConfig};
@@ -165,12 +164,7 @@ fn cell_pvfs(window: ExperimentWindow, gbps: u64, mode: RxMode) -> Row {
     }
 }
 
-fn cell_dc(
-    window: ExperimentWindow,
-    gbps: u64,
-    mode: RxMode,
-    sim_threads: usize,
-) -> (Row, Vec<String>, u64, Vec<ParsimStats>) {
+fn cell_dc(window: ExperimentWindow, gbps: u64, mode: RxMode, sim_threads: usize) -> Cell {
     let mk = |io: IoatConfig| {
         let mut cfg = if is_quick(window) {
             ScaleConfig::quick_test(io)
@@ -187,34 +181,22 @@ fn cell_dc(
         cfg
     };
     let (non_io, ioat_io) = cell_pair(mode);
-    let (non, non_rep) = run_partitioned(&mk(non_io), sim_threads);
-    let (ioat, ioat_rep) = run_partitioned(&mk(ioat_io), sim_threads);
     let label = row_id(ModernWorkload::DataCenter, gbps, mode);
-    let notes = occupancy_note(
-        &label,
-        (non.proxy_cpu, non.proxy_occupancy),
-        (ioat.proxy_cpu, ioat.proxy_occupancy),
+    dc_pair_cell(
+        label.clone(),
+        &mk(non_io),
+        &mk(ioat_io),
+        sim_threads,
+        |non, ioat| {
+            occupancy_note(
+                &label,
+                (non.proxy_cpu, non.proxy_occupancy),
+                (ioat.proxy_cpu, ioat.proxy_occupancy),
+            )
+            .into_iter()
+            .collect()
+        },
     )
-    .into_iter()
-    .collect();
-    let row = Row {
-        label: label.clone(),
-        non_ioat: non.tps,
-        ioat: ioat.tps,
-        non_cpu: non.proxy_cpu,
-        ioat_cpu: ioat.proxy_cpu,
-    };
-    let parsim = [("non", &non_rep), ("ioat", &ioat_rep)]
-        .into_iter()
-        .map(|(suffix, rep)| ParsimStats {
-            label: format!("{label} {suffix}"),
-            partitions: rep.partitions,
-            rounds: rep.rounds,
-            mean_window_ns: rep.mean_window_ns(),
-            events: rep.events.clone(),
-        })
-        .collect();
-    (row, notes, non.sim_events + ioat.sim_events, parsim)
 }
 
 /// The per-workload verdict line: compares the I/OAT relative CPU
@@ -340,20 +322,12 @@ pub fn ablation_modern_points(
             .collect::<Vec<_>>(),
         jobs,
     );
-    let mut fig = FigureResult::new(
+    let mut fig = cells_figure(
         "abl-modern",
         "Ablation A4: modern offload grid, rx mode x link rate x I/OAT",
         "mixed",
-        FigureRows::Compare(Vec::with_capacity(results.len())),
+        results,
     );
-    for (row, notes, events, parsim) in results {
-        if let FigureRows::Compare(rows) = &mut fig.rows {
-            rows.push(row);
-        }
-        fig.notes.extend(notes);
-        fig.sim_events += events;
-        fig.parsim.extend(parsim);
-    }
     fig.notes.push(
         "  every cell: Modern2026 hosts (8 cores, 32 MB LLC, ~3x cheaper \
          per-packet costs), multi-queue RSS on; non vs ioat differ only in \

@@ -161,22 +161,38 @@ fn sim_threads_typo_gets_a_suggestion() {
 }
 
 #[test]
-fn sim_threads_rejects_the_fail_watchdog_combination() {
-    // The forced-panic smoke only supports the sequential engine; the
-    // combination must be rejected up front (exit 2), in either order.
-    for args in [
-        &["--sim-threads", "2", "--fail", "fig6", "fig6"][..],
-        &["--fail", "fig6", "--sim-threads", "4", "fig6"],
-    ] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
-        let err = stderr(&out);
-        assert!(err.contains("--fail"), "stderr: {err}");
-        assert!(err.contains("--sim-threads"), "stderr: {err}");
-    }
-    // `--sim-threads 1` (the default engine) keeps the smoke available.
-    let out = repro(&["--quick", "--sim-threads", "1", "--fail", "fig6", "fig6"]);
+fn forced_failure_with_sim_threads_exits_3_with_a_partial_report() {
+    // A partition panic takes one path at every worker count, so the
+    // forced-failure smoke runs with partitioned-engine workers too.
+    let path = std::env::temp_dir().join("ioat_bench_cli_fail_simthreads.json");
+    let _ = std::fs::remove_file(&path);
+    let out = repro(&[
+        "--quick",
+        "--sim-threads",
+        "2",
+        "--fail",
+        "fig6",
+        "--json",
+        path.to_str().unwrap(),
+        "fig6",
+        "abl-copy",
+    ]);
     assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
+    let doc = std::fs::read_to_string(&path).expect("partial report written");
+    // Each figure's header (name, status, ...) is one line of the report.
+    let status_of = |name: &str| {
+        let key = format!("\"name\": \"{name}\"");
+        let line = doc
+            .lines()
+            .find(|l| l.contains(&key))
+            .expect("figure in report");
+        ["ok", "failed"]
+            .into_iter()
+            .find(|s| line.contains(&format!("\"status\": \"{s}\"")))
+    };
+    assert_eq!(status_of("fig6"), Some("failed"), "report: {doc}");
+    assert_eq!(status_of("abl-copy"), Some("ok"), "report: {doc}");
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -334,7 +334,8 @@ impl Cluster {
         for node in &self.nodes {
             node.borrow().audit(now);
         }
-        stack::audit_cluster_conservation(&self.nodes, now, self.sim.events_pending() == 0);
+        let quiescent = self.sim.events_pending() == 0;
+        stack::audit_cluster_conservation(self.frame_totals(), 0, 0, now, quiescent);
         if self.tracer.records(Category::Audit) {
             for v in ioat_guard::violations_since(before) {
                 // Event names must be `'static`; the invariant name is,
@@ -355,7 +356,7 @@ impl Cluster {
     /// this partition, so that identity only holds on totals summed
     /// across *all* partitions (collect them with
     /// [`Cluster::frame_totals`] and check with
-    /// [`stack::audit_cluster_conservation_sums`] after the merge).
+    /// [`stack::audit_cluster_conservation`] after the merge).
     pub fn run_local_audits(&self) {
         let now = self.sim.now();
         ioat_guard::audit_sim(&self.sim);

@@ -1,7 +1,7 @@
 //! Experiment measurement: warm-up + window handling and result types.
 
 use crate::cluster::{Cluster, NodeHandle};
-use ioat_simcore::stats::{relative_benefit, relative_improvement};
+use ioat_simcore::stats::relative_benefit;
 use ioat_simcore::{SimDuration, SimTime};
 
 /// A warm-up + measurement window pair.
@@ -104,11 +104,6 @@ impl Comparison {
     pub fn relative_cpu_benefit(&self) -> f64 {
         relative_benefit(self.ioat.rx_cpu, self.non_ioat.rx_cpu)
     }
-
-    /// Relative throughput improvement of I/OAT.
-    pub fn throughput_improvement(&self) -> f64 {
-        relative_improvement(self.ioat.mbps, self.non_ioat.mbps)
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +135,6 @@ mod tests {
         };
         // §4.1: 37% vs 29% is "close to 21%" relative benefit.
         assert!((c.relative_cpu_benefit() - 0.216).abs() < 0.01);
-        assert!(c.throughput_improvement() > 0.0);
         assert!((c.ioat.mbytes_per_sec() - 698.25).abs() < 0.01);
     }
 }

@@ -726,13 +726,7 @@ pub fn run_partitioned(cfg: &ScaleConfig, threads: usize) -> (ScaleResult, Parsi
     // The window closes mid-flight, so the in-flight (non-quiescent)
     // form applies.
     if ioat_guard::enabled() {
-        stack::audit_cluster_conservation_sums(
-            totals,
-            tail_drops,
-            route_blackholes,
-            horizon,
-            false,
-        );
+        stack::audit_cluster_conservation(totals, tail_drops, route_blackholes, horizon, false);
     }
 
     let elapsed = (cfg.window.to() - cfg.window.from()).as_secs_f64();

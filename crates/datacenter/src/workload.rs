@@ -94,20 +94,6 @@ impl SingleFileTrace {
         assert!(size > 0, "document must have a size");
         SingleFileTrace { size }
     }
-
-    /// The five traces of Fig. 8a: 2 K, 4 K, 6 K, 8 K, 10 K.
-    pub fn paper_traces() -> Vec<(String, SingleFileTrace)> {
-        [2u64, 4, 6, 8, 10]
-            .into_iter()
-            .enumerate()
-            .map(|(i, kb)| {
-                (
-                    format!("Trace {} ({}K)", i + 1, kb),
-                    SingleFileTrace::new(kb * 1024),
-                )
-            })
-            .collect()
-    }
 }
 
 impl Trace for SingleFileTrace {
@@ -230,7 +216,6 @@ mod tests {
                 }
             );
         }
-        assert_eq!(SingleFileTrace::paper_traces().len(), 5);
     }
 
     #[test]

@@ -44,7 +44,8 @@
 //!   recovery re-traverses the re-hashed paths once a window closes.
 //! * **Conservation**: tail-drops and route blackholes are counted per
 //!   switch and globally; [`Fabric::audit`] cross-checks the pairs and
-//!   `audit_cluster_conservation_ext` folds the global counters into the
+//!   `audit_cluster_conservation` takes the global counters as the
+//!   `switch_dropped` / `route_blackholed` terms of the
 //!   cluster-wide Σsent = Σarrived + drops + blackholes identity.
 
 use crate::topology::{Hop, Topology, TopologySpec};

@@ -48,8 +48,8 @@ fn audit_catches_a_miscounted_switch_drop() {
             .map(|sw| fabric.switch_stats(sw).tail_drops)
             .sum();
         fabric.audit(sim.now(), true);
-        stack::audit_cluster_conservation_ext(
-            &[a, b, d],
+        stack::audit_cluster_conservation(
+            stack::frame_totals(&[a, b, d]),
             drops,
             fabric.blackholes(),
             sim.now(),
@@ -129,8 +129,8 @@ fn audit_catches_a_miscounted_route_blackhole() {
             .map(|sw| fabric.switch_stats(sw).blackholes)
             .sum();
         fabric.audit(sim.now(), true);
-        stack::audit_cluster_conservation_ext(
-            &stacks,
+        stack::audit_cluster_conservation(
+            stack::frame_totals(&stacks),
             fabric.tail_drops(),
             skewed,
             sim.now(),

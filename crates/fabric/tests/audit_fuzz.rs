@@ -17,7 +17,7 @@ mod common;
 use common::Loopback;
 use ioat_fabric::{Fabric, FabricParams, TopologySpec};
 use ioat_faults::{CrashWindow, FaultPlan, LinkFlapModel, TimeWindow};
-use ioat_netsim::stack::{app_send, audit_cluster_conservation_ext, HostStack};
+use ioat_netsim::stack::{app_send, audit_cluster_conservation, frame_totals, HostStack};
 use ioat_netsim::{ConnId, IoatConfig, SocketOpts, StackParams};
 use ioat_simcore::{Sim, SimDuration, SimTime};
 
@@ -91,8 +91,8 @@ fn five_hundred_seeded_fabric_fault_runs_produce_zero_audit_violations() {
                 s.borrow().audit(end);
             }
             fabric.audit(end, true);
-            audit_cluster_conservation_ext(
-                &stacks,
+            audit_cluster_conservation(
+                frame_totals(&stacks),
                 fabric.tail_drops(),
                 fabric.blackholes(),
                 end,

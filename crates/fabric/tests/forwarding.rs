@@ -53,8 +53,8 @@ fn audit(sim: &Sim, fabric: &FabricRef, stacks: &[StackRef]) {
         return;
     }
     fabric.audit(sim.now(), true);
-    stack::audit_cluster_conservation_ext(
-        stacks,
+    stack::audit_cluster_conservation(
+        stack::frame_totals(stacks),
         fabric.tail_drops(),
         fabric.blackholes(),
         sim.now(),

@@ -7,8 +7,8 @@
 //! [`FaultInjector`] is consulted by the stack, the tiers and the PVFS
 //! daemons at well-defined hook points:
 //!
-//! * **Per-link frame loss/corruption** ([`LossModel`]): Bernoulli or
-//!   Gilbert–Elliott burst loss decided at the sender's egress, one
+//! * **Per-link frame loss/corruption** ([`LossModel`]): Bernoulli
+//!   loss decided at the sender's egress, one
 //!   dedicated RNG stream per `(node, link)` so the fault stream never
 //!   perturbs workload randomness (see [`ioat_simcore::SimRng::stream`]).
 //!   A corrupted frame is dropped at the receiver's CRC check, which is
@@ -59,20 +59,6 @@ pub enum LossModel {
         /// Per-frame drop probability.
         p: f64,
     },
-    /// Two-state Gilbert–Elliott burst loss. Each frame first runs the
-    /// state transition, then draws the state's loss probability — two
-    /// draws per frame, so the stream position is frame-count
-    /// deterministic regardless of outcomes.
-    GilbertElliott {
-        /// Probability of entering the bad state from the good state.
-        p_enter_bad: f64,
-        /// Probability of leaving the bad state.
-        p_exit_bad: f64,
-        /// Loss probability while in the good state.
-        loss_good: f64,
-        /// Loss probability while in the bad state.
-        loss_bad: f64,
-    },
 }
 
 impl LossModel {
@@ -92,17 +78,6 @@ impl LossModel {
         match *self {
             LossModel::None => {}
             LossModel::Bernoulli { p } => check("p", p),
-            LossModel::GilbertElliott {
-                p_enter_bad,
-                p_exit_bad,
-                loss_good,
-                loss_bad,
-            } => {
-                check("p_enter_bad", p_enter_bad);
-                check("p_exit_bad", p_exit_bad);
-                check("loss_good", loss_good);
-                check("loss_bad", loss_bad);
-            }
         }
     }
 }
@@ -342,13 +317,6 @@ impl RetryPolicy {
     }
 }
 
-/// Gilbert–Elliott state plus the dedicated per-link RNG stream.
-#[derive(Debug)]
-struct LinkState {
-    rng: SimRng,
-    bad: bool,
-}
-
 #[derive(Debug, Default)]
 struct Counters {
     daemon_drops: u64,
@@ -358,22 +326,20 @@ struct Counters {
 struct Inner {
     plan: FaultPlan,
     node: u32,
-    links: Vec<Option<LinkState>>,
+    links: Vec<Option<SimRng>>,
     counters: Counters,
 }
 
 impl Inner {
-    fn link_state(&mut self, link: usize) -> &mut LinkState {
+    fn link_rng(&mut self, link: usize) -> &mut SimRng {
         if self.links.len() <= link {
             self.links.resize_with(link + 1, || None);
         }
         let (seed, node) = (self.plan.seed, self.node);
-        self.links[link].get_or_insert_with(|| LinkState {
-            // One independent stream per (node, link): drawing for one
-            // link never shifts another link's (or the workload's) stream.
-            rng: SimRng::stream(seed, ((node as u64) << 32) | link as u64),
-            bad: false,
-        })
+        // One independent stream per (node, link): drawing for one link
+        // never shifts another link's (or the workload's) stream.
+        self.links[link]
+            .get_or_insert_with(|| SimRng::stream(seed, ((node as u64) << 32) | link as u64))
     }
 }
 
@@ -425,21 +391,7 @@ impl FaultInjector {
         let mut st = inner.borrow_mut();
         match st.plan.loss {
             LossModel::None => false,
-            LossModel::Bernoulli { p } => st.link_state(link).rng.chance(p),
-            LossModel::GilbertElliott {
-                p_enter_bad,
-                p_exit_bad,
-                loss_good,
-                loss_bad,
-            } => {
-                let ls = st.link_state(link);
-                let flip = ls.rng.chance(if ls.bad { p_exit_bad } else { p_enter_bad });
-                if flip {
-                    ls.bad = !ls.bad;
-                }
-                let p = if ls.bad { loss_bad } else { loss_good };
-                ls.rng.chance(p)
-            }
+            LossModel::Bernoulli { p } => st.link_rng(link).chance(p),
         }
     }
 
@@ -534,47 +486,6 @@ mod tests {
             let _ = d.frame_lost(2);
         }
         assert_eq!(seq_a, interleaved);
-    }
-
-    #[test]
-    fn gilbert_elliott_bursts_more_than_bernoulli_at_equal_rate() {
-        // Same long-run loss rate, but GE clusters drops into bursts: the
-        // mean run length of consecutive drops must exceed Bernoulli's.
-        let ge = FaultInjector::new(
-            &FaultPlan {
-                seed: 11,
-                loss: LossModel::GilbertElliott {
-                    p_enter_bad: 0.02,
-                    p_exit_bad: 0.2,
-                    loss_good: 0.0,
-                    loss_bad: 0.5,
-                },
-                ..FaultPlan::none()
-            },
-            0,
-        );
-        let be = FaultInjector::new(&FaultPlan::bernoulli_loss(11, 0.045), 0);
-        let run_lengths = |inj: &FaultInjector| {
-            let (mut runs, mut len, mut total, mut drops) = (0u64, 0u64, 0u64, 0u64);
-            for _ in 0..100_000 {
-                if inj.frame_lost(0) {
-                    len += 1;
-                    drops += 1;
-                } else if len > 0 {
-                    runs += 1;
-                    total += len;
-                    len = 0;
-                }
-            }
-            (drops, total as f64 / runs.max(1) as f64)
-        };
-        let (ge_drops, ge_run) = run_lengths(&ge);
-        let (be_drops, be_run) = run_lengths(&be);
-        assert!(ge_drops > 1_000 && be_drops > 1_000);
-        assert!(
-            ge_run > 1.5 * be_run,
-            "GE mean burst {ge_run:.2} vs Bernoulli {be_run:.2}"
-        );
     }
 
     #[test]
@@ -687,13 +598,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be a probability")]
     fn negative_loss_probability_panics() {
+        // A struct literal bypasses `bernoulli_loss`'s own check, so
+        // this reaches the injector's validation.
         let plan = FaultPlan {
-            loss: LossModel::GilbertElliott {
-                p_enter_bad: 0.1,
-                p_exit_bad: -0.2,
-                loss_good: 0.0,
-                loss_bad: 0.5,
-            },
+            loss: LossModel::Bernoulli { p: -0.2 },
             ..FaultPlan::none()
         };
         FaultInjector::new(&plan, 0);

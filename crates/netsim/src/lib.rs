@@ -34,7 +34,7 @@ pub mod stack;
 pub mod tcp;
 
 pub use config::{IoatConfig, RxMode, SocketOpts, StackParams};
-pub use link::{DuplexLink, Link};
+pub use link::Link;
 pub use msg::MsgSender;
 pub use nic::{Frame, FRAME_OVERHEAD};
 pub use socket::{Socket, SocketEvent};

@@ -100,25 +100,6 @@ impl Link {
     }
 }
 
-/// A full-duplex link: two independent directions.
-#[derive(Debug, Clone)]
-pub struct DuplexLink {
-    /// Direction A → B.
-    pub forward: Link,
-    /// Direction B → A.
-    pub reverse: Link,
-}
-
-impl DuplexLink {
-    /// Creates a symmetric duplex link.
-    pub fn new(name: &str, bandwidth: Bandwidth, latency: SimDuration) -> Self {
-        DuplexLink {
-            forward: Link::new(&format!("{name}-fwd"), bandwidth, latency),
-            reverse: Link::new(&format!("{name}-rev"), bandwidth, latency),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,26 +119,6 @@ mod tests {
         sim.run();
         // 12us serialization each, 10us latency: 22, 34, 46.
         assert_eq!(*deliveries.borrow(), vec![22_000, 34_000, 46_000]);
-    }
-
-    #[test]
-    fn duplex_directions_are_independent() {
-        let mut sim = Sim::new();
-        let link = DuplexLink::new("d", Bandwidth::from_gbps(1), SimDuration::ZERO);
-        let fwd_done = Rc::new(RefCell::new(0u64));
-        let rev_done = Rc::new(RefCell::new(0u64));
-        let f = Rc::clone(&fwd_done);
-        let r = Rc::clone(&rev_done);
-        link.forward.transmit(&mut sim, 1_500, move |sim| {
-            *f.borrow_mut() = sim.now().as_nanos()
-        });
-        link.reverse.transmit(&mut sim, 1_500, move |sim| {
-            *r.borrow_mut() = sim.now().as_nanos()
-        });
-        sim.run();
-        // Both finish at 12us — no shared serialization.
-        assert_eq!(*fwd_done.borrow(), 12_000);
-        assert_eq!(*rev_done.borrow(), 12_000);
     }
 
     #[test]

@@ -1647,39 +1647,6 @@ fn finish_delivery(s: &StackRef, sim: &mut Sim, conn: ConnId, bytes: u64) {
     try_deliver(s, sim, conn);
 }
 
-/// Cross-stack frame/byte conservation over a set of wired stacks: every
-/// frame a sender injects is delivered into a pending ring, dropped by the
-/// loss model, dropped at a full rx ring, or still on the wire. With
-/// `quiescent` (event queue drained — nothing can be on the wire) the frame
-/// identity tightens to exact equality.
-pub fn audit_cluster_conservation(stacks: &[StackRef], now: SimTime, quiescent: bool) {
-    audit_cluster_conservation_ext(stacks, 0, 0, now, quiescent);
-}
-
-/// [`audit_cluster_conservation`] extended with the fabric terms:
-/// `switch_dropped` counts frames a [`FrameRouter`] tail-dropped at a full
-/// switch buffer after the sender's NIC put them on the wire, and
-/// `route_blackholed` counts frames the fabric dropped because no
-/// surviving equal-cost port led toward the destination (a flapped link
-/// or crashed switch severed every candidate). The identity becomes
-/// Σsent = Σarrived + Σlost + Σring-dropped + switch-dropped +
-/// route-blackholed (+ in-flight when not quiescent).
-pub fn audit_cluster_conservation_ext(
-    stacks: &[StackRef],
-    switch_dropped: u64,
-    route_blackholed: u64,
-    now: SimTime,
-    quiescent: bool,
-) {
-    audit_cluster_conservation_sums(
-        frame_totals(stacks),
-        switch_dropped,
-        route_blackholed,
-        now,
-        quiescent,
-    );
-}
-
 /// Frame/byte counters summed over a set of stacks — the terms of the
 /// cluster conservation identity, detached from the stacks themselves so
 /// a parallel run can collect them per partition (plain `Send` data) and
@@ -1728,9 +1695,17 @@ pub fn frame_totals(stacks: &[StackRef]) -> ClusterFrameTotals {
     t
 }
 
-/// The conservation identity of [`audit_cluster_conservation_ext`] on
-/// pre-summed totals.
-pub fn audit_cluster_conservation_sums(
+/// Cross-stack frame/byte conservation over `totals` (see
+/// [`frame_totals`]): every frame a sender injects is delivered into a
+/// pending ring, dropped by the loss model, dropped at a full rx ring,
+/// tail-dropped at a full switch buffer (`switch_dropped`), dropped by
+/// the fabric because no surviving equal-cost port led toward the
+/// destination (`route_blackholed`), or still on the wire. The identity
+/// is Σsent = Σarrived + Σlost + Σring-dropped + switch-dropped +
+/// route-blackholed + in-flight; with `quiescent` (event queue drained —
+/// nothing can be on the wire) it tightens to exact equality. A cluster
+/// without a fabric passes 0 for both fabric terms.
+pub fn audit_cluster_conservation(
     totals: ClusterFrameTotals,
     switch_dropped: u64,
     route_blackholed: u64,
@@ -2035,7 +2010,7 @@ mod tests {
         let (res, violations) = ioat_guard::with_audit(|| {
             a.borrow().audit(end);
             b.borrow().audit(end);
-            audit_cluster_conservation(&[Rc::clone(&a), Rc::clone(&b)], end, true);
+            audit_cluster_conservation(frame_totals(&[a.clone(), b.clone()]), 0, 0, end, true);
             ioat_guard::audit_sim(&sim);
         });
         assert!(res.is_ok());
@@ -2057,7 +2032,7 @@ mod tests {
         let end = sim.run();
         let (res, violations) = ioat_guard::with_audit(|| {
             b.borrow().audit(end);
-            audit_cluster_conservation(&[Rc::clone(&a), Rc::clone(&b)], end, true);
+            audit_cluster_conservation(frame_totals(&[a.clone(), b.clone()]), 0, 0, end, true);
         });
         assert!(res.is_ok());
         assert!(
@@ -2201,7 +2176,7 @@ mod tests {
         let (res, violations) = ioat_guard::with_audit(|| {
             a.borrow().audit(end);
             b.borrow().audit(end);
-            audit_cluster_conservation(&[Rc::clone(&a), Rc::clone(&b)], end, true);
+            audit_cluster_conservation(frame_totals(&[a.clone(), b.clone()]), 0, 0, end, true);
         });
         assert!(res.is_ok());
         assert!(violations.is_empty(), "{violations:?}");
@@ -2231,7 +2206,7 @@ mod tests {
         let (res, violations) = ioat_guard::with_audit(|| {
             a.borrow().audit(end);
             b.borrow().audit(end);
-            audit_cluster_conservation(&[Rc::clone(&a), Rc::clone(&b)], end, true);
+            audit_cluster_conservation(frame_totals(&[a.clone(), b.clone()]), 0, 0, end, true);
         });
         assert!(res.is_ok());
         assert!(violations.is_empty(), "{violations:?}");
@@ -2386,7 +2361,7 @@ mod tests {
         // And the full delivery pipeline still satisfies conservation.
         let (res, violations) = ioat_guard::with_audit(|| {
             b.borrow().audit(end);
-            audit_cluster_conservation(&[Rc::clone(&a), Rc::clone(&b)], end, true);
+            audit_cluster_conservation(frame_totals(&[a.clone(), b.clone()]), 0, 0, end, true);
         });
         assert!(res.is_ok());
         assert!(violations.is_empty(), "{violations:?}");

@@ -12,7 +12,9 @@
 #![cfg(not(feature = "audit-bug"))]
 
 use ioat_faults::{FaultInjector, FaultPlan, TimeWindow};
-use ioat_netsim::stack::{app_send, audit_cluster_conservation, open_connection, wire, HostStack};
+use ioat_netsim::stack::{
+    app_send, audit_cluster_conservation, frame_totals, open_connection, wire, HostStack,
+};
 use ioat_netsim::{ConnId, IoatConfig, SocketOpts, StackParams};
 use ioat_simcore::time::Bandwidth;
 use ioat_simcore::{Sim, SimDuration, SimTime};
@@ -73,7 +75,7 @@ fn thousand_seeded_fault_runs_produce_zero_audit_violations() {
         let (res, violations) = ioat_guard::with_audit(|| {
             a.borrow().audit(end);
             b.borrow().audit(end);
-            audit_cluster_conservation(&[a.clone(), b.clone()], end, true);
+            audit_cluster_conservation(frame_totals(&[a.clone(), b.clone()]), 0, 0, end, true);
             ioat_guard::audit_sim(&sim);
         });
         assert!(res.is_ok(), "seed {seed}: audit closure panicked");

@@ -75,15 +75,6 @@ impl Layout {
         }
         out
     }
-
-    /// Bytes of `[offset, offset+len)` that land on `server`.
-    pub fn bytes_on_server(&self, offset: u64, len: u64, server: usize) -> u64 {
-        self.pieces(offset, len)
-            .iter()
-            .filter(|p| p.server == server)
-            .map(|p| p.len)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -121,10 +112,11 @@ mod tests {
     fn aligned_request_spreads_evenly() {
         let l = Layout::default_over(4);
         // 2 MB per server, as the paper's pvfs-test does with N=4.
-        let total = 4 * 2 * 1024 * 1024;
-        for s in 0..4 {
-            assert_eq!(l.bytes_on_server(0, total, s), 2 * 1024 * 1024);
+        let mut per_server = [0u64; 4];
+        for p in l.pieces(0, 4 * 2 * 1024 * 1024) {
+            per_server[p.server] += p.len;
         }
+        assert_eq!(per_server, [2 * 1024 * 1024; 4]);
     }
 
     #[test]

@@ -75,15 +75,6 @@ pub fn bytes_to_mbps(bytes: u64, elapsed: SimDuration) -> f64 {
     bytes as f64 * 8.0 / 1e6 / elapsed.as_secs_f64()
 }
 
-/// Converts a byte counter window into MB/s (10^6 bytes/s), the unit the
-/// paper uses for PVFS results.
-pub fn bytes_to_mbytes_per_sec(bytes: u64, elapsed: SimDuration) -> f64 {
-    if elapsed.is_zero() {
-        return 0.0;
-    }
-    bytes as f64 / 1e6 / elapsed.as_secs_f64()
-}
-
 /// A windowed throughput meter: counts bytes and reports Mbps/MBps over a
 /// measurement window, excluding warm-up.
 #[derive(Debug, Clone, Default)]
@@ -105,11 +96,6 @@ impl RateMeter {
     /// Begins the measurement window (typically after warm-up).
     pub fn begin_window(&mut self, at: SimTime) {
         self.bytes.begin_window(at);
-    }
-
-    /// Bytes recorded inside the window.
-    pub fn window_bytes(&self) -> u64 {
-        self.bytes.window_total()
     }
 
     /// Total bytes recorded since construction.
@@ -504,7 +490,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         assert!((bytes_to_mbps(1_250_000, SimDuration::from_secs(1)) - 10.0).abs() < 1e-9);
-        assert!((bytes_to_mbytes_per_sec(2_000_000, SimDuration::from_secs(2)) - 1.0).abs() < 1e-9);
         assert_eq!(bytes_to_mbps(1, SimDuration::ZERO), 0.0);
     }
 }
