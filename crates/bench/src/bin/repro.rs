@@ -7,9 +7,7 @@
 //!       [--fail <target>] [--json <path>] [--trace <path>] [target ...]
 //! ```
 //!
-//! With no targets (or `all`) every figure runs (the `abl-modern-*`
-//! workload slices excepted — `all` runs the `abl-modern` umbrella grid
-//! once instead). `--list` prints the
+//! With no targets (or `all`) every figure runs. `--list` prints the
 //! known targets with one-line descriptions. `--quick` uses short
 //! measurement windows (for smoke tests); the default windows match
 //! `EXPERIMENTS.md`. `--jobs N` sets the sweep-executor worker count
@@ -89,18 +87,6 @@ const TARGETS: &[(&str, &str)] = &[
     (
         "abl-modern",
         "Ablation A4: modern grid, rx mode x link rate x I/OAT",
-    ),
-    (
-        "abl-modern-mstream",
-        "Ablation A4 slice: multi-stream workload only",
-    ),
-    (
-        "abl-modern-dc",
-        "Ablation A4 slice: fabric datacenter workload only",
-    ),
-    (
-        "abl-modern-pvfs",
-        "Ablation A4 slice: PVFS concurrent-read workload only",
     ),
     (
         "abl-fabric-faults",
@@ -321,10 +307,7 @@ fn main() {
     };
     let mut results = Vec::new();
     for (name, _) in TARGETS {
-        // The abl-modern workload slices are single-figure conveniences;
-        // 'all' runs the umbrella grid once instead of four times.
-        let in_all = all && !name.starts_with("abl-modern-");
-        if in_all || cli.targets.iter().any(|t| t == name) {
+        if all || cli.targets.iter().any(|t| t == name) {
             // Figures run one at a time, so a reset here makes each
             // reading that figure's own peak; without it the reading would
             // be a process-lifetime mark, so it is dropped.

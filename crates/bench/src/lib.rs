@@ -139,7 +139,7 @@ pub struct FigureResult {
     /// printed verbatim after the table.
     pub notes: Vec<String>,
     /// Wall-clock spent building this figure, in milliseconds. Filled by
-    /// [`run_figure`]; excluded from determinism comparisons.
+    /// [`run_figure_supervised`]; excluded from determinism comparisons.
     pub wall_ms: f64,
     /// Simulator events executed across every simulation the figure
     /// built, when the builder reports them (the `fig_fabric` family
@@ -1207,8 +1207,8 @@ pub fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
-/// Builds one figure by target name, timing the build. Returns `None`
-/// for an unknown name — the `repro` CLI validates names first.
+/// Builds one figure by target name. Returns `None` for an unknown
+/// name — the `repro` CLI validates names first.
 /// `sim_threads` sets the partitioned-engine worker count for the
 /// figures that run on it (the `fig_fabric` family and the datacenter
 /// cells of `abl-modern`; the paper figures are single simulations and
@@ -1219,8 +1219,7 @@ pub fn run_figure(
     jobs: usize,
     sim_threads: usize,
 ) -> Option<FigureResult> {
-    let start = std::time::Instant::now();
-    let mut fig = match name {
+    Some(match name {
         "fig3a" => fig3a(window, jobs),
         "fig3b" => fig3b(window, jobs),
         "fig4" => fig4(window, jobs),
@@ -1245,28 +1244,10 @@ pub fn run_figure(
         "abl-copy" => ablation_async_memcpy(jobs),
         "abl-faults" => ablation_faults(window, jobs),
         "abl-modern" => modern::ablation_modern(window, jobs, sim_threads),
-        "abl-modern-mstream" => modern::ablation_modern_slice(
-            modern::ModernWorkload::MultiStream,
-            window,
-            jobs,
-            sim_threads,
-        ),
-        "abl-modern-dc" => modern::ablation_modern_slice(
-            modern::ModernWorkload::DataCenter,
-            window,
-            jobs,
-            sim_threads,
-        ),
-        "abl-modern-pvfs" => {
-            modern::ablation_modern_slice(modern::ModernWorkload::Pvfs, window, jobs, sim_threads)
-        }
         "abl-fabric-faults" => abl_fabric_faults(window, jobs, sim_threads),
         "fig_fabric" => fig_fabric(window, jobs, sim_threads),
         _ => return None,
-    };
-    fig.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    fig.peak_rss_bytes = peak_rss_bytes();
-    Some(fig)
+    })
 }
 
 /// Options for [`run_figure_supervised`].
@@ -1308,8 +1289,9 @@ impl Default for SuperviseOpts {
 /// watchdog's) and audit violations become [`FigureResult::error`]
 /// instead of crashing the run. A failed figure is not retried: it is a
 /// deterministic function of its configuration, so it would fail again.
-/// Successful figures are byte-for-byte what [`run_figure`] returns
-/// (modulo `wall_ms`). Returns `None` only for an unknown name.
+/// Successful figures are byte-for-byte what [`run_figure`] returns plus
+/// the host readings `wall_ms` and `peak_rss_bytes`, which are set here
+/// on every path. Returns `None` only for an unknown name.
 pub fn run_figure_supervised(
     name: &str,
     window: ExperimentWindow,
@@ -1343,22 +1325,17 @@ pub fn run_figure_supervised(
     // the rows that were built anyway (evidence for the report reader;
     // `status: "failed"` still marks them suspect).
     let (reason, partial) = match result {
-        Err(payload) => (ioat_guard::failure_reason(payload.as_ref()), None),
+        Err(payload) => (Some(ioat_guard::failure_reason(payload.as_ref())), None),
         Ok(None) => return None,
-        Ok(Some(mut fig)) => {
-            if violations.is_empty() {
-                fig.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                return Some(fig);
-            }
-            (
-                format!(
-                    "audit: {} violation(s); first: {}",
-                    violations.len(),
-                    violations[0]
-                ),
-                Some(fig),
-            )
-        }
+        Ok(Some(fig)) if violations.is_empty() => (None, Some(fig)),
+        Ok(Some(fig)) => (
+            Some(format!(
+                "audit: {} violation(s); first: {}",
+                violations.len(),
+                violations[0]
+            )),
+            Some(fig),
+        ),
     };
     let mut fig = partial.unwrap_or_else(|| {
         FigureResult::new(
@@ -1370,7 +1347,7 @@ pub fn run_figure_supervised(
     });
     fig.wall_ms = start.elapsed().as_secs_f64() * 1e3;
     fig.peak_rss_bytes = peak_rss_bytes();
-    fig.error = Some(reason);
+    fig.error = reason;
     Some(fig)
 }
 
@@ -1624,9 +1601,12 @@ mod tests {
     fn run_figure_times_and_dispatches() {
         let fig = run_figure("fig6", ExperimentWindow::quick(), 1, 1).expect("fig6 is known");
         assert_eq!(fig.name, "fig6");
-        assert!(fig.wall_ms > 0.0);
         assert!(fig.error.is_none(), "unsupervised success carries no error");
         assert!(run_figure("nope", ExperimentWindow::quick(), 1, 1).is_none());
+        let opts = SuperviseOpts::default();
+        let timed = run_figure_supervised("fig6", ExperimentWindow::quick(), 1, &opts)
+            .expect("fig6 is known");
+        assert!(timed.wall_ms > 0.0);
     }
 
     #[test]

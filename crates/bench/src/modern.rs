@@ -52,21 +52,12 @@ impl ModernWorkload {
         ModernWorkload::Pvfs,
     ];
 
-    /// Dotted-id segment (`abl.modern/<tag>/...`) and target suffix
-    /// (`abl-modern-<tag>`).
+    /// Dotted-id segment (`abl.modern/<tag>/...`).
     pub fn tag(&self) -> &'static str {
         match self {
             ModernWorkload::MultiStream => "mstream",
             ModernWorkload::DataCenter => "dc",
             ModernWorkload::Pvfs => "pvfs",
-        }
-    }
-
-    fn unit(&self) -> &'static str {
-        match self {
-            ModernWorkload::MultiStream => "Mbps",
-            ModernWorkload::DataCenter => "TPS",
-            ModernWorkload::Pvfs => "MB/s",
         }
     }
 }
@@ -261,42 +252,10 @@ fn verdict(wl: ModernWorkload, rows: &[Row]) -> String {
     )
 }
 
-fn build(
-    name: &str,
-    title: &str,
-    unit: &str,
-    workloads: &[ModernWorkload],
-    window: ExperimentWindow,
-    jobs: usize,
-    sim_threads: usize,
-) -> FigureResult {
-    let mut points: Vec<(ModernWorkload, u64, RxMode)> = Vec::new();
-    for &wl in workloads {
-        for gbps in LINK_RATES_GBPS {
-            for mode in RxMode::ALL {
-                points.push((wl, gbps, mode));
-            }
-        }
-    }
-    let mut fig = ablation_modern_points(points, window, jobs, sim_threads);
-    fig.name = name.to_string();
-    fig.title = title.to_string();
-    fig.unit = unit.to_string();
-    if workloads.len() > 1 {
-        fig.notes
-            .push("  units: mstream Mbps, dc TPS, pvfs MB/s".to_string());
-    }
-    if let FigureRows::Compare(rows) = &fig.rows {
-        let verdicts: Vec<String> = workloads.iter().map(|&wl| verdict(wl, rows)).collect();
-        fig.notes.extend(verdicts);
-    }
-    fig
-}
-
 /// The grid over an explicit `(workload, gbps, rx mode)` cell list. The
 /// determinism suite drives this with a miniature subset (debug builds
-/// cannot afford the full 48-cell grid); the `abl-modern` targets are
-/// exactly this with the standard cells plus verdict notes.
+/// cannot afford the full 48-cell grid); [`ablation_modern`] is exactly
+/// this with the standard cells plus verdict notes.
 pub fn ablation_modern_points(
     points: Vec<(ModernWorkload, u64, RxMode)>,
     window: ExperimentWindow,
@@ -339,28 +298,25 @@ pub fn ablation_modern_points(
 
 /// The full modern-offload grid: all three workloads.
 pub fn ablation_modern(window: ExperimentWindow, jobs: usize, sim_threads: usize) -> FigureResult {
-    build(
-        "abl-modern",
-        "Ablation A4: modern offload grid, rx mode x link rate x I/OAT",
-        "mixed",
-        &ModernWorkload::ALL,
-        window,
-        jobs,
-        sim_threads,
-    )
-}
-
-/// One workload's slice of the grid (`abl-modern-mstream` / `-dc` /
-/// `-pvfs`).
-pub fn ablation_modern_slice(
-    wl: ModernWorkload,
-    window: ExperimentWindow,
-    jobs: usize,
-    sim_threads: usize,
-) -> FigureResult {
-    let name = format!("abl-modern-{}", wl.tag());
-    let title = format!("Ablation A4 ({}): rx mode x link rate x I/OAT", wl.tag());
-    build(&name, &title, wl.unit(), &[wl], window, jobs, sim_threads)
+    let mut points: Vec<(ModernWorkload, u64, RxMode)> = Vec::new();
+    for wl in ModernWorkload::ALL {
+        for gbps in LINK_RATES_GBPS {
+            for mode in RxMode::ALL {
+                points.push((wl, gbps, mode));
+            }
+        }
+    }
+    let mut fig = ablation_modern_points(points, window, jobs, sim_threads);
+    fig.notes
+        .push("  units: mstream Mbps, dc TPS, pvfs MB/s".to_string());
+    if let FigureRows::Compare(rows) = &fig.rows {
+        let verdicts: Vec<String> = ModernWorkload::ALL
+            .iter()
+            .map(|&wl| verdict(wl, rows))
+            .collect();
+        fig.notes.extend(verdicts);
+    }
+    fig
 }
 
 #[cfg(test)]

@@ -147,18 +147,10 @@ fn tiers_free_their_request_loops() {
     assert_frees("tiers::run_single_file", || {
         tiers::run_single_file(&cfg, 4 * 1024)
     });
-    let mut zipf = cfg.clone();
+    let mut zipf = cfg;
     zipf.proxy_cache_bytes = 64 << 20;
     assert_frees("tiers::run_zipf", || {
         tiers::run_zipf(&zipf, 0.9, 500, 2 * 1024)
-    });
-    // Frame loss arms the request deadlines: the retry path re-enters the
-    // self-referential "fire the current request" slot.
-    let mut lossy = cfg;
-    lossy.faults = FaultPlan::bernoulli_loss(0x5EED, 1e-3);
-    lossy.retry.timeout = SimDuration::from_millis(2);
-    assert_frees("tiers::run_single_file under loss", || {
-        tiers::run_single_file(&lossy, 4 * 1024)
     });
 }
 

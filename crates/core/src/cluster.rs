@@ -139,13 +139,7 @@ impl Cluster {
             params.host_bandwidth,
             params.switch_latency,
         );
-        stack::attach_router(
-            &self.nodes[node.0],
-            access,
-            params.coalescing,
-            router,
-            attachment,
-        )
+        stack::attach_router(&self.nodes[node.0], access, router, attachment)
     }
 
     /// Opens a connection between two local nodes over already-created

@@ -9,12 +9,12 @@
 //! in TPS.
 
 use crate::costs::{DataCenterCosts, REQUEST_WIRE_BYTES};
-use crate::msg::{self, MsgSender};
 use crate::workload::Request;
 use ioat_core::cluster::{Cluster, NodeConfig};
 use ioat_core::metrics::ExperimentWindow;
 use ioat_core::{IoatConfig, SocketOpts};
-use ioat_simcore::{Counter, SimDuration, SimTime};
+use ioat_netsim::msg::{self, MsgSender};
+use ioat_simcore::{Counter, SimDuration};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -104,7 +104,7 @@ pub fn run(cfg: &EmulatedConfig) -> EmulatedResult {
         let rs = Rc::clone(&req_sender);
         let c_sock2 = c_sock.clone();
         let respond = msg::channel(s_sock.clone(), c_sock.clone(), move |sim, _m: ()| {
-            done.borrow_mut().completed_add(sim.now());
+            done.borrow_mut().add_at(sim.now(), 1);
             let rs2 = Rc::clone(&rs);
             c_sock2.compute(sim, costs.client_process, move |sim| {
                 if let Some(sender) = rs2.borrow().as_ref() {
@@ -147,16 +147,6 @@ pub fn run(cfg: &EmulatedConfig) -> EmulatedResult {
         }
     };
     result
-}
-
-trait CounterExt {
-    fn completed_add(&mut self, now: SimTime);
-}
-
-impl CounterExt for Counter {
-    fn completed_add(&mut self, now: SimTime) {
-        self.add_at(now, 1);
-    }
 }
 
 /// The paper's thread sweep (1 → 256, powers of two).

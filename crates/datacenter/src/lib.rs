@@ -13,7 +13,6 @@
 //! Modules:
 //!
 //! * [`workload`] — Zipf and single-file trace generators.
-//! * [`msg`] — message framing over the byte-stream sockets.
 //! * [`cache`] — the proxy's LRU content cache.
 //! * [`costs`] — Apache-era per-request CPU cost model.
 //! * [`tiers`] — the two-tier testbed assembly and closed-loop drivers.
@@ -30,7 +29,6 @@
 pub mod cache;
 pub mod costs;
 pub mod emulated;
-pub mod msg;
 pub mod parallel;
 pub mod scale;
 pub mod tiers;

@@ -48,12 +48,12 @@
 //! any proxy work.
 
 use crate::costs::{DataCenterCosts, REQUEST_WIRE_BYTES};
-use crate::msg::{self, MsgSender};
 use crate::scale::{ScaleConfig, ScaleResult};
 use crate::workload::{FileCatalog, Trace, ZipfTrace};
 use ioat_core::cluster::{Cluster, NodeConfig, NodeHandle};
 use ioat_fabric::{Fabric, FabricRef, Topology};
 use ioat_faults::RetryPolicy;
+use ioat_netsim::msg::{self, MsgSender};
 use ioat_netsim::stack::{self, ClusterFrameTotals, FrameRouter, StackRef};
 use ioat_netsim::{ConnId, Frame, Socket};
 use ioat_parsim::{Outbox, ParsimReport, Partition};
@@ -224,23 +224,13 @@ fn send_attempt(
     });
 }
 
-/// A connection's group-local routing entry.
-struct ConnRoute {
-    /// The proxy-side attachment (the connection's `a` endpoint).
-    att_a: usize,
-    stack_a: StackRef,
-    stack_b: StackRef,
-    /// Reverse-path ACK latency: `switch_latency × path_links(a, b)`,
-    /// netsim's latency-only ACK model on the fabric's topology.
-    ack_delay: SimDuration,
-}
-
 /// The group partition's [`FrameRouter`]: departing data frames are
-/// staged for the fabric partition; ACKs turn around locally (both
-/// endpoints of every group connection live in this partition).
+/// staged for the fabric partition; ACKs stay local (both endpoints of
+/// every group connection live in this partition).
 struct GroupRouter {
     out: Outbox<NetMsg>,
-    conns: RefCell<HashMap<ConnId, ConnRoute>>,
+    topo: Topology,
+    switch_latency: SimDuration,
 }
 
 impl FrameRouter for GroupRouter {
@@ -248,28 +238,10 @@ impl FrameRouter for GroupRouter {
         self.out.send(0, arrive, NetMsg::Ingress { src, frame });
     }
 
-    fn ack_ingress(
-        self: Rc<Self>,
-        sim: &mut Sim,
-        src: usize,
-        conn: ConnId,
-        seq: u64,
-        window: u64,
-        dup: u32,
-    ) {
-        let (stack, delay) = {
-            let conns = self.conns.borrow();
-            let route = conns.get(&conn).expect("ACK for an unrouted connection");
-            let dst = if src == route.att_a {
-                &route.stack_b
-            } else {
-                &route.stack_a
-            };
-            (Rc::clone(dst), route.ack_delay)
-        };
-        sim.schedule(delay, move |sim| {
-            stack::ack_received(&stack, sim, conn, seq, window, dup);
-        });
+    /// Reverse-path ACK latency: `switch_latency × path_links`, netsim's
+    /// latency-only ACK model on the fabric's topology.
+    fn ack_delay(&self, from: usize, to: usize) -> SimDuration {
+        self.switch_latency * self.topo.path_links(from, to) as u64
     }
 }
 
@@ -332,11 +304,11 @@ struct GroupPart {
 }
 
 fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg>) -> GroupPart {
-    let topo = Topology::new(cfg.spec);
     let mut cluster = Cluster::new(cfg.seed);
     let router = Rc::new(GroupRouter {
         out,
-        conns: RefCell::new(HashMap::new()),
+        topo: Topology::new(cfg.spec),
+        switch_latency: cfg.fabric.switch_latency,
     });
 
     // Proxies {g, g+G, …} and webs [g·f, (g+1)·f): the closed set of the
@@ -424,19 +396,8 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
     let opts = ScaleConfig::opts();
     for (q, &(p, ph, p_port)) in proxies.iter().enumerate() {
         for (j, &(_, wh, w_port)) in webs.iter().enumerate() {
-            let w = g * lay.f + j;
             let id = ConnId(1 + (p * lay.f + j) as u64);
             let (p_sock, w_sock) = cluster.open_with_id(ph, p_port, wh, w_port, opts, id);
-            router.conns.borrow_mut().insert(
-                id,
-                ConnRoute {
-                    att_a: p,
-                    stack_a: Rc::clone(cluster.stack(ph)),
-                    stack_b: Rc::clone(cluster.stack(wh)),
-                    ack_delay: cfg.fabric.switch_latency
-                        * topo.path_links(p, lay.n_proxies + w) as u64,
-                },
-            );
 
             // Responses web → proxy → (after the access delay) client:
             // relay on the proxy, complete the transaction, think, fire

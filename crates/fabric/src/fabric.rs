@@ -26,8 +26,10 @@
 //!   excluding any per-run state makes the choice seed-stable and
 //!   bit-identical across `--jobs` layouts.
 //! * **ACK path**: netsim ACKs are latency-only (documented
-//!   simplification) and never enter the fabric: the router turns them
-//!   around after the topology's path-link count × per-hop latency,
+//!   simplification) and never enter the fabric or the router: when a
+//!   connection opens, each endpoint fixes its ACK delay from the
+//!   router's `ack_delay` — the topology's path-link count × per-hop
+//!   latency — and every ACK reaches the other endpoint after it,
 //!   without touching buffers or serializers. ACK loss stays unmodeled —
 //!   windows cannot deadlock, and tail-dropped data frames are recovered
 //!   by fast retransmit or the RTO, which netsim arms automatically on
@@ -83,8 +85,6 @@ pub struct FabricParams {
     /// ECMP hash seed. Same seed ⇒ identical path choices, regardless of
     /// how work is laid out across threads.
     pub seed: u64,
-    /// Enable receive interrupt coalescing on host access ports.
-    pub coalescing: bool,
 }
 
 impl FabricParams {
@@ -98,7 +98,6 @@ impl FabricParams {
             switch_latency: SimDuration::from_micros(5),
             buffer_bytes: 1 << 20,
             seed: 1,
-            coalescing: false,
         }
     }
 }

@@ -6,9 +6,9 @@
 //! layer so the I/OAT CPU-utilization question can be re-asked at
 //! thousands of hosts:
 //!
-//! * [`topology`] — declarative fat-tree / leaf-spine specs compiled to
-//!   host/switch/port numbering with allocation-free structural routing
-//!   and closed-form count/path formulas.
+//! * [`topology`] — declarative fat-tree specs compiled to host/switch/port
+//!   numbering with allocation-free structural routing and closed-form
+//!   count/path formulas.
 //! * [`fabric`] — the runtime: per-port serializing links, shared
 //!   output-buffered switches with tail-drop, deterministic seed-stable
 //!   ECMP, and hop-by-hop forwarding. Frames enter through

@@ -4,9 +4,10 @@
 //!
 //! * departing frames reach [`FrameRouter::frame_departed`], which
 //!   schedules [`Fabric::ingress`] at the frame's arrival instant;
-//! * ACKs reach [`FrameRouter::ack_ingress`], which schedules
-//!   `ack_received` after `switch_latency × path_links` (netsim's
-//!   latency-only ACK model on this topology);
+//! * [`FrameRouter::ack_delay`] is `switch_latency × path_links`
+//!   (netsim's latency-only ACK model on this topology): each endpoint
+//!   fixes it when the connection opens, and its stack schedules every
+//!   ACK straight onto the other endpoint's;
 //! * the fabric's delivery hook schedules `frame_arrived` on the
 //!   destination host's port at the final hop's arrival instant.
 
@@ -14,7 +15,7 @@ use ioat_fabric::FabricRef;
 use ioat_netsim::link::Link;
 use ioat_netsim::stack::{self, FrameRouter, StackRef};
 use ioat_netsim::{ConnId, Frame, SocketOpts};
-use ioat_simcore::{Sim, SimTime};
+use ioat_simcore::{Sim, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -25,7 +26,6 @@ type Hosts = Rc<RefCell<HashMap<usize, (StackRef, usize)>>>;
 pub struct Loopback {
     fabric: FabricRef,
     hosts: Hosts,
-    conns: RefCell<HashMap<ConnId, (usize, usize)>>,
 }
 
 impl Loopback {
@@ -46,7 +46,6 @@ impl Loopback {
         Rc::new(Loopback {
             fabric: Rc::clone(fabric),
             hosts,
-            conns: RefCell::default(),
         })
     }
 
@@ -59,13 +58,8 @@ impl Loopback {
             params.host_bandwidth,
             params.switch_latency,
         );
-        let port = stack::attach_router(
-            stack,
-            access,
-            params.coalescing,
-            Rc::clone(self) as Rc<dyn FrameRouter>,
-            host,
-        );
+        let port =
+            stack::attach_router(stack, access, Rc::clone(self) as Rc<dyn FrameRouter>, host);
         let prev = self
             .hosts
             .borrow_mut()
@@ -78,7 +72,6 @@ impl Loopback {
     /// opens them against each other.
     pub fn open(&self, a: usize, b: usize, opts: SocketOpts, id: ConnId) -> ConnId {
         self.fabric.open(a, b, id);
-        self.conns.borrow_mut().insert(id, (a, b));
         let hosts = self.hosts.borrow();
         let (sa, pa) = &hosts[&a];
         let (sb, pb) = &hosts[&b];
@@ -92,22 +85,7 @@ impl FrameRouter for Loopback {
         sim.schedule_at(arrive, move |sim| fabric.ingress(sim, src, frame));
     }
 
-    fn ack_ingress(
-        self: Rc<Self>,
-        sim: &mut Sim,
-        src: usize,
-        conn: ConnId,
-        seq: u64,
-        window: u64,
-        dup: u32,
-    ) {
-        let (a, b) = self.conns.borrow()[&conn];
-        let dst = if src == a { b } else { a };
-        let stack = Rc::clone(&self.hosts.borrow()[&dst].0);
-        let delay = self.fabric.params().switch_latency
-            * self.fabric.topology().path_links(src, dst) as u64;
-        sim.schedule(delay, move |sim| {
-            stack::ack_received(&stack, sim, conn, seq, window, dup);
-        });
+    fn ack_delay(&self, from: usize, to: usize) -> SimDuration {
+        self.fabric.params().switch_latency * self.fabric.topology().path_links(from, to) as u64
     }
 }

@@ -21,9 +21,9 @@
 //!   the copy engine is unavailable and deliveries transparently fall
 //!   back to the CPU `memcpy` path.
 //! * **Daemon crash–restart windows** ([`CrashWindow`]): a service id
-//!   (web-tier daemon, PVFS I/O daemon) silently drops requests inside
-//!   the window; clients recover with timeouts, retries and failover
-//!   governed by a [`RetryPolicy`].
+//!   (a PVFS I/O daemon) silently drops requests inside the window;
+//!   clients recover with timeouts, retries and failover governed by a
+//!   [`RetryPolicy`].
 //! * **Fabric link flaps** ([`LinkFlapModel`]): per-fabric-link down
 //!   windows, drawn once per link from a dedicated stream when the
 //!   fabric installs the plan. ECMP routes around a down link over the
@@ -106,8 +106,8 @@ impl TimeWindow {
 
 /// A scheduled crash–restart of one service: inside the window the daemon
 /// identified by `service` silently drops incoming requests (it has
-/// crashed and not yet restarted). Service ids are domain-scoped: the
-/// data-center tiers use [`WEB_SERVICE`], PVFS uses the I/O-daemon index.
+/// crashed and not yet restarted). Service ids are domain-scoped: PVFS
+/// uses the I/O-daemon index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashWindow {
     /// Which daemon crashes.
@@ -115,9 +115,6 @@ pub struct CrashWindow {
     /// When it is down.
     pub window: TimeWindow,
 }
-
-/// Service id of the data-center web-tier daemon in [`CrashWindow`]s.
-pub const WEB_SERVICE: u32 = 0;
 
 /// Salt folded into the per-fabric-link flap streams so they can never
 /// collide with the per-`(node, link)` loss streams (whose high half is

@@ -64,31 +64,22 @@ pub type StackRef = Rc<RefCell<HostStack>>;
 /// [`FrameRouter::frame_departed`] with the instant it would reach the
 /// fabric, and the router owns hop-by-hop forwarding, buffering and drops
 /// from there. ACKs keep netsim's latency-only simplification: they bypass
-/// serialization and buffers and go straight to
-/// [`FrameRouter::ack_ingress`], which must deliver them after the
-/// topology's reverse-path latency (ACK loss stays unmodeled, so windows
-/// cannot deadlock).
+/// serialization, buffers and the router, and reach the connection's
+/// other endpoint after [`FrameRouter::ack_delay`], the topology's
+/// reverse-path latency, fixed when the connection opens (ACK loss stays
+/// unmodeled, so windows cannot deadlock).
 ///
-/// Methods take `self: Rc<Self>` so implementations can re-capture
-/// themselves in scheduled continuations without a `&self` lifetime.
+/// `frame_departed` takes `self: Rc<Self>` so implementations can
+/// re-capture themselves in scheduled continuations without a `&self`
+/// lifetime.
 pub trait FrameRouter {
     /// A frame from attachment `src` finished serializing at
     /// `arrive - access latency` and enters the fabric at `arrive`.
     /// Called synchronously (no event is scheduled); the implementation
     /// stages the frame for whichever simulation owns the fabric.
     fn frame_departed(self: Rc<Self>, sim: &mut Sim, src: usize, frame: Frame, arrive: SimTime);
-    /// An ACK (cumulative `seq`, advertised `window`, `dup` duplicate-ACK
-    /// signals) leaves attachment point `src` toward the connection's other
-    /// endpoint.
-    fn ack_ingress(
-        self: Rc<Self>,
-        sim: &mut Sim,
-        src: usize,
-        conn: ConnId,
-        seq: u64,
-        window: u64,
-        dup: u32,
-    );
+    /// How long an ACK takes from attachment point `from` to `to`.
+    fn ack_delay(&self, from: usize, to: usize) -> SimDuration;
 }
 
 type Handler = Rc<RefCell<dyn FnMut(&mut Sim, SocketEvent)>>;
@@ -127,6 +118,10 @@ struct Conn {
     recv: RecvState,
     handler: Option<Handler>,
     delivered: RateMeter,
+    /// The stack at the connection's other end, where this end's ACKs go.
+    peer: StackRef,
+    /// How long an ACK takes to reach `peer`.
+    ack_delay: SimDuration,
 }
 
 /// Running stack-level statistics.
@@ -677,12 +672,11 @@ pub fn wire(
 pub fn attach_router(
     s: &StackRef,
     tx: Link,
-    coalescing: bool,
     router: Rc<dyn FrameRouter>,
     attachment: usize,
 ) -> usize {
     let mut st = s.borrow_mut();
-    let idx = st.add_port(tx, coalescing);
+    let idx = st.add_port(tx, false);
     st.ports[idx].router = Some((router, attachment));
     idx
 }
@@ -713,23 +707,37 @@ pub fn open_connection(
         opts.mss() <= opts.rcvbuf,
         "MSS must fit in the receive buffer"
     );
-    {
-        let sa = a.borrow();
-        let port = &sa.ports[port_a];
-        let wired =
-            port.peer.as_ref().is_some_and(|p| Rc::ptr_eq(p, b)) && port.peer_port == port_b;
-        let routed = port.router.is_some() && b.borrow().ports[port_b].router.is_some();
-        assert!(
-            wired || routed,
-            "ports are neither wired to each other nor both router-attached"
-        );
-    }
-    install_endpoint(a, port_a, opts, id);
-    install_endpoint(b, port_b, opts, id);
+    let (delay_a, delay_b) = {
+        let (sa, sb) = (a.borrow(), b.borrow());
+        let (pa, pb) = (&sa.ports[port_a], &sb.ports[port_b]);
+        match (&pa.router, &pb.router) {
+            (Some((ra, att_a)), Some((rb, att_b))) => {
+                (ra.ack_delay(*att_a, *att_b), rb.ack_delay(*att_b, *att_a))
+            }
+            _ => {
+                let wired =
+                    pa.peer.as_ref().is_some_and(|p| Rc::ptr_eq(p, b)) && pa.peer_port == port_b;
+                assert!(
+                    wired,
+                    "ports are neither wired to each other nor both router-attached"
+                );
+                (pa.tx.latency(), pb.tx.latency())
+            }
+        }
+    };
+    install_endpoint(a, port_a, opts, id, b, delay_a);
+    install_endpoint(b, port_b, opts, id, a, delay_b);
     id
 }
 
-fn install_endpoint(s: &StackRef, port: usize, opts: SocketOpts, id: ConnId) {
+fn install_endpoint(
+    s: &StackRef,
+    port: usize,
+    opts: SocketOpts,
+    id: ConnId,
+    peer: &StackRef,
+    ack_delay: SimDuration,
+) {
     let mut st = s.borrow_mut();
     assert!(
         !st.conns.contains_key(&id),
@@ -774,6 +782,8 @@ fn install_endpoint(s: &StackRef, port: usize, opts: SocketOpts, id: ConnId) {
             },
             handler: None,
             delivered: RateMeter::new(),
+            peer: Rc::clone(peer),
+            ack_delay,
         },
     );
 }
@@ -1317,39 +1327,21 @@ fn raise_interrupt(s: &StackRef, sim: &mut Sim, port: usize, queue: usize) {
     tracer.span("tcpip", Category::Protocol, track, start + irq_part, end);
 }
 
-/// Sends a cumulative ACK + window update back to the peer. ACKs travel at
-/// link latency without occupying the reverse serializer (documented
-/// simplification). `dup` carries the number of duplicate-ACK signals in
+/// Sends a cumulative ACK + window update back to the peer. ACKs take the
+/// connection's fixed ACK delay (the wired link's latency, or the router's
+/// reverse-path latency) without occupying the reverse serializer
+/// (documented simplification). `dup` carries the number of duplicate-ACK signals in
 /// this batch (discarded out-of-order frames); it is 0 on every fault-free
 /// path.
 fn send_ack(s: &StackRef, sim: &mut Sim, conn: ConnId, seq: u64, window: u64, dup: u32) {
-    enum AckPath {
-        Peer(StackRef, SimDuration),
-        Routed(Rc<dyn FrameRouter>, usize),
-    }
-    let path = {
+    let (peer, delay) = {
         let st = s.borrow();
         let Some(c) = st.conns.get(&conn) else { return };
-        let port = &st.ports[c.send.port];
-        if let Some((router, attachment)) = &port.router {
-            AckPath::Routed(Rc::clone(router), *attachment)
-        } else {
-            AckPath::Peer(
-                Rc::clone(port.peer.as_ref().expect("port not wired")),
-                port.tx.latency(),
-            )
-        }
+        (Rc::clone(&c.peer), c.ack_delay)
     };
-    match path {
-        AckPath::Peer(peer, latency) => {
-            sim.schedule(latency, move |sim| {
-                ack_received(&peer, sim, conn, seq, window, dup);
-            });
-        }
-        AckPath::Routed(router, attachment) => {
-            router.ack_ingress(sim, attachment, conn, seq, window, dup);
-        }
-    }
+    sim.schedule(delay, move |sim| {
+        ack_received(&peer, sim, conn, seq, window, dup);
+    });
 }
 
 /// Sender-side ACK processing: charged to the interrupt core, then the
@@ -1969,9 +1961,10 @@ mod tests {
         });
         app_send(&a, &mut sim, conn, 200_000);
         sim.run();
-        // Port a→b, port b→a and b's handler each hold the other stack.
-        assert_eq!(Rc::strong_count(&a), 3);
-        assert_eq!(Rc::strong_count(&b), 2);
+        // Port a→b, port b→a, each connection endpoint (where its ACKs
+        // go) and b's handler each hold the other stack.
+        assert_eq!(Rc::strong_count(&a), 4);
+        assert_eq!(Rc::strong_count(&b), 3);
         {
             // Still borrowed: left alone instead of panicking.
             let held = b.borrow();

@@ -113,9 +113,9 @@ fn datacenter_tracing_is_bit_for_bit_non_perturbing() {
 }
 
 /// The inert fault plan must be a true no-op: `run` is *defined* through
-/// `run_with_faults(..., FaultPlan::none())`, and the fault-aware domain
-/// harnesses must produce bit-identical results with the plan left at
-/// its default — no extra events, no RNG draws, no counter drift.
+/// `run_with_faults(..., FaultPlan::none())`, and the fault-aware harness
+/// must produce bit-identical results with the plan left at its default —
+/// no extra events, no RNG draws, no counter drift.
 #[test]
 fn inert_fault_plan_is_bit_identical() {
     let cfg = bandwidth::BandwidthConfig::quick_test();
@@ -126,16 +126,6 @@ fn inert_fault_plan_is_bit_identical() {
     assert_eq!(plain.tx_cpu.to_bits(), none.throughput.tx_cpu.to_bits());
     assert_eq!(none.frames_dropped, 0);
     assert_eq!(none.retransmits, 0);
-
-    // Same property through the external-RNG datacenter harness: the
-    // final generator state proves no hook consumed randomness.
-    let (a, rng_a) = zipf_run(&Tracer::disabled());
-    let (b, rng_b) = zipf_run(&Tracer::disabled());
-    assert_eq!(a.tps.to_bits(), b.tps.to_bits());
-    assert_eq!(a.completed, b.completed);
-    assert_eq!(rng_a, rng_b);
-    assert_eq!((a.timeouts, a.retries, a.failed), (0, 0, 0));
-    assert_eq!((a.stale_responses, a.daemon_drops), (0, 0));
 }
 
 /// Fault-enabled runs are themselves bit-reproducible for a fixed seed:
