@@ -23,12 +23,27 @@
 //! row width once per call and then runs one compile-time-sized body per
 //! line: a search of the occupied prefix, then explicit shifts within the
 //! row.
+//!
+//! A tag is the line number with its set index removed (`line >> log2(sets)`
+//! for a power-of-two set count, `line / sets` otherwise), stored in a
+//! `u16`. The paper L2's rows take 64 KB per host, not the 256 KB full
+//! `u64` lines would. A 16-bit tag reaches `65 536 × sets × line_size`
+//! bytes of address space ([`Cache::reach`]): 16 GiB for the paper L2.
+//! Accesses past the reach panic; probes there report not resident.
+//!
+//! A range walk splits its first line into set and tag once, then steps:
+//! the set index by one per line, the tag by one each time the set index
+//! wraps to 0: no per-line shift and mask, and on other set counts no
+//! per-line divide (see DESIGN.md, "Cache model", for the measurements).
 
 use crate::address::Buffer;
 
 /// Most ways a set may have: the widest row a range walk is compiled for
 /// (and well inside a set's `u8` occupancy count).
 const MAX_WAYS: u32 = 64;
+
+/// Distinct tags a set can tell apart: a tag is a `u16`.
+const TAGS_PER_SET: u64 = 1 << u16::BITS;
 
 /// Geometry of a simulated cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,12 +149,12 @@ impl RangeOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Resident line tags, one fixed-width row of `width` words per set,
-    /// most recently used last within each row's occupied prefix. Words
-    /// past the prefix are dead. One contiguous allocation
-    /// (sets × width): the per-line lookup reads one row — no per-set
-    /// pointer chase.
-    tags: Box<[u64]>,
+    /// Resident line tags (set index removed), one fixed-width row of
+    /// `width` words per set, most recently used last within each row's
+    /// occupied prefix. Words past the prefix are dead. One contiguous
+    /// allocation (sets × width): the per-line lookup reads one row — no
+    /// per-set pointer chase.
+    tags: Box<[u16]>,
     /// Occupied ways per set.
     lens: Box<[u8]>,
     /// Row width: `associativity` rounded up to a power of two (at most
@@ -148,24 +163,14 @@ pub struct Cache {
     width: usize,
     stats: CacheStats,
     line_shift: u32,
-    /// Cached set count: `config.sets()` divides twice, and the mapping
-    /// runs once per line touched — the innermost loop of every copy.
+    /// Cached set count: `config.sets()` divides twice.
     num_sets: u64,
-    /// `num_sets - 1` when the set count is a power of two (the paper L2
-    /// and every realistic geometry), letting the mapping be a mask
-    /// instead of a hardware divide; `0` otherwise.
-    set_mask: u64,
-}
-
-/// The set `line` maps to: a mask when `set_mask` is non-zero (a
-/// power-of-two set count), else a divide.
-#[inline(always)]
-fn set_index(line: u64, set_mask: u64, num_sets: u64) -> usize {
-    if set_mask != 0 {
-        (line & set_mask) as usize
-    } else {
-        (line % num_sets) as usize
-    }
+    /// `log2(num_sets)` when the set count is a power of two (the paper L2
+    /// and every realistic geometry), letting a line split into set and
+    /// tag by mask and shift instead of a hardware divide.
+    set_bits: Option<u32>,
+    /// Lines below this have a tag that fits a `u16`.
+    reach_lines: u64,
 }
 
 /// What a range walk does to each resident (or missing) line.
@@ -186,22 +191,20 @@ impl Cache {
     /// capacity not a whole number of sets, more than 64 ways, ...).
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
-        let sets = config.sets() as usize;
         let num_sets = config.sets();
         let width = (config.associativity as usize).next_power_of_two();
         Cache {
             config,
-            tags: vec![0u64; sets * width].into_boxed_slice(),
-            lens: vec![0u8; sets].into_boxed_slice(),
+            tags: vec![0u16; num_sets as usize * width].into_boxed_slice(),
+            lens: vec![0u8; num_sets as usize].into_boxed_slice(),
             width,
             stats: CacheStats::default(),
             line_shift: config.line_size.trailing_zeros(),
             num_sets,
-            set_mask: if num_sets.is_power_of_two() {
-                num_sets - 1
-            } else {
-                0
-            },
+            set_bits: num_sets
+                .is_power_of_two()
+                .then(|| num_sets.trailing_zeros()),
+            reach_lines: TAGS_PER_SET * num_sets,
         }
     }
 
@@ -215,8 +218,25 @@ impl Cache {
         self.stats
     }
 
+    /// Bytes of address space the cache can tell apart: `65 536 × sets ×
+    /// line_size` (16 GiB for the paper L2). Every address an access or
+    /// invalidation touches must lie below it.
+    pub fn reach(&self) -> u64 {
+        self.reach_lines << self.line_shift
+    }
+
     fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift
+    }
+
+    /// The set `line` maps to and its tag there. `line` must lie inside
+    /// the reach for the tag to fit.
+    fn split(&self, line: u64) -> (usize, u16) {
+        let (set, tag) = match self.set_bits {
+            Some(bits) => (line & (self.num_sets - 1), line >> bits),
+            None => (line % self.num_sets, line / self.num_sets),
+        };
+        (set as usize, tag as u16)
     }
 
     /// Accesses one line by address, allocating on miss (write-allocate /
@@ -233,10 +253,13 @@ impl Cache {
     /// Checks residency without updating LRU order or statistics.
     pub fn probe_line(&self, addr: u64) -> bool {
         let line = self.line_of(addr);
-        let set_idx = set_index(line, self.set_mask, self.num_sets);
+        if line >= self.reach_lines {
+            return false;
+        }
+        let (set_idx, tag) = self.split(line);
         let base = set_idx * self.width;
         let len = self.lens[set_idx] as usize;
-        self.tags[base..base + len].contains(&line)
+        self.tags[base..base + len].contains(&tag)
     }
 
     /// Accesses every line in `buf`, returning hit/miss counts.
@@ -279,7 +302,18 @@ impl Cache {
 
     /// Applies `walk` to lines `first..=last`, picking the row width once
     /// for the whole range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `last` lies past the reach, where its tag would not fit.
     fn walk(&mut self, walk: Walk, first: u64, last: u64) -> RangeOutcome {
+        assert!(
+            last < self.reach_lines,
+            "address {:#x} is past the {}-byte reach of a {}-set cache's 16-bit tags",
+            last << self.line_shift,
+            self.reach(),
+            self.num_sets
+        );
         match self.width {
             1 => self.lines::<1>(walk, first, last),
             2 => self.lines::<2>(walk, first, last),
@@ -302,26 +336,25 @@ impl Cache {
     fn lines<const W: usize>(&mut self, walk: Walk, first: u64, last: u64) -> RangeOutcome {
         let ways = self.config.associativity as usize;
         debug_assert!(ways <= W && W == self.width);
-        let (set_mask, num_sets) = (self.set_mask, self.num_sets);
+        let (mut set_idx, mut tag) = self.split(first);
         let (rows, _) = self.tags.as_chunks_mut::<W>();
         let lens = &mut self.lens[..rows.len()];
         let mut out = RangeOutcome::default();
         let mut evictions = 0;
         let mut invalidations = 0;
-        for line in first..=last {
-            let set_idx = set_index(line, set_mask, num_sets);
+        for _ in first..=last {
             let row = &mut rows[set_idx];
             let len = lens[set_idx] as usize;
             // The early exit keeps a short prefix cheap: a lightly used
             // cache (the fabric runs hold hundreds) is mostly sets with a
             // few lines, and an empty set's row is not read at all.
-            let hit = row[..len].iter().position(|&t| t == line);
+            let hit = row[..len].iter().position(|&t| t == tag);
             match (walk, hit) {
                 (Walk::Access, Some(pos)) => {
                     for i in pos..len - 1 {
                         row[i] = row[i + 1];
                     }
-                    row[len - 1] = line;
+                    row[len - 1] = tag;
                     out.hit_lines += 1;
                 }
                 (Walk::Access, None) if len == ways => {
@@ -330,12 +363,12 @@ impl Cache {
                     for i in 0..W - 1 {
                         row[i] = row[i + 1];
                     }
-                    row[ways - 1] = line;
+                    row[ways - 1] = tag;
                     evictions += 1;
                     out.miss_lines += 1;
                 }
                 (Walk::Access, None) => {
-                    row[len] = line;
+                    row[len] = tag;
                     lens[set_idx] = (len + 1) as u8;
                     out.miss_lines += 1;
                 }
@@ -347,6 +380,13 @@ impl Cache {
                     invalidations += 1;
                 }
                 (Walk::Invalidate, None) => {}
+            }
+            // The next line is the next set; past the last set it wraps
+            // to set 0 with the next tag.
+            set_idx += 1;
+            if set_idx == rows.len() {
+                set_idx = 0;
+                tag = tag.wrapping_add(1);
             }
         }
         self.stats.hits += out.hit_lines;
@@ -523,6 +563,18 @@ mod tests {
         c.invalidate_range(all);
         assert_eq!(c.resident_line_count(), 1, "only line 128 survives");
         assert_eq!(c.stats().invalidations, 127);
+    }
+
+    #[test]
+    fn tag_rows_take_two_bytes_per_way() {
+        let bytes = |cfg| std::mem::size_of_val(&*Cache::new(cfg).tags);
+        assert_eq!(bytes(CacheConfig::paper_l2()), 64 * 1024);
+        let llc = CacheConfig {
+            capacity: 32 * 1024 * 1024,
+            associativity: 16,
+            line_size: 64,
+        };
+        assert_eq!(bytes(llc), 1024 * 1024);
     }
 
     #[test]

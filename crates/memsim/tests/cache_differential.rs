@@ -1,15 +1,17 @@
 //! Differential test for the set-associative cache model.
 //!
-//! [`Cache`] stores each set as a fixed-width row and walks ranges with a
-//! branchless way match and explicit shifts. The oracle below is the
-//! straightforward per-line model it replaced: one `associativity`-wide
-//! slice per set, a linear `position` search and `rotate_left` to move a
+//! [`Cache`] stores each set as a fixed-width row of 16-bit set-relative
+//! tags and walks ranges by stepping set index and tag, with explicit
+//! shifts within a row. The oracle below is the straightforward per-line
+//! model it replaced: one `associativity`-wide slice per set of full `u64`
+//! line numbers, a linear `position` search and `rotate_left` to move a
 //! line to MRU, evict the LRU front or close an invalidation gap. Seeded
 //! [`SimRng`] scripts drive both through the same access and invalidate
 //! ranges — across associativities from direct-mapped to 64 ways, with
-//! power-of-two and other set counts, and with ranges longer than the
-//! whole cache — and every call must agree on its [`RangeOutcome`], the
-//! running [`CacheStats`] and residency.
+//! power-of-two and other set counts, with ranges longer than the whole
+//! cache, and at the top of the 16-bit tag reach — and every call must
+//! agree on its [`RangeOutcome`], the running [`CacheStats`] and
+//! residency.
 
 use ioat_memsim::cache::RangeOutcome;
 use ioat_memsim::{Buffer, Cache, CacheConfig, CacheStats};
@@ -105,27 +107,29 @@ impl Oracle {
     }
 }
 
-/// One seeded script of `ops` random range operations on `cfg`, checked
-/// call by call.
-fn run_script(cfg: CacheConfig, seed: u64, ops: usize) {
+/// One seeded script of `ops` random range operations on `cfg`, starting
+/// at `base`, checked call by call.
+fn run_script(cfg: CacheConfig, base: u64, seed: u64, ops: usize) {
     let mut rng = SimRng::seed_from(seed);
     let mut cache = Cache::new(cfg);
     let mut oracle = Oracle::new(cfg);
     let ctx = format!(
-        "{}-way, {} sets, seed {seed}",
+        "{}-way, {} sets, base {base:#x}, seed {seed}",
         cfg.associativity,
         cfg.sets()
     );
     // Addresses span four capacities, so sets fill, overflow and recycle;
     // lengths reach past one capacity, so a single call can wrap every set.
+    // No range runs past the tag reach; probes may.
     let span = 4 * cfg.capacity;
     for step in 0..ops {
-        let addr = rng.range(0, span);
+        let addr = base + rng.range(0, span);
         let len = match rng.range(0, 8) {
             0 => 0,
             1 => rng.range(cfg.capacity, 2 * cfg.capacity),
             _ => rng.range(1, 4 * cfg.line_size),
-        };
+        }
+        .min(cache.reach() - addr);
         let buf = Buffer::new(addr, len);
         match rng.range(0, 4) {
             0 => {
@@ -139,7 +143,7 @@ fn run_script(cfg: CacheConfig, seed: u64, ops: usize) {
             ),
         }
         assert_eq!(cache.stats(), oracle.stats, "{ctx} step {step}: stats");
-        let probe = Buffer::new(rng.range(0, span), rng.range(0, cfg.capacity));
+        let probe = Buffer::new(base + rng.range(0, span), rng.range(0, cfg.capacity));
         assert_eq!(
             cache.resident_lines(probe),
             oracle.resident_lines(probe),
@@ -152,7 +156,7 @@ fn run_script(cfg: CacheConfig, seed: u64, ops: usize) {
         );
     }
     // Every line either model ever touched agrees on residency.
-    let all = Buffer::new(0, span + 2 * cfg.capacity);
+    let all = Buffer::new(base, span + 2 * cfg.capacity);
     assert_eq!(
         cache.resident_lines(all),
         oracle.resident_lines(all),
@@ -173,7 +177,12 @@ fn cache_matches_rotate_left_oracle() {
                 line_size,
             };
             for seed in 0..3 {
-                run_script(cfg, seed * 1_000 + associativity as u64 * 100 + sets, 200);
+                run_script(
+                    cfg,
+                    0,
+                    seed * 1_000 + associativity as u64 * 100 + sets,
+                    200,
+                );
             }
         }
     }
@@ -206,4 +215,97 @@ fn paper_l2_matches_oracle_on_long_streams() {
         assert_eq!(cache.stats(), oracle.stats, "step {step}");
         assert_eq!(cache.resident_line_count(), oracle.resident_line_count());
     }
+}
+
+/// The paper L2, a 16-way power-of-two geometry and a 37-set geometry on
+/// the modulo mapping, driven over the four capacities just below the tag
+/// reach: long ranges cross the last tags (`0xFFFE`, `0xFFFF`) and many
+/// end on the reach's final line, where the walk's tag wraps.
+#[test]
+fn cache_matches_oracle_at_the_tag_reach() {
+    let geometries = [
+        (CacheConfig::paper_l2(), 60),
+        (
+            CacheConfig {
+                capacity: 64 * 16 * 64,
+                associativity: 16,
+                line_size: 64,
+            },
+            200,
+        ),
+        (
+            CacheConfig {
+                capacity: 37 * 4 * 64,
+                associativity: 4,
+                line_size: 64,
+            },
+            200,
+        ),
+    ];
+    for (cfg, ops) in geometries {
+        let reach = Cache::new(cfg).reach();
+        assert_eq!(reach, 65_536 * cfg.sets() * cfg.line_size);
+        for seed in 0..3 {
+            run_script(cfg, reach - 4 * cfg.capacity, 0xFFFF + seed, ops);
+        }
+    }
+}
+
+#[test]
+fn ranges_across_the_last_tags_match_oracle() {
+    // Set-sized strides below the reach: each range starts a few lines
+    // before a tag boundary and ends a few lines after it.
+    for cfg in [
+        CacheConfig::paper_l2(),
+        CacheConfig {
+            capacity: 37 * 4 * 64,
+            associativity: 4,
+            line_size: 64,
+        },
+    ] {
+        let mut cache = Cache::new(cfg);
+        let mut oracle = Oracle::new(cfg);
+        let tag_bytes = cfg.sets() * cfg.line_size;
+        let reach = cache.reach();
+        for tags_below in (1..=3).rev() {
+            let boundary = reach - tags_below * tag_bytes;
+            let buf = Buffer::new(boundary - 3 * cfg.line_size, 6 * cfg.line_size);
+            assert_eq!(cache.access_range(buf), oracle.access_range(buf));
+        }
+        let last = Buffer::new(reach - 2 * tag_bytes, 2 * tag_bytes);
+        assert_eq!(cache.access_range(last), oracle.access_range(last));
+        assert_eq!(cache.access_range(last), oracle.access_range(last));
+        assert_eq!(cache.stats(), oracle.stats);
+        let top = Buffer::new(reach - 4 * tag_bytes, 4 * tag_bytes);
+        assert_eq!(cache.resident_lines(top), oracle.resident_lines(top));
+        cache.invalidate_range(top);
+        oracle.invalidate_range(top);
+        assert_eq!(cache.stats(), oracle.stats);
+        assert_eq!(cache.resident_line_count(), 0);
+    }
+}
+
+#[test]
+#[should_panic(expected = "reach")]
+fn access_one_line_past_the_reach_panics() {
+    let mut cache = Cache::new(CacheConfig::paper_l2());
+    let reach = cache.reach();
+    // The range's first line is the last one inside the reach.
+    cache.access_range(Buffer::new(reach - 64, 128));
+}
+
+#[test]
+fn addresses_past_the_reach_are_never_resident() {
+    let mut cache = Cache::new(CacheConfig::paper_l2());
+    let reach = cache.reach();
+    // One reach above line 0 is the line whose 16-bit tag would alias
+    // onto line 0's.
+    cache.access_range(Buffer::new(0, 4096));
+    cache.access_range(Buffer::new(reach - 4096, 4096));
+    assert!(cache.probe_line(0));
+    assert!(cache.probe_line(reach - 64));
+    assert!(!cache.probe_line(reach));
+    assert!(!cache.probe_line(u64::MAX));
+    assert_eq!(cache.resident_lines(Buffer::new(reach, 4096)), 0);
+    assert_eq!(cache.resident_lines(Buffer::new(reach - 4096, 8192)), 64);
 }

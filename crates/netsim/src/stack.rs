@@ -44,6 +44,7 @@ use ioat_faults::FaultInjector;
 use ioat_memsim::dma::CacheRef;
 use ioat_memsim::{
     AddressAllocator, Buffer, Cache, CacheConfig, CpuCopier, DmaEngine, DmaEngineRef, DmaRequest,
+    PAGE_SIZE,
 };
 use ioat_simcore::resource::ResourcePool;
 use ioat_simcore::{stable_mix, FastHashMap, RateMeter, Sim, SimDuration, SimTime};
@@ -219,6 +220,11 @@ impl HostStack {
     }
 
     /// Creates a node with an explicit cache geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is zero, or if the header ring alone runs past
+    /// the cache model's reach ([`Cache::reach`]).
     pub fn with_cache(
         name: &str,
         cores: usize,
@@ -236,7 +242,7 @@ impl HostStack {
             .then(|| DmaEngine::new_ref(params.dma, Some(Rc::clone(&cache))));
         let mut alloc = AddressAllocator::new();
         let header_ring = alloc.alloc(params.header_ring_bytes);
-        Rc::new(RefCell::new(HostStack {
+        let stack = HostStack {
             name: name.to_string(),
             params,
             ioat,
@@ -257,7 +263,29 @@ impl HostStack {
             tracer: Tracer::disabled(),
             node_id: 0,
             faults: FaultInjector::inert(),
-        }))
+        };
+        stack.check_reach();
+        Rc::new(RefCell::new(stack))
+    }
+
+    /// Fails unless every buffer allocated so far lies inside the cache
+    /// model's tag reach, so an overflow shows at setup, never mid-run.
+    fn check_reach(&self) {
+        // The allocator starts at one page, so its end is one page past
+        // what it has used.
+        let end = PAGE_SIZE + self.alloc.used();
+        let cache = self.cache.borrow();
+        let cfg = cache.config();
+        assert!(
+            end <= cache.reach(),
+            "host stack '{}': buffers need {end} bytes of address space, past the {}-byte reach \
+             of its {} B, {}-way, {} B-line cache model",
+            self.name,
+            cache.reach(),
+            cfg.capacity,
+            cfg.associativity,
+            cfg.line_size
+        );
     }
 
     /// Node name.
@@ -689,8 +717,9 @@ pub fn attach_router(
 /// # Panics
 ///
 /// Panics if the ports are neither wired to each other nor both
-/// router-attached, or if the options are inconsistent (e.g. `read_size`
-/// larger than `rcvbuf`).
+/// router-attached, if the options are inconsistent (e.g. `read_size`
+/// larger than `rcvbuf`), or if either stack's buffers would run past its
+/// cache model's reach ([`Cache::reach`]).
 pub fn open_connection(
     a: &StackRef,
     b: &StackRef,
@@ -750,6 +779,7 @@ fn install_endpoint(
     let rcv_user = st.alloc.alloc(opts.rcvbuf);
     let state_len = st.params.conn_state_bytes;
     let state = st.alloc.alloc(state_len);
+    st.check_reach();
     let rto_initial = st.params.rto_initial;
     st.conns.insert(
         id,
@@ -2421,6 +2451,41 @@ mod tests {
         assert!(
             (0.7..1.4).contains(&ratio),
             "unfair split: {m1:.0} vs {m2:.0}"
+        );
+    }
+
+    #[test]
+    fn connection_past_the_cache_reach_fails_at_open() {
+        // One 64 B line: 65 536 tags reach 4 MiB of address space. Each
+        // endpoint takes four 256 KB buffers and a state page, so three
+        // connections fit beside the header ring and a fourth does not.
+        let tiny = CacheConfig {
+            capacity: 64,
+            associativity: 1,
+            line_size: 64,
+        };
+        let params = StackParams::default();
+        let a = HostStack::with_cache("a", 1, params, IoatConfig::disabled(), tiny);
+        let b = HostStack::with_cache("b", 1, params, IoatConfig::disabled(), tiny);
+        assert_eq!(a.borrow().cache().borrow().reach(), 4 << 20);
+        let (pa, pb) = wire(&a, &b, Bandwidth::from_gbps(1), SimDuration::ZERO, false);
+        let opts = SocketOpts {
+            sndbuf: 256 * 1024,
+            rcvbuf: 256 * 1024,
+            ..SocketOpts::tuned()
+        };
+        for id in 1..=3 {
+            open_connection(&a, &b, pa, pb, opts, ConnId(id));
+        }
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            open_connection(&a, &b, pa, pb, opts, ConnId(4))
+        }))
+        .expect_err("the fourth connection runs past the reach");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.starts_with("host stack 'a': buffers need"), "{msg}");
+        assert!(
+            msg.ends_with("past the 4194304-byte reach of its 64 B, 1-way, 64 B-line cache model"),
+            "{msg}"
         );
     }
 }
