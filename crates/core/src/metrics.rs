@@ -46,12 +46,15 @@ impl ExperimentWindow {
         SimTime::ZERO + self.warmup + self.measure
     }
 
-    /// Runs `cluster` through warm-up, starts the byte meters on the given
-    /// nodes, runs the measurement window and returns `(from, to)`.
+    /// Runs `cluster` through warm-up, opens the measurement window on the
+    /// given nodes, runs it and returns `(from, to)`.
     pub fn execute(&self, cluster: &mut Cluster, nodes: &[NodeHandle]) -> (SimTime, SimTime) {
         cluster.run_until(self.from());
         for &n in nodes {
-            cluster.stack(n).borrow_mut().begin_measurement(self.from());
+            cluster
+                .stack(n)
+                .borrow_mut()
+                .begin_measurement(self.from(), self.to());
         }
         cluster.run_until(self.to());
         // Every figure harness funnels through here, so this one call

@@ -59,14 +59,14 @@ pub fn run(cfg: &BidirConfig, ioat: IoatConfig) -> ThroughputResult {
         stream(&sb, cluster.sim_mut(), hint, 1_000.0);
     }
 
-    let (from, to) = cfg.window.execute(&mut cluster, &[a, b]);
+    let (_, to) = cfg.window.execute(&mut cluster, &[a, b]);
     let sa = cluster.stack(a).borrow();
     let sb = cluster.stack(b).borrow();
     ThroughputResult {
         mbps: sa.rx_meter().mbps(to) + sb.rx_meter().mbps(to),
-        rx_cpu: sb.cpu_utilization(from, to),
-        tx_cpu: sa.cpu_utilization(from, to),
-        rx_occupancy: sb.cpu_occupancy(from, to),
+        rx_cpu: sb.cpu_utilization(),
+        tx_cpu: sa.cpu_utilization(),
+        rx_occupancy: sb.cpu_occupancy(),
     }
 }
 

@@ -80,14 +80,14 @@ pub fn run(cfg: &MultiStreamConfig, ioat: IoatConfig) -> ThroughputResult {
         stream(&s_tx, cluster.sim_mut(), hint, rate_mbps);
     }
 
-    let (from, to) = cfg.window.execute(&mut cluster, &[client, server]);
+    let (_, to) = cfg.window.execute(&mut cluster, &[client, server]);
     let rxs = cluster.stack(server).borrow();
     let txs = cluster.stack(client).borrow();
     ThroughputResult {
         mbps: rxs.rx_meter().mbps(to),
-        rx_cpu: rxs.cpu_utilization(from, to),
-        tx_cpu: txs.cpu_utilization(from, to),
-        rx_occupancy: rxs.cpu_occupancy(from, to),
+        rx_cpu: rxs.cpu_utilization(),
+        tx_cpu: txs.cpu_utilization(),
+        rx_occupancy: rxs.cpu_occupancy(),
     }
 }
 

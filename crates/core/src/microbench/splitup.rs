@@ -156,9 +156,9 @@ pub fn run_one_traced(
     audit_cycle_sum(&rxs, tracer, from, to);
     let result = ThroughputResult {
         mbps: rxs.rx_meter().mbps(to),
-        rx_cpu: rxs.cpu_utilization(from, to),
-        tx_cpu: txs.cpu_utilization(from, to),
-        rx_occupancy: rxs.cpu_occupancy(from, to),
+        rx_cpu: rxs.cpu_utilization(),
+        tx_cpu: txs.cpu_utilization(),
+        rx_occupancy: rxs.cpu_occupancy(),
     };
     (result, (from, to))
 }
@@ -204,7 +204,7 @@ fn audit_cycle_sum(
             }
         }
     }
-    let busy_ns = rx.cores().busy_between(from, to).as_nanos();
+    let busy_ns = rx.cores().busy().as_nanos();
     ioat_guard::check(
         "core/splitup",
         "Fig. 7 category cycles sum to measured busy time",

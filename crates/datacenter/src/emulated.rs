@@ -142,8 +142,8 @@ pub fn run(cfg: &EmulatedConfig) -> EmulatedResult {
         let srv = cluster.stack(server).borrow();
         EmulatedResult {
             tps: completed.borrow().window_total() as f64 / elapsed,
-            client_cpu: c.cpu_utilization(from, to),
-            server_cpu: srv.cpu_utilization(from, to),
+            client_cpu: c.cpu_utilization(),
+            server_cpu: srv.cpu_utilization(),
         }
     };
     result

@@ -299,8 +299,6 @@ struct GroupPart {
     host_ports: HashMap<usize, (StackRef, usize)>,
     proxies: Vec<NodeHandle>,
     webs: Vec<NodeHandle>,
-    from: SimTime,
-    to: SimTime,
 }
 
 fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg>) -> GroupPart {
@@ -464,11 +462,11 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
 
     // The engine runs straight to the horizon; meters open mid-run via a
     // scheduled reset instead of `ExperimentWindow::execute`'s pause.
-    let from = cfg.window.from();
+    let (from, to) = (cfg.window.from(), cfg.window.to());
     for &(_, h, _) in proxies.iter().chain(webs.iter()) {
         let stack = Rc::clone(cluster.stack(h));
         cluster.sim_mut().schedule_at(from, move |_sim| {
-            stack.borrow_mut().begin_measurement(from);
+            stack.borrow_mut().begin_measurement(from, to);
         });
     }
 
@@ -478,8 +476,6 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
         host_ports,
         proxies: proxies.iter().map(|&(_, h, _)| h).collect(),
         webs: webs.iter().map(|&(_, h, _)| h).collect(),
-        from,
-        to: cfg.window.to(),
     }
 }
 
@@ -597,7 +593,7 @@ impl Partition for DcPartition {
                 let tier_sum = |handles: &[NodeHandle]| {
                     handles
                         .iter()
-                        .map(|&h| p.cluster.stack(h).borrow().cpu_utilization(p.from, p.to))
+                        .map(|&h| p.cluster.stack(h).borrow().cpu_utilization())
                         .sum::<f64>()
                 };
                 DcOut::Group(GroupOut {
@@ -609,7 +605,7 @@ impl Partition for DcPartition {
                     proxy_occ_sum: p
                         .proxies
                         .iter()
-                        .map(|&h| p.cluster.stack(h).borrow().cpu_occupancy(p.from, p.to))
+                        .map(|&h| p.cluster.stack(h).borrow().cpu_occupancy())
                         .sum::<f64>(),
                     shed: p.shared.shed.get(),
                     hedges: p.shared.hedges.get(),

@@ -307,9 +307,9 @@ where
     let cache_hit_rate = cache.borrow().hit_rate();
     DataCenterResult {
         tps: shared.completed.window_total() as f64 / elapsed,
-        proxy_cpu: proxy_s.cpu_utilization(from, to),
-        web_cpu: web_s.cpu_utilization(from, to),
-        client_cpu: client_s.cpu_utilization(from, to),
+        proxy_cpu: proxy_s.cpu_utilization(),
+        web_cpu: web_s.cpu_utilization(),
+        client_cpu: client_s.cpu_utilization(),
         cache_hit_rate,
         latency_p50_us: shared.latency.quantile(0.5) as f64 / 1e3,
         latency_p99_us: shared.latency.quantile(0.99) as f64 / 1e3,

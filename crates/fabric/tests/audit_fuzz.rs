@@ -4,7 +4,7 @@
 //! 500 seeded fabric fault scenarios — random link-flap and switch-crash
 //! plans over the fat-tree, I/OAT on and off — each run on the hand-off
 //! path (see `common`) and checked against the fabric's own accounting
-//! audit and the six-term cluster conservation identity. Any seed that
+//! audit and the five-term cluster conservation identity. Any seed that
 //! trips an audit is a real conservation bug, and the failure message
 //! carries the seed for deterministic replay.
 //!
@@ -26,8 +26,8 @@ fn five_hundred_seeded_fabric_fault_runs_produce_zero_audit_violations() {
     // Random flap/crash plans over the same fat-tree shape `fig_fabric`
     // runs on (k=4 here — the quick-scale stand-in the determinism suite
     // also uses; debug builds cannot afford 1024-host sweeps). Every seed
-    // must satisfy the six-term conservation identity at quiescence:
-    // sent = arrived + lost + ring-dropped + switch-dropped + blackholed.
+    // must satisfy the five-term conservation identity at quiescence:
+    // sent = arrived + lost + switch-dropped + blackholed.
     for seed in 0u64..500 {
         let ioat = if seed % 2 == 0 {
             IoatConfig::full()

@@ -14,12 +14,6 @@
 //!   A corrupted frame is dropped at the receiver's CRC check, which is
 //!   indistinguishable from wire loss at this level, so the two are
 //!   folded into one model.
-//! * **NIC rx-ring overflow** (`rx_ring_slots`): a deterministic capacity
-//!   on frames accumulated between interrupts; arrivals beyond it are
-//!   dropped under backlog, RNG-free.
-//! * **DMA-channel failure windows** (`dma_down`): while a window is open
-//!   the copy engine is unavailable and deliveries transparently fall
-//!   back to the CPU `memcpy` path.
 //! * **Daemon crash–restart windows** ([`CrashWindow`]): a service id
 //!   (a PVFS I/O daemon) silently drops requests inside the window;
 //!   clients recover with timeouts, retries and failover governed by a
@@ -192,12 +186,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Egress frame loss on every link.
     pub loss: LossModel,
-    /// NIC rx-ring capacity in frames; arrivals past it are dropped.
-    /// `None` models an unbounded ring (today's behavior).
-    pub rx_ring_slots: Option<usize>,
-    /// Windows during which the DMA copy engine is unavailable and
-    /// deliveries fall back to the CPU copy path.
-    pub dma_down: Vec<TimeWindow>,
     /// Scheduled daemon crash–restart windows.
     pub crashes: Vec<CrashWindow>,
     /// Seed-driven fabric link flaps; consumed by the fabric, not the
@@ -239,12 +227,9 @@ impl FaultPlan {
     }
 
     /// True when the plan configures a fault the per-node injectors
-    /// consume (loss, ring capacity, DMA outages, daemon crashes).
+    /// consume (loss, daemon crashes).
     pub fn has_node_faults(&self) -> bool {
-        self.loss.is_active()
-            || self.rx_ring_slots.is_some()
-            || !self.dma_down.is_empty()
-            || !self.crashes.is_empty()
+        self.loss.is_active() || !self.crashes.is_empty()
     }
 
     /// True when the plan configures a fault the fabric consumes (link
@@ -259,17 +244,6 @@ impl FaultPlan {
     /// and the fabric's plan install) re-check here.
     pub fn validate(&self) {
         self.loss.validate();
-        if let Some(slots) = self.rx_ring_slots {
-            assert!(slots > 0, "FaultPlan: rx_ring_slots must be at least 1");
-        }
-        for w in &self.dma_down {
-            assert!(
-                w.from <= w.to,
-                "FaultPlan: dma_down window runs backwards ({:?} > {:?})",
-                w.from,
-                w.to
-            );
-        }
         for c in self.crashes.iter().chain(&self.switch_crashes) {
             assert!(
                 c.window.from <= c.window.to,
@@ -392,19 +366,6 @@ impl FaultInjector {
         }
     }
 
-    /// NIC hook: the rx-ring frame capacity, when one is configured.
-    pub fn rx_ring_slots(&self) -> Option<usize> {
-        self.inner.as_ref()?.borrow().plan.rx_ring_slots
-    }
-
-    /// Delivery hook: is the DMA copy engine down at `now`?
-    pub fn dma_down(&self, now: SimTime) -> bool {
-        match &self.inner {
-            None => false,
-            Some(inner) => inner.borrow().plan.dma_down.iter().any(|w| w.contains(now)),
-        }
-    }
-
     /// Daemon hook: is `service` inside one of its crash windows at `now`?
     pub fn service_down(&self, service: u32, now: SimTime) -> bool {
         match &self.inner {
@@ -444,8 +405,6 @@ mod tests {
         let inj = FaultInjector::new(&plan, 0);
         assert!(!inj.is_active());
         assert!(!inj.frame_lost(0));
-        assert!(inj.rx_ring_slots().is_none());
-        assert!(!inj.dma_down(SimTime::from_micros(10)));
         assert!(!inj.service_down(0, SimTime::from_micros(10)));
         assert_eq!(inj.daemon_drops(), 0);
     }
@@ -492,7 +451,6 @@ mod tests {
         assert!(w.contains(SimTime::from_micros(10)));
         assert!(!w.contains(SimTime::from_micros(20)));
         let plan = FaultPlan {
-            dma_down: vec![w],
             crashes: vec![CrashWindow {
                 service: 2,
                 window: w,
@@ -500,8 +458,6 @@ mod tests {
             ..FaultPlan::none()
         };
         let inj = FaultInjector::new(&plan, 0);
-        assert!(inj.dma_down(SimTime::from_micros(15)));
-        assert!(!inj.dma_down(SimTime::from_micros(25)));
         assert!(inj.service_down(2, SimTime::from_micros(15)));
         assert!(!inj.service_down(1, SimTime::from_micros(15)));
         inj.note_daemon_drop();

@@ -138,9 +138,6 @@ pub struct DmaStats {
     pub bytes: u64,
     /// Pages pinned across all requests.
     pub pages_pinned: u64,
-    /// Copies the stack wanted to offload but ran on the CPU instead
-    /// because the channel was unavailable (fault-injected down window).
-    pub cpu_fallbacks: u64,
     /// Copies whose completion callback has fired.
     pub completed_requests: u64,
     /// Bytes whose transfer has completed.
@@ -182,7 +179,7 @@ impl DmaEngine {
     pub fn new(config: DmaConfig, cache: Option<CacheRef>) -> Self {
         DmaEngine {
             config,
-            channel: Resource::new_ref("dma-chan"),
+            channel: Resource::new_ref(),
             cache,
             stats: DmaStats::default(),
             tracer: Tracer::disabled(),
@@ -213,16 +210,8 @@ impl DmaEngine {
         self.stats
     }
 
-    /// Records a copy that fell back to the CPU because the channel was
-    /// down. Pure bookkeeping — no cost is charged here; the caller runs
-    /// the copy through its CPU path.
-    pub fn note_fallback(&mut self) {
-        self.stats.cpu_fallbacks += 1;
-    }
-
     /// Conservation audit: completions never outrun postings — every byte
-    /// posted to the channel is either completed or still in flight
-    /// (fallbacks are never posted, so they appear in neither side). At a
+    /// posted to the channel is either completed or still in flight. At a
     /// drained queue `requests == completed_requests` additionally holds;
     /// the in-flight slack here keeps the check valid mid-run.
     pub fn audit(&self, component: &str, now: SimTime) {

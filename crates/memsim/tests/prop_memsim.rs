@@ -120,7 +120,7 @@ fn dma_channel_busy_time_is_additive() {
         let eng = engine.borrow();
         let chan = eng.channel().borrow();
         assert_eq!(
-            chan.meter().total_busy().as_nanos(),
+            chan.meter().busy().as_nanos(),
             expected.as_nanos(),
             "seed {seed}"
         );

@@ -3,13 +3,17 @@
 //! The testbed connects its six GigE ports through per-VLAN paths on a
 //! store-and-forward switch, so each port pair behaves as a dedicated
 //! full-duplex link: a serializing transmitter (one frame on the wire at a
-//! time) plus a fixed propagation/switching latency.
+//! time) plus a fixed propagation/switching latency. No figure reads a
+//! link's utilization, so the transmitter is only the instant its wire
+//! goes idle.
 
 use ioat_simcore::time::Bandwidth;
-use ioat_simcore::{Resource, ResourceRef, Sim, SimDuration, SimTime};
+use ioat_simcore::{Sim, SimDuration, SimTime};
+use std::cell::Cell;
 use std::rc::Rc;
 
-/// One direction of a link: a serializer and a delay.
+/// One direction of a link: a serializer and a delay. Clones share one
+/// serializer.
 ///
 /// ```rust
 /// use ioat_netsim::Link;
@@ -23,7 +27,8 @@ use std::rc::Rc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Link {
-    tx: ResourceRef,
+    /// The instant the last queued frame finishes serializing.
+    busy_until: Rc<Cell<SimTime>>,
     bandwidth: Bandwidth,
     latency: SimDuration,
 }
@@ -32,16 +37,15 @@ impl Link {
     /// Creates a link with the given line rate and one-way latency.
     ///
     /// # Panics
-    /// A zero line rate would make every transfer time infinite (and the
-    /// utilization math divide by zero), so it is rejected here instead of
-    /// surfacing as a hang deep inside a run.
+    /// A zero line rate would make every transfer time infinite, so it is
+    /// rejected here instead of surfacing as a hang deep inside a run.
     pub fn new(name: &str, bandwidth: Bandwidth, latency: SimDuration) -> Self {
         assert!(
             bandwidth.as_bps() > 0,
             "link '{name}' configured with zero bandwidth — transfers would never complete"
         );
         Link {
-            tx: Resource::new_ref(format!("link-{name}")),
+            busy_until: Rc::new(Cell::new(SimTime::ZERO)),
             bandwidth,
             latency,
         }
@@ -63,40 +67,36 @@ impl Link {
     ///
     /// The serialization end is a pure function of the transmitter's
     /// backlog, so the delivery is scheduled directly at `end + latency`
-    /// with [`Resource::consume`] doing the busy accounting — one event
-    /// per frame instead of the former two (serialize-completion +
-    /// delivery). `schedule_deferred` keys the delivery at the serialize
-    /// end, so same-instant ties resolve exactly as if the old relay
-    /// event had scheduled it: execution order is bit-identical.
+    /// — one event per frame instead of the former two
+    /// (serialize-completion + delivery). `schedule_deferred` keys the
+    /// delivery at the serialize end, so same-instant ties resolve
+    /// exactly as if the old relay event had scheduled it: execution
+    /// order is bit-identical.
     pub fn transmit<F>(&self, sim: &mut Sim, wire_bytes: u64, deliver: F) -> SimTime
     where
         F: FnOnce(&mut Sim) + 'static,
     {
-        let serialize = self.bandwidth.transfer_time(wire_bytes);
-        let done = self.tx.borrow_mut().consume(sim, serialize);
+        let done = self.serialize(sim, wire_bytes);
         let arrive = done + self.latency;
         sim.schedule_deferred(done, arrive, deliver);
         arrive
     }
 
     /// Serializes `wire_bytes` onto the link for a frame that will never
-    /// arrive (fault injection): the transmitter's busy accounting is
-    /// identical to [`Link::transmit`], but no delivery event is
-    /// scheduled. Returns the instant the frame would have arrived.
+    /// arrive (fault injection): the wire is occupied exactly as by
+    /// [`Link::transmit`], but no delivery event is scheduled. Returns
+    /// the instant the frame would have arrived.
     pub fn transmit_dropped(&self, sim: &mut Sim, wire_bytes: u64) -> SimTime {
-        let serialize = self.bandwidth.transfer_time(wire_bytes);
-        self.tx.borrow_mut().consume(sim, serialize) + self.latency
+        self.serialize(sim, wire_bytes) + self.latency
     }
 
-    /// Bytes-per-second utilization bookkeeping: fraction of `[from, to)`
-    /// the transmitter was busy.
-    pub fn utilization_between(&self, from: SimTime, to: SimTime) -> f64 {
-        self.tx.borrow().meter().utilization_between(from, to)
-    }
-
-    /// The transmitter resource (for tests and detailed accounting).
-    pub fn transmitter(&self) -> ResourceRef {
-        Rc::clone(&self.tx)
+    /// Queues `wire_bytes` behind the frames already on the wire and
+    /// returns the instant they finish serializing.
+    fn serialize(&self, sim: &mut Sim, wire_bytes: u64) -> SimTime {
+        let start = self.busy_until.get().max(sim.now());
+        let done = start + self.bandwidth.transfer_time(wire_bytes);
+        self.busy_until.set(done);
+        done
     }
 }
 
@@ -112,7 +112,8 @@ mod tests {
         let deliveries = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..3 {
             let d = Rc::clone(&deliveries);
-            link.transmit(&mut sim, 1_500, move |sim| {
+            // Each frame goes through its own clone: clones share the wire.
+            link.clone().transmit(&mut sim, 1_500, move |sim| {
                 d.borrow_mut().push(sim.now().as_nanos());
             });
         }
@@ -182,7 +183,5 @@ mod tests {
         let end = sim.run();
         // 1250 B at 1 Gbps = 10 us per frame; n frames + 5 us latency.
         assert_eq!(end.as_nanos(), n * 10_000 + 5_000);
-        let util = link.utilization_between(SimTime::ZERO, SimTime::from_nanos(n * 10_000));
-        assert!((util - 1.0).abs() < 1e-9);
     }
 }

@@ -149,9 +149,12 @@ fn runs_are_reproducible() {
                 opts,
                 ConnId(1),
             );
+            // Opened before the run, over a window longer than any transfer.
+            b.borrow_mut()
+                .begin_measurement(SimTime::ZERO, SimTime::from_secs(1));
             sa.send(&mut sim, total);
             let end = sim.run();
-            let util = b.borrow().cpu_utilization(SimTime::ZERO, end);
+            let util = b.borrow().cpu_utilization();
             let bytes = b.borrow().rx_meter().total_bytes();
             (end, util.to_bits(), bytes)
         };

@@ -306,8 +306,8 @@ fn run_traced_modes(
         }
         PvfsResult {
             mbytes_per_sec: done.borrow().window_total() as f64 / 1e6 / elapsed,
-            client_cpu: cs.cpu_utilization(from, to),
-            server_cpu: ss.cpu_utilization(from, to),
+            client_cpu: cs.cpu_utilization(),
+            server_cpu: ss.cpu_utilization(),
             opens: *opens.borrow(),
             timeouts: fs.timeouts,
             retries: fs.retries,

@@ -8,8 +8,8 @@
 //!   closures with deterministic tie-breaking, event cancellation and
 //!   run-until-limit execution.
 //! * [`resource`] — non-preemptive serialized resources ([`Resource`]) used
-//!   to model CPU cores, DMA channels and link transmitters, plus
-//!   utilization accounting over measurement windows.
+//!   to model CPU cores and DMA channels, each summing its busy time
+//!   inside one measurement window.
 //! * [`stats`] — counters, rate meters, summaries and log-scale histograms.
 //! * [`rng`] — a seedable, reproducible random-number source.
 //!

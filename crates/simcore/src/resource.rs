@@ -1,11 +1,11 @@
 //! Serialized resources and utilization accounting.
 //!
 //! A [`Resource`] models anything that can do one thing at a time: a CPU
-//! core, a DMA channel, a link transmitter, a disk head. Work is submitted
-//! as `(duration, completion-action)` pairs; the resource executes jobs
-//! back-to-back in FIFO order and records its busy intervals so that
-//! experiments can compute utilization over an arbitrary measurement
-//! window — the paper's headline "CPU utilization" metric.
+//! core, a DMA channel, a disk head. Work is submitted as
+//! `(duration, completion-action)` pairs; the resource executes jobs
+//! back-to-back in FIFO order and sums its busy time inside one
+//! measurement window — the steady-state window after warm-up over which
+//! the paper reports its headline "CPU utilization".
 
 use crate::engine::Sim;
 use crate::time::{SimDuration, SimTime};
@@ -18,23 +18,48 @@ use std::rc::Rc;
 /// simulation is single-threaded, so `Rc<RefCell<_>>` is the right tool.
 pub type ResourceRef = Rc<RefCell<Resource>>;
 
-/// Accumulates non-overlapping busy intervals and answers utilization
-/// queries over arbitrary windows.
+/// Sums the busy time that falls inside one measurement window
+/// `[from, to)`.
 ///
-/// Intervals must be reported in non-decreasing start order (which a FIFO
-/// resource guarantees); adjacent intervals are merged so a saturated
-/// resource costs O(1) memory.
-#[derive(Debug, Clone, Default)]
+/// Busy runs must be reported in start order without overlap, which a
+/// FIFO resource guarantees. The meter keeps only the latest run (merged
+/// with any run that starts where it ends). A FIFO resource starts each
+/// job at `max(busy_until, now)`, so at any instant only that run can
+/// reach past `now`: every earlier run has already ended. Opening the
+/// window at or before its start instant therefore loses nothing, and
+/// the meter holds O(1) state however long the simulation runs. A meter
+/// that is never opened measures `[0, SimTime::MAX)`, so its
+/// [`busy`](Self::busy) is the whole-run total.
+#[derive(Debug, Clone, Copy)]
 pub struct UtilizationMeter {
-    /// Closed-open busy intervals, sorted, non-overlapping, merged.
-    intervals: Vec<(SimTime, SimTime)>,
-    total_busy: SimDuration,
+    from: SimTime,
+    to: SimTime,
+    busy: SimDuration,
+    /// The latest busy run `[start, end)`.
+    last: (SimTime, SimTime),
+}
+
+impl Default for UtilizationMeter {
+    fn default() -> Self {
+        UtilizationMeter {
+            from: SimTime::ZERO,
+            to: SimTime::MAX,
+            busy: SimDuration::ZERO,
+            last: (SimTime::ZERO, SimTime::ZERO),
+        }
+    }
 }
 
 impl UtilizationMeter {
-    /// Creates an empty meter.
+    /// Creates an empty meter measuring `[0, SimTime::MAX)`.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The part of `[start, end)` inside the window.
+    fn overlap(&self, start: SimTime, end: SimTime) -> SimDuration {
+        end.min(self.to)
+            .saturating_duration_since(start.max(self.from))
     }
 
     /// Records a busy interval `[start, end)`.
@@ -49,54 +74,51 @@ impl UtilizationMeter {
         if start == end {
             return;
         }
-        if let Some(last) = self.intervals.last_mut() {
-            assert!(
-                start >= last.1,
-                "busy intervals must be reported in order: {start} < {}",
-                last.1
-            );
-            if start == last.1 {
-                last.1 = end;
-                self.total_busy += end - start;
-                return;
-            }
+        assert!(
+            start >= self.last.1,
+            "busy intervals must be reported in order: {start} < {}",
+            self.last.1
+        );
+        self.busy += self.overlap(start, end);
+        if start == self.last.1 {
+            self.last.1 = end;
+        } else {
+            self.last = (start, end);
         }
-        self.total_busy += end - start;
-        self.intervals.push((start, end));
     }
 
-    /// Total busy time ever recorded.
-    pub fn total_busy(&self) -> SimDuration {
-        self.total_busy
+    /// Opens the measurement window `[from, to)`: from now on only busy
+    /// time inside it counts, and the latest run counts for its overlap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from > to`, or if the latest busy run began after
+    /// `from` — the runs before it, which may overlap the window, are no
+    /// longer kept. Opening at the simulated instant `from` (or earlier)
+    /// never trips this.
+    pub fn open(&mut self, from: SimTime, to: SimTime) {
+        assert!(
+            from <= to,
+            "measurement window runs backwards: {from} > {to}"
+        );
+        assert!(
+            self.last.0 <= from,
+            "measurement window [{from}, {to}) opened after a busy run began at {}",
+            self.last.0
+        );
+        self.from = from;
+        self.to = to;
+        self.busy = self.overlap(self.last.0, self.last.1);
     }
 
-    /// Busy time that falls inside `[from, to)`.
-    pub fn busy_between(&self, from: SimTime, to: SimTime) -> SimDuration {
-        if to <= from {
-            return SimDuration::ZERO;
-        }
-        // Binary search for the first interval that might intersect.
-        let idx = self.intervals.partition_point(|&(_, end)| end <= from);
-        let mut busy = SimDuration::ZERO;
-        for &(s, e) in &self.intervals[idx..] {
-            if s >= to {
-                break;
-            }
-            let lo = s.max(from);
-            let hi = e.min(to);
-            if hi > lo {
-                busy += hi - lo;
-            }
-        }
-        busy
+    /// The measurement window `[from, to)`.
+    pub fn window(&self) -> (SimTime, SimTime) {
+        (self.from, self.to)
     }
 
-    /// Fraction of `[from, to)` this resource was busy, in `[0, 1]`.
-    pub fn utilization_between(&self, from: SimTime, to: SimTime) -> f64 {
-        if to <= from {
-            return 0.0;
-        }
-        self.busy_between(from, to).as_nanos() as f64 / (to - from).as_nanos() as f64
+    /// Busy time recorded inside the window.
+    pub fn busy(&self) -> SimDuration {
+        self.busy
     }
 }
 
@@ -110,7 +132,7 @@ impl UtilizationMeter {
 /// use ioat_simcore::{Resource, Sim, SimDuration};
 ///
 /// let mut sim = Sim::new();
-/// let core = Resource::new_ref("cpu0");
+/// let core = Resource::new_ref();
 /// // Two 10us jobs submitted together finish at 10us and 20us.
 /// core.borrow_mut().run_job(&mut sim, SimDuration::from_micros(10), |_| {});
 /// let done = core
@@ -119,54 +141,26 @@ impl UtilizationMeter {
 /// assert_eq!(done.as_nanos(), 20_000);
 /// sim.run();
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Resource {
-    name: String,
     busy_until: SimTime,
     meter: UtilizationMeter,
-    jobs_completed: u64,
 }
 
 impl Resource {
     /// Creates a resource that is idle at time zero.
-    pub fn new(name: impl Into<String>) -> Self {
-        Resource {
-            name: name.into(),
-            busy_until: SimTime::ZERO,
-            meter: UtilizationMeter::new(),
-            jobs_completed: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Creates a shared handle to a new resource.
-    pub fn new_ref(name: impl Into<String>) -> ResourceRef {
-        Rc::new(RefCell::new(Resource::new(name)))
-    }
-
-    /// The resource's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The instant at which all currently queued work completes.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// True when the resource has no queued work at the current instant.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.busy_until <= now
+    pub fn new_ref() -> ResourceRef {
+        Rc::new(RefCell::new(Resource::new()))
     }
 
     /// Queueing delay a job submitted now would experience before starting.
     pub fn backlog_at(&self, now: SimTime) -> SimDuration {
         self.busy_until.saturating_duration_since(now)
-    }
-
-    /// Number of jobs that have been submitted (the completion action may
-    /// not have fired yet for the most recent ones).
-    pub fn jobs_completed(&self) -> u64 {
-        self.jobs_completed
     }
 
     /// Submits a job of length `duration`; `on_complete` fires when it
@@ -182,20 +176,14 @@ impl Resource {
         let end = start + duration;
         self.meter.record(start, end);
         self.busy_until = end;
-        self.jobs_completed += 1;
         sim.schedule_at(end, on_complete);
         end
     }
 
-    /// Submits a job without a completion callback; the busy time is still
-    /// accounted. Returns the completion instant.
-    pub fn consume(&mut self, sim: &mut Sim, duration: SimDuration) -> SimTime {
-        let start = self.busy_until.max(sim.now());
-        let end = start + duration;
-        self.meter.record(start, end);
-        self.busy_until = end;
-        self.jobs_completed += 1;
-        end
+    /// Opens the meter's measurement window (see
+    /// [`UtilizationMeter::open`]).
+    pub fn open_window(&mut self, from: SimTime, to: SimTime) {
+        self.meter.open(from, to);
     }
 
     /// Busy-time accounting for this resource.
@@ -215,17 +203,15 @@ pub struct ResourcePool {
 }
 
 impl ResourcePool {
-    /// Creates a pool of `n` resources named `{prefix}{index}`.
+    /// Creates a pool of `n` resources.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn new(prefix: &str, n: usize) -> Self {
+    pub fn new(n: usize) -> Self {
         assert!(n > 0, "a resource pool needs at least one member");
         ResourcePool {
-            members: (0..n)
-                .map(|i| Resource::new_ref(format!("{prefix}{i}")))
-                .collect(),
+            members: (0..n).map(|_| Resource::new_ref()).collect(),
         }
     }
 
@@ -253,14 +239,8 @@ impl ResourcePool {
         &self.members
     }
 
-    /// The member with the least queued work at `now` (ties broken by
-    /// lowest index, keeping runs deterministic).
-    pub fn least_loaded(&self, now: SimTime) -> &ResourceRef {
-        self.member(self.least_loaded_index(now))
-    }
-
-    /// Index of the member [`ResourcePool::least_loaded`] would pick —
-    /// for callers that also need to attribute the work to a core.
+    /// Index of the member with the least queued work at `now` (ties
+    /// broken by lowest index, keeping runs deterministic).
     pub fn least_loaded_index(&self, now: SimTime) -> usize {
         self.members
             .iter()
@@ -270,22 +250,28 @@ impl ResourcePool {
             .0
     }
 
-    /// Aggregate busy time across members within `[from, to)`.
-    pub fn busy_between(&self, from: SimTime, to: SimTime) -> SimDuration {
-        self.members
-            .iter()
-            .map(|r| r.borrow().meter().busy_between(from, to))
-            .sum()
+    /// Opens every member's measurement window `[from, to)`.
+    pub fn open_window(&self, from: SimTime, to: SimTime) {
+        for r in &self.members {
+            r.borrow_mut().open_window(from, to);
+        }
     }
 
-    /// Mean utilization across all members within `[from, to)` — the
-    /// paper's "overall CPU utilization" for a node.
-    pub fn utilization_between(&self, from: SimTime, to: SimTime) -> f64 {
+    /// Aggregate busy time across members inside their windows.
+    pub fn busy(&self) -> SimDuration {
+        self.members.iter().map(|r| r.borrow().meter().busy()).sum()
+    }
+
+    /// Mean utilization across all members over the window
+    /// [`ResourcePool::open_window`] set — the paper's "overall CPU
+    /// utilization" for a node.
+    pub fn utilization(&self) -> f64 {
+        let (from, to) = self.members[0].borrow().meter().window();
         if to <= from {
             return 0.0;
         }
         let window = (to - from).as_nanos() as f64 * self.members.len() as f64;
-        self.busy_between(from, to).as_nanos() as f64 / window
+        self.busy().as_nanos() as f64 / window
     }
 }
 
@@ -293,24 +279,27 @@ impl ResourcePool {
 mod tests {
     use super::*;
 
+    fn t(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
     #[test]
     fn jobs_serialize_fifo() {
         let mut sim = Sim::new();
-        let r = Resource::new_ref("r");
+        let r = Resource::new_ref();
         let d = SimDuration::from_micros(10);
         let t1 = r.borrow_mut().run_job(&mut sim, d, |_| {});
         let t2 = r.borrow_mut().run_job(&mut sim, d, |_| {});
         assert_eq!(t1, SimTime::from_micros(10));
         assert_eq!(t2, SimTime::from_micros(20));
         sim.run();
-        assert_eq!(r.borrow().jobs_completed(), 2);
-        assert_eq!(r.borrow().meter().total_busy(), d * 2);
+        assert_eq!(r.borrow().meter().busy(), d * 2);
     }
 
     #[test]
     fn idle_gaps_do_not_count_as_busy() {
         let mut sim = Sim::new();
-        let r = Resource::new_ref("r");
+        let r = Resource::new_ref();
         let rr = Rc::clone(&r);
         r.borrow_mut()
             .run_job(&mut sim, SimDuration::from_micros(1), move |sim| {
@@ -321,88 +310,79 @@ mod tests {
                 });
             });
         sim.run();
-        let m = r.borrow();
-        let meter = m.meter();
-        assert_eq!(meter.total_busy(), SimDuration::from_micros(2));
-        let util = meter.utilization_between(SimTime::ZERO, SimTime::from_micros(11));
-        assert!((util - 2.0 / 11.0).abs() < 1e-9, "util = {util}");
+        assert_eq!(r.borrow().meter().busy(), SimDuration::from_micros(2));
     }
 
     #[test]
-    fn utilization_window_clips_intervals() {
+    fn window_clips_runs_that_cross_its_edges() {
         let mut m = UtilizationMeter::new();
-        m.record(SimTime::from_nanos(10), SimTime::from_nanos(20));
-        m.record(SimTime::from_nanos(30), SimTime::from_nanos(40));
-        // Window covering half of each interval.
-        let busy = m.busy_between(SimTime::from_nanos(15), SimTime::from_nanos(35));
-        assert_eq!(busy, SimDuration::from_nanos(10));
-        assert_eq!(
-            m.busy_between(SimTime::from_nanos(20), SimTime::from_nanos(30)),
-            SimDuration::ZERO
-        );
-        assert_eq!(
-            m.busy_between(SimTime::from_nanos(40), SimTime::from_nanos(10)),
-            SimDuration::ZERO,
-            "inverted window is empty"
-        );
+        m.record(t(10), t(20));
+        // Opened while [10, 20) is the latest run: only its part past 15
+        // counts, then [30, 40) counts up to the window end.
+        m.open(t(15), t(35));
+        m.record(t(30), t(40));
+        assert_eq!(m.busy(), SimDuration::from_nanos(10));
+        assert_eq!(m.window(), (t(15), t(35)));
     }
 
     #[test]
     fn adjacent_intervals_merge() {
         let mut m = UtilizationMeter::new();
-        m.record(SimTime::from_nanos(0), SimTime::from_nanos(10));
-        m.record(SimTime::from_nanos(10), SimTime::from_nanos(20));
-        assert_eq!(m.intervals.len(), 1);
-        assert_eq!(m.total_busy(), SimDuration::from_nanos(20));
+        m.record(t(0), t(10));
+        m.record(t(10), t(20));
+        assert_eq!(m.last, (t(0), t(20)));
+        assert_eq!(m.busy(), SimDuration::from_nanos(20));
     }
 
     #[test]
     #[should_panic(expected = "must be reported in order")]
     fn overlapping_intervals_panic() {
         let mut m = UtilizationMeter::new();
-        m.record(SimTime::from_nanos(0), SimTime::from_nanos(10));
-        m.record(SimTime::from_nanos(5), SimTime::from_nanos(15));
+        m.record(t(0), t(10));
+        m.record(t(5), t(15));
+    }
+
+    #[test]
+    #[should_panic(expected = "opened after a busy run began")]
+    fn opening_after_a_later_run_began_panics() {
+        let mut m = UtilizationMeter::new();
+        m.record(t(0), t(10));
+        m.record(t(20), t(30));
+        m.open(t(15), t(40));
     }
 
     #[test]
     fn pool_dispatches_to_least_loaded() {
         let mut sim = Sim::new();
-        let pool = ResourcePool::new("core", 2);
+        let pool = ResourcePool::new(2);
+        pool.open_window(SimTime::ZERO, SimTime::from_micros(100));
         pool.member(0)
             .borrow_mut()
             .run_job(&mut sim, SimDuration::from_micros(100), |_| {});
-        let pick = pool.least_loaded(sim.now());
-        assert_eq!(pick.borrow().name(), "core1");
-        pick.borrow_mut()
+        let pick = pool.least_loaded_index(sim.now());
+        assert_eq!(pick, 1);
+        pool.member(pick)
+            .borrow_mut()
             .run_job(&mut sim, SimDuration::from_micros(10), |_| {});
         sim.run();
         // Overall utilization over 100us on 2 cores: (100 + 10) / 200.
-        let u = pool.utilization_between(SimTime::ZERO, SimTime::from_micros(100));
+        let u = pool.utilization();
         assert!((u - 0.55).abs() < 1e-9, "u = {u}");
-    }
-
-    #[test]
-    fn consume_accounts_busy_without_callback() {
-        let mut sim = Sim::new();
-        let r = Resource::new_ref("r");
-        let end = r.borrow_mut().consume(&mut sim, SimDuration::from_nanos(7));
-        assert_eq!(end, SimTime::from_nanos(7));
-        assert_eq!(r.borrow().meter().total_busy(), SimDuration::from_nanos(7));
-        assert_eq!(sim.events_pending(), 0);
     }
 
     #[test]
     fn backlog_reflects_queued_work() {
         let mut sim = Sim::new();
-        let r = Resource::new_ref("r");
-        assert!(r.borrow().is_idle_at(sim.now()));
+        let r = Resource::new_ref();
         r.borrow_mut()
             .run_job(&mut sim, SimDuration::from_micros(3), |_| {});
         assert_eq!(
             r.borrow().backlog_at(SimTime::ZERO),
             SimDuration::from_micros(3)
         );
-        assert!(!r.borrow().is_idle_at(SimTime::ZERO));
-        assert!(r.borrow().is_idle_at(SimTime::from_micros(3)));
+        assert_eq!(
+            r.borrow().backlog_at(SimTime::from_micros(3)),
+            SimDuration::ZERO
+        );
     }
 }

@@ -132,25 +132,6 @@ impl SimRng {
         self.uniform() < p.clamp(0.0, 1.0)
     }
 
-    /// Picks an index in `[0, weights.len())` proportional to `weights`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to a non-positive value.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weighted_index on empty slice");
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weights must sum to a positive value");
-        let mut x = self.uniform() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            x -= w;
-            if x <= 0.0 {
-                return i;
-            }
-        }
-        weights.len() - 1
-    }
-
     /// Snapshot of the internal state — equal states produce equal future
     /// streams. Used by determinism tests to prove two runs consumed the
     /// generator identically.
@@ -282,19 +263,6 @@ mod tests {
             seen[rng.range(0, 7) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all values hit: {seen:?}");
-    }
-
-    #[test]
-    fn weighted_index_tracks_weights() {
-        let mut rng = SimRng::seed_from(11);
-        let weights = [1.0, 0.0, 3.0];
-        let mut hits = [0u32; 3];
-        for _ in 0..40_000 {
-            hits[rng.weighted_index(&weights)] += 1;
-        }
-        assert_eq!(hits[1], 0);
-        let frac = hits[2] as f64 / 40_000.0;
-        assert!((frac - 0.75).abs() < 0.02, "frac = {frac}");
     }
 
     #[test]

@@ -67,14 +67,6 @@ impl Counter {
     }
 }
 
-/// Converts a byte counter window into the paper's Mbps (10^6 bits/s).
-pub fn bytes_to_mbps(bytes: u64, elapsed: SimDuration) -> f64 {
-    if elapsed.is_zero() {
-        return 0.0;
-    }
-    bytes as f64 * 8.0 / 1e6 / elapsed.as_secs_f64()
-}
-
 /// A windowed throughput meter: counts bytes and reports Mbps/MBps over a
 /// measurement window, excluding warm-up.
 #[derive(Debug, Clone, Default)]
@@ -485,11 +477,5 @@ mod tests {
         // Throughput: 9754 vs 8569 TPS → ~13.8% improvement (paper: 14%).
         let imp = relative_improvement(9754.0, 8569.0);
         assert!((imp - 0.1383).abs() < 1e-3, "imp = {imp}");
-    }
-
-    #[test]
-    fn unit_conversions() {
-        assert!((bytes_to_mbps(1_250_000, SimDuration::from_secs(1)) - 10.0).abs() < 1e-9);
-        assert_eq!(bytes_to_mbps(1, SimDuration::ZERO), 0.0);
     }
 }

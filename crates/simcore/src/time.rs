@@ -310,7 +310,7 @@ impl fmt::Display for SimDuration {
 ///
 /// ```rust
 /// use ioat_simcore::time::Bandwidth;
-/// let gige = Bandwidth::from_mbps(1_000);
+/// let gige = Bandwidth::from_gbps(1);
 /// // A 1500-byte frame takes 12 microseconds at line rate.
 /// assert_eq!(gige.transfer_time(1_500).as_nanos(), 12_000);
 /// ```
@@ -329,11 +329,6 @@ impl Bandwidth {
     pub fn from_bps(bps: u64) -> Self {
         assert!(bps > 0, "bandwidth must be positive");
         Bandwidth { bits_per_sec: bps }
-    }
-
-    /// Creates a bandwidth of `mbps` megabits (10^6 bits) per second.
-    pub fn from_mbps(mbps: u64) -> Self {
-        Bandwidth::from_bps(mbps * 1_000_000)
     }
 
     /// Creates a bandwidth of `gbps` gigabits (10^9 bits) per second.

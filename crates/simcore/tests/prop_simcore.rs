@@ -66,30 +66,127 @@ fn final_clock_is_last_event_time() {
     }
 }
 
-/// Utilization is always within [0, 1] and busy_between is additive over
-/// a partition of the window.
+/// The interval-log meter [`UtilizationMeter`] replaced: every merged busy
+/// run of the whole simulation, answering any window after the fact.
+#[derive(Default)]
+struct IntervalLog {
+    /// Closed-open busy intervals, sorted, non-overlapping, merged.
+    intervals: Vec<(SimTime, SimTime)>,
+}
+
+impl IntervalLog {
+    fn record(&mut self, start: SimTime, end: SimTime) {
+        assert!(start <= end, "busy interval ends before it starts");
+        if start == end {
+            return;
+        }
+        if let Some(last) = self.intervals.last_mut() {
+            assert!(start >= last.1, "busy intervals must be reported in order");
+            if start == last.1 {
+                last.1 = end;
+                return;
+            }
+        }
+        self.intervals.push((start, end));
+    }
+
+    fn busy_between(&self, from: SimTime, to: SimTime) -> SimDuration {
+        if to <= from {
+            return SimDuration::ZERO;
+        }
+        let idx = self.intervals.partition_point(|&(_, end)| end <= from);
+        let mut busy = SimDuration::ZERO;
+        for &(s, e) in &self.intervals[idx..] {
+            if s >= to {
+                break;
+            }
+            let lo = s.max(from);
+            let hi = e.min(to);
+            if hi > lo {
+                busy += hi - lo;
+            }
+        }
+        busy
+    }
+}
+
+/// A random FIFO job stream: `(submit, duration)` pairs in submit order,
+/// with idle gaps, back-to-back submissions that queue behind a busy
+/// run, and zero-length jobs.
+fn job_stream(rng: &mut SimRng) -> Vec<(SimTime, SimDuration)> {
+    let mut now = 0u64;
+    vec_of(rng, 1, 120, |r| {
+        now += match r.range(0, 3) {
+            0 => 0,
+            1 => r.range(0, 20),
+            _ => r.range(0, 400),
+        };
+        (
+            SimTime::from_nanos(now),
+            SimDuration::from_nanos(r.range(0, 60)),
+        )
+    })
+}
+
+/// The windowed meter sums exactly what the interval log reports for the
+/// same window, wherever the window lies: opened before the first record,
+/// or at any instant up to `from` — including while a busy run crosses
+/// `from` and/or `to`.
 #[test]
-fn utilization_meter_is_consistent() {
+fn windowed_meter_matches_the_interval_log() {
     for seed in 0..CASES {
         let mut rng = SimRng::seed_from(seed);
-        let gaps = vec_of(&mut rng, 1, 100, |r| (r.range(0, 50), r.range(1, 50)));
-        let split = rng.range(0, 5_000);
+        let jobs = job_stream(&mut rng);
+        // Replay the FIFO server once to learn where the busy runs lie.
+        let mut busy_until = SimTime::ZERO;
+        let mut log = IntervalLog::default();
+        let runs: Vec<(SimTime, SimTime)> = jobs
+            .iter()
+            .map(|&(at, d)| {
+                let start = busy_until.max(at);
+                busy_until = start + d;
+                log.record(start, busy_until);
+                (start, busy_until)
+            })
+            .collect();
+        let horizon = busy_until.as_nanos() + 50;
+        // Window edges: anywhere, or inside a busy run so it crosses them.
+        let edge = |r: &mut SimRng| {
+            let (s, e) = runs[r.range(0, runs.len() as u64) as usize];
+            if r.chance(0.5) && e > s {
+                r.range(s.as_nanos(), e.as_nanos())
+            } else {
+                r.range(0, horizon)
+            }
+        };
+        let (a, b) = (edge(&mut rng), edge(&mut rng));
+        let (from, to) = (SimTime::from_nanos(a.min(b)), SimTime::from_nanos(a.max(b)));
+        // Open before the first record, or at a random instant <= `from`;
+        // jobs submitted at that very instant land on either side.
+        let open_at = if rng.chance(0.25) {
+            None
+        } else {
+            Some(SimTime::from_nanos(rng.range(0, from.as_nanos() + 1)))
+        };
         let mut m = UtilizationMeter::new();
-        let mut t = 0u64;
-        for &(gap, busy) in &gaps {
-            let start = t + gap;
-            let end = start + busy;
-            m.record(SimTime::from_nanos(start), SimTime::from_nanos(end));
-            t = end;
+        let mut opened = false;
+        for (&(at, _), &(start, end)) in jobs.iter().zip(&runs) {
+            let due = open_at.is_none_or(|o| at > o || (at == o && rng.chance(0.5)));
+            if due && !opened {
+                m.open(from, to);
+                opened = true;
+            }
+            m.record(start, end);
         }
-        let total = SimTime::from_nanos(t);
-        let u = m.utilization_between(SimTime::ZERO, total);
-        assert!((0.0..=1.0 + 1e-12).contains(&u), "seed {seed}: u = {u}");
-        // Additivity across a split point.
-        let mid = SimTime::from_nanos(split.min(t));
-        let a = m.busy_between(SimTime::ZERO, mid);
-        let b = m.busy_between(mid, total);
-        assert_eq!(a + b, m.total_busy(), "seed {seed}");
+        if !opened {
+            m.open(from, to);
+        }
+        assert_eq!(m.window(), (from, to), "seed {seed}");
+        assert_eq!(
+            m.busy(),
+            log.busy_between(from, to),
+            "seed {seed}: window [{from}, {to}), opened at {open_at:?}"
+        );
     }
 }
 
