@@ -17,7 +17,7 @@ pub mod report;
 pub mod sweep;
 
 use ioat_core::metrics::ExperimentWindow;
-use ioat_core::microbench::{bandwidth, bidirectional, copybench, multistream, sockopts, splitup};
+use ioat_core::microbench::{bandwidth, bidirectional, copybench, multistream, splitup};
 use ioat_core::{IoatConfig, SocketOpts};
 use ioat_datacenter::emulated::{self, EmulatedConfig};
 use ioat_datacenter::run_partitioned;
@@ -441,7 +441,7 @@ fn sockopt_fig(
     jobs: usize,
     bidirectional: bool,
 ) -> FigureResult {
-    let cfg = sockopts::SweepConfig { ports: 6, window };
+    let ports = 6;
     compare_figure(
         name,
         title,
@@ -449,17 +449,25 @@ fn sockopt_fig(
         SocketOpts::all_cases().to_vec(),
         jobs,
         move |(label, opts)| {
-            let r = if bidirectional {
-                sockopts::case_bidirectional(&cfg, label, opts)
+            let c = if bidirectional {
+                bidirectional::compare(&bidirectional::BidirConfig {
+                    ports,
+                    opts,
+                    window,
+                })
             } else {
-                sockopts::case_bandwidth(&cfg, label, opts)
+                bandwidth::compare(&bandwidth::BandwidthConfig {
+                    ports,
+                    opts,
+                    window,
+                })
             };
             Row {
-                label: r.case,
-                non_ioat: r.comparison.non_ioat.mbps,
-                ioat: r.comparison.ioat.mbps,
-                non_cpu: r.comparison.non_ioat.rx_cpu,
-                ioat_cpu: r.comparison.ioat.rx_cpu,
+                label: label.to_string(),
+                non_ioat: c.non_ioat.mbps,
+                ioat: c.ioat.mbps,
+                non_cpu: c.non_ioat.rx_cpu,
+                ioat_cpu: c.ioat.rx_cpu,
             }
         },
     )
@@ -1357,10 +1365,10 @@ pub fn run_figure_supervised(
 /// companion event CSV next to it. Tracing is inherently
 /// single-threaded; this path never uses the sweep pool.
 pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
-    use ioat_telemetry::{cpu_splitup, export, Tracer};
+    use ioat_telemetry::{cpu_splitup, export, Category, Tracer};
     let cfg = splitup::SplitupConfig { ports: 2, window };
     let msg = 64 * 1024;
-    let mut last: Option<Tracer> = None;
+    let mut runs = Vec::new();
     for (label, ioat) in [
         ("non-I/OAT", IoatConfig::disabled()),
         ("I/OAT full", IoatConfig::full()),
@@ -1383,10 +1391,21 @@ pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
             res.mbps,
             tracer.len()
         );
-        last = Some(tracer);
+        runs.push((report, tracer));
     }
-    let tracer = last.expect("loop ran");
-    if let Err(e) = export::write_chrome_trace(path, &tracer) {
+    let receive_path = [Category::Interrupt, Category::Protocol, Category::Copy];
+    let (non, _) = &runs[0];
+    let (full, tracer) = &runs[1];
+    println!(
+        "\n  copy share of the CPU receive path: {:.1}% -> {:.1}%",
+        non.share_among(Category::Copy, &receive_path) * 100.0,
+        full.share_among(Category::Copy, &receive_path) * 100.0
+    );
+    println!(
+        "  copy time absorbed by the DMA engine: {:.0} us on the dma-chan track",
+        full.busy(Category::Dma).as_micros_f64()
+    );
+    if let Err(e) = export::write_chrome_trace(path, tracer) {
         eprintln!("error: cannot write {}: {e}", path.display());
         std::process::exit(1);
     }

@@ -119,25 +119,9 @@ impl NodeProfile {
     }
 }
 
-/// Theoretical TCP goodput of one GigE port with standard frames:
-/// 1460 / 1538 of the line rate ≈ 949 Mbps.
-pub fn gige_goodput_mbps(mtu: u64) -> f64 {
-    let mss = mtu - 40;
-    let wire = mss + ioat_netsim::FRAME_OVERHEAD;
-    1000.0 * mss as f64 / wire as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn goodput_bounds() {
-        let std = gige_goodput_mbps(1500);
-        assert!((948.0..951.0).contains(&std), "std goodput {std}");
-        let jumbo = gige_goodput_mbps(2048);
-        assert!(jumbo > std, "jumbo frames carry more payload per wire byte");
-    }
 
     #[test]
     fn testbed_matches_paper() {

@@ -65,7 +65,7 @@ pub struct NodeHandle(usize);
 /// use ioat_core::{Cluster, NodeConfig};
 /// use ioat_netsim::{IoatConfig, SocketOpts};
 ///
-/// let mut cluster = Cluster::new(42);
+/// let mut cluster = Cluster::new();
 /// let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::full()));
 /// let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::full()));
 /// let ports = cluster.connect_ports(a, b, 2, true);
@@ -93,21 +93,18 @@ impl std::fmt::Debug for Cluster {
     }
 }
 
+impl Default for Cluster {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Cluster {
-    /// Creates an empty cluster. `seed` is reserved for stochastic
-    /// workloads layered on top; the substrate itself is deterministic.
-    pub fn new(seed: u64) -> Self {
-        let _ = seed;
+    /// Creates an empty cluster. The substrate is deterministic; seeded
+    /// workloads are layered on top.
+    pub fn new() -> Self {
         let mut sim = Sim::new();
-        // Generous runaway guard; experiments run millions of events. An
-        // active audit scope may impose a tighter deterministic watchdog
-        // so a wedged figure job dies after a fixed event count instead
-        // of spinning for the full runaway allowance.
-        let limit = match ioat_guard::event_budget() {
-            Some(budget) => budget.min(2_000_000_000),
-            None => 2_000_000_000,
-        };
-        sim.set_event_limit(limit);
+        sim.set_event_limit(ioat_guard::event_limit());
         Cluster {
             sim,
             nodes: Vec::new(),
@@ -395,7 +392,7 @@ mod tests {
 
     #[test]
     fn cluster_builds_and_transfers() {
-        let mut cluster = Cluster::new(1);
+        let mut cluster = Cluster::new();
         let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
         let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::full()));
         let ports = cluster.connect_ports(a, b, 3, true);
@@ -416,7 +413,7 @@ mod tests {
 
     #[test]
     fn tracer_and_metrics_cover_all_nodes() {
-        let mut cluster = Cluster::new(1);
+        let mut cluster = Cluster::new();
         let tracer = Tracer::enabled();
         cluster.set_tracer(tracer.clone());
         let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
@@ -447,7 +444,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate node name")]
     fn duplicate_names_panic() {
-        let mut cluster = Cluster::new(1);
+        let mut cluster = Cluster::new();
         cluster.add_node(NodeConfig::testbed("x", IoatConfig::disabled()));
         cluster.add_node(NodeConfig::testbed("x", IoatConfig::disabled()));
     }
@@ -455,7 +452,7 @@ mod tests {
     #[test]
     fn dropping_a_cluster_during_a_panic_unwind_does_not_abort() {
         let build_and_panic = || {
-            let mut cluster = Cluster::new(1);
+            let mut cluster = Cluster::new();
             let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::full()));
             let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::full()));
             let ports = cluster.connect_ports(a, b, 1, true);
@@ -475,7 +472,7 @@ mod tests {
         assert!(outcome.is_err(), "the scheduled panic must propagate");
         // The unwind dropped the cluster without a second panic, so the
         // process is still here and can build the next simulation.
-        let mut cluster = Cluster::new(2);
+        let mut cluster = Cluster::new();
         let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
         let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::disabled()));
         let ports = cluster.connect_ports(a, b, 1, true);
@@ -487,7 +484,7 @@ mod tests {
 
     #[test]
     fn connections_get_unique_ids() {
-        let mut cluster = Cluster::new(1);
+        let mut cluster = Cluster::new();
         let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
         let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::disabled()));
         let ports = cluster.connect_ports(a, b, 1, true);

@@ -64,7 +64,6 @@ mod send_contract {
         assert_send::<microbench::bandwidth::BandwidthConfig>();
         assert_send::<microbench::bidirectional::BidirConfig>();
         assert_send::<microbench::multistream::MultiStreamConfig>();
-        assert_send::<microbench::sockopts::SweepConfig>();
         assert_send::<microbench::splitup::SplitupConfig>();
         assert_send::<microbench::copybench::CopyRow>();
     }

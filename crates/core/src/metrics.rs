@@ -85,13 +85,6 @@ pub struct ThroughputResult {
     pub rx_occupancy: f64,
 }
 
-impl ThroughputResult {
-    /// Throughput in MB/s (10^6 bytes/s), the PVFS unit.
-    pub fn mbytes_per_sec(&self) -> f64 {
-        self.mbps / 8.0
-    }
-}
-
 /// An I/OAT vs non-I/OAT comparison row, with the paper's derived
 /// metrics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,6 +131,5 @@ mod tests {
         };
         // §4.1: 37% vs 29% is "close to 21%" relative benefit.
         assert!((c.relative_cpu_benefit() - 0.216).abs() < 0.01);
-        assert!((c.ioat.mbytes_per_sec() - 698.25).abs() < 0.01);
     }
 }

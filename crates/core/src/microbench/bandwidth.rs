@@ -76,7 +76,7 @@ pub fn run_with_faults(
     ioat: IoatConfig,
     faults: &FaultPlan,
 ) -> FaultedThroughputResult {
-    let mut cluster = Cluster::new(0xB0);
+    let mut cluster = Cluster::new();
     cluster.set_faults(faults);
     let tx = cluster.add_node(NodeConfig::testbed("sender", ioat));
     let rx = cluster.add_node(NodeConfig::testbed("receiver", ioat));

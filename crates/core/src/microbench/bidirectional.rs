@@ -45,7 +45,7 @@ impl BidirConfig {
 /// directions; `rx_cpu`/`tx_cpu` are the two nodes' utilizations (both
 /// nodes send *and* receive, so they are near-symmetric).
 pub fn run(cfg: &BidirConfig, ioat: IoatConfig) -> ThroughputResult {
-    let mut cluster = Cluster::new(0xB1);
+    let mut cluster = Cluster::new();
     let a = cluster.add_node(NodeConfig::testbed("node-a", ioat));
     let b = cluster.add_node(NodeConfig::testbed("node-b", ioat));
     let pairs = cluster.connect_ports(a, b, cfg.ports, cfg.opts.coalescing);

@@ -7,15 +7,17 @@
 //! | [`bandwidth`] | Fig. 3a | `ttcp` bandwidth vs port count + receiver CPU |
 //! | [`bidirectional`] | Fig. 3b | 2·N-thread bi-directional bandwidth |
 //! | [`multistream`] | Fig. 4 | N receive threads on one server |
-//! | [`sockopts`] | Fig. 5 | optimization Cases 1–5 sweep |
 //! | [`copybench`] | Fig. 6 | CPU copy vs DMA-engine copy + overlap |
 //! | [`splitup`] | Fig. 7 | per-feature benefit split-up |
+//!
+//! Fig. 5 (socket-optimization Cases 1–5) needs no module of its own: it
+//! runs [`bandwidth`] and [`bidirectional`] over
+//! [`SocketOpts::all_cases`](ioat_netsim::SocketOpts::all_cases).
 
 pub mod bandwidth;
 pub mod bidirectional;
 pub mod copybench;
 pub mod multistream;
-pub mod sockopts;
 pub mod splitup;
 
 use ioat_netsim::{Socket, SocketEvent};

@@ -64,7 +64,7 @@ impl MultiStreamConfig {
 /// Runs the multi-stream test; CPU is reported on the receiving server.
 pub fn run(cfg: &MultiStreamConfig, ioat: IoatConfig) -> ThroughputResult {
     assert!(cfg.threads > 0, "at least one stream required");
-    let mut cluster = Cluster::new(0xB2);
+    let mut cluster = Cluster::new();
     cluster.set_bandwidth(cfg.link);
     let client = cluster.add_node(NodeConfig::profiled("client", ioat, cfg.profile));
     let server = cluster.add_node(NodeConfig::profiled("server", ioat, cfg.profile));

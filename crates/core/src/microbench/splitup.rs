@@ -120,7 +120,7 @@ pub fn run_one_traced(
     (ioat_simcore::SimTime, ioat_simcore::SimTime),
 ) {
     let opts = opts_for(msg_size);
-    let mut cluster = Cluster::new(0xB7);
+    let mut cluster = Cluster::new();
     cluster.set_tracer(tracer.clone());
     let clients = cluster.add_node(NodeConfig::testbed("clients", ioat));
     let server = cluster.add_node(NodeConfig::testbed("server", ioat));

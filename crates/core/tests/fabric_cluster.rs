@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 #[test]
 fn fabric_backed_cluster_transfers_and_audits() {
-    let mut cluster = Cluster::new(1);
+    let mut cluster = Cluster::new();
     let fabric = Fabric::new(TopologySpec::FatTree { k: 4 }, FabricParams::gige());
     let lb = Loopback::new(&fabric);
     let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));

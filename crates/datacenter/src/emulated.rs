@@ -81,7 +81,7 @@ pub struct EmulatedResult {
 /// Runs the emulated-clients scenario.
 pub fn run(cfg: &EmulatedConfig) -> EmulatedResult {
     assert!(cfg.threads > 0, "need at least one thread");
-    let mut cluster = Cluster::new(0xE9);
+    let mut cluster = Cluster::new();
     let client = cluster.add_node(NodeConfig::testbed("proxy-client", cfg.ioat));
     let server = cluster.add_node(NodeConfig::testbed("web-server", cfg.ioat));
     let opts = SocketOpts::tuned();

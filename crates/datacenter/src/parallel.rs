@@ -16,7 +16,12 @@
 //! frames* cross a boundary (into the fabric and back out). ACKs keep
 //! netsim's latency-only shortcut and turn around inside the group.
 //!
-//! The lookahead is [`ioat_fabric::Fabric::lookahead`] — every frame
+//! Only the group builder knows the connection layout. Each frame
+//! crossing into the fabric carries the source and destination hosts its
+//! sending stack names, so the fabric partition keeps no connection
+//! table.
+//!
+//! The lookahead is the fabric's `switch_latency` — every frame
 //! entering or leaving the fabric first crosses a link of
 //! `switch_latency`, so a partition executing at `t` can never affect
 //! another before `t + switch_latency`.
@@ -63,16 +68,21 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A frame crossing a partition boundary. Plain `Copy` data — the only
-/// payload the groups and the fabric ever exchange.
+/// payload the groups and the fabric ever exchange. Host indices are
+/// `u32` ([`Layout::of`] checks they fit), which keeps the message at
+/// 40 bytes.
 #[derive(Debug, Clone, Copy)]
 enum NetMsg {
-    /// Group → fabric: a frame from attachment `src` finished serializing
-    /// on its access link and enters the fabric at the firing instant.
-    Ingress { src: usize, frame: Frame },
+    /// Group → fabric: a frame from host `src` to host `dst` finished
+    /// serializing on its access link and enters the fabric at the firing
+    /// instant.
+    Ingress { src: u32, dst: u32, frame: Frame },
     /// Fabric → group: a frame's final hop targets `host`; it arrives at
     /// the firing instant.
     Deliver { host: usize, frame: Frame },
 }
+
+const _: () = assert!(std::mem::size_of::<NetMsg>() == 40);
 
 /// Sizes derived from the config once, shared by every builder.
 #[derive(Debug, Clone, Copy)]
@@ -89,6 +99,10 @@ impl Layout {
     fn of(cfg: &ScaleConfig) -> Layout {
         let hosts = Topology::new(cfg.spec).hosts();
         assert!(hosts >= 2, "need at least one proxy and one web host");
+        assert!(
+            u32::try_from(hosts).is_ok(),
+            "{hosts} hosts overflow a boundary message's u32 host index"
+        );
         assert!(cfg.clients > 0, "need at least one client");
         assert!(cfg.webs_per_proxy > 0, "need at least one web per proxy");
         let n_proxies = hosts / 2;
@@ -225,8 +239,9 @@ fn send_attempt(
 }
 
 /// The group partition's [`FrameRouter`]: departing data frames are
-/// staged for the fabric partition; ACKs stay local (both endpoints of
-/// every group connection live in this partition).
+/// staged for the fabric partition with the endpoints their sender
+/// names; ACKs stay local (both endpoints of every group connection live
+/// in this partition).
 struct GroupRouter {
     out: Outbox<NetMsg>,
     topo: Topology,
@@ -234,8 +249,17 @@ struct GroupRouter {
 }
 
 impl FrameRouter for GroupRouter {
-    fn frame_departed(self: Rc<Self>, _sim: &mut Sim, src: usize, frame: Frame, arrive: SimTime) {
-        self.out.send(0, arrive, NetMsg::Ingress { src, frame });
+    fn frame_departed(
+        &self,
+        _sim: &mut Sim,
+        src: usize,
+        dst: usize,
+        frame: Frame,
+        arrive: SimTime,
+    ) {
+        let (src, dst) = (src as u32, dst as u32);
+        self.out
+            .send(0, arrive, NetMsg::Ingress { src, dst, frame });
     }
 
     /// Reverse-path ACK latency: `switch_latency × path_links`, netsim's
@@ -253,25 +277,12 @@ struct FabricPart {
 
 fn build_fabric_part(cfg: &ScaleConfig, lay: Layout, out: Outbox<NetMsg>) -> FabricPart {
     let mut sim = Sim::new();
-    // Same runaway guard policy as `Cluster::new`.
-    let limit = match ioat_guard::event_budget() {
-        Some(budget) => budget.min(2_000_000_000),
-        None => 2_000_000_000,
-    };
-    sim.set_event_limit(limit);
+    sim.set_event_limit(ioat_guard::event_limit());
     let fabric = Fabric::new(cfg.spec, cfg.fabric);
     // The fault plan is a pure function of (spec, topology, window), so
     // every partition layout expands the same plan.
     if cfg.faults.is_active() {
         fabric.set_faults(&cfg.faults.plan(fabric.topology(), &cfg.window));
-    }
-    // Register every connection for routing; the endpoint stacks live in
-    // the group partitions.
-    for p in 0..lay.n_proxies {
-        for j in 0..lay.f {
-            let w = (p * lay.f + j) % lay.n_webs;
-            fabric.open(p, lay.n_proxies + w, ConnId(1 + (p * lay.f + j) as u64));
-        }
     }
     // Final hops leave this partition: stage the delivery for the host's
     // group at the frame's arrival instant.
@@ -302,7 +313,7 @@ struct GroupPart {
 }
 
 fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg>) -> GroupPart {
-    let mut cluster = Cluster::new(cfg.seed);
+    let mut cluster = Cluster::new();
     let router = Rc::new(GroupRouter {
         out,
         topo: Topology::new(cfg.spec),
@@ -389,8 +400,8 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
         latency_sum: RefCell::new(Summary::new()),
     });
 
-    // Connections with the globally deterministic ids the fabric
-    // partition registered: id = 1 + p·f + j.
+    // Connections with globally unique ids, id = 1 + p·f + j: the fabric
+    // hashes the id into every ECMP choice.
     let opts = ScaleConfig::opts();
     for (q, &(p, ph, p_port)) in proxies.iter().enumerate() {
         for (j, &(_, wh, w_port)) in webs.iter().enumerate() {
@@ -506,45 +517,45 @@ enum DcOut {
     Group(GroupOut),
 }
 
+impl DcPartition {
+    /// The one event queue either kind of partition drives.
+    fn sim(&self) -> &Sim {
+        match self {
+            DcPartition::Fabric(p) => &p.sim,
+            DcPartition::Group(p) => p.cluster.sim(),
+        }
+    }
+
+    fn sim_mut(&mut self) -> &mut Sim {
+        match self {
+            DcPartition::Fabric(p) => &mut p.sim,
+            DcPartition::Group(p) => p.cluster.sim_mut(),
+        }
+    }
+}
+
 impl Partition for DcPartition {
     type Msg = NetMsg;
     type Out = DcOut;
 
     fn next_event_at(&mut self) -> Option<SimTime> {
-        match self {
-            DcPartition::Fabric(p) => p.sim.next_event_at(),
-            DcPartition::Group(p) => p.cluster.sim_mut().next_event_at(),
-        }
+        self.sim_mut().next_event_at()
     }
 
     fn run_before(&mut self, limit: SimTime) {
-        match self {
-            DcPartition::Fabric(p) => {
-                p.sim.run_before(limit);
-            }
-            DcPartition::Group(p) => {
-                p.cluster.sim_mut().run_before(limit);
-            }
-        }
+        self.sim_mut().run_before(limit);
     }
 
     fn run_final(&mut self, horizon: SimTime) {
-        match self {
-            DcPartition::Fabric(p) => {
-                p.sim.run_until(horizon);
-            }
-            DcPartition::Group(p) => {
-                p.cluster.run_until(horizon);
-            }
-        }
+        self.sim_mut().run_until(horizon);
     }
 
     fn inject(&mut self, fire_at: SimTime, msg: NetMsg) {
         match (self, msg) {
-            (DcPartition::Fabric(p), NetMsg::Ingress { src, frame }) => {
+            (DcPartition::Fabric(p), NetMsg::Ingress { src, dst, frame }) => {
                 let fabric = Rc::clone(&p.fabric);
                 p.sim.schedule_at(fire_at, move |sim| {
-                    fabric.ingress(sim, src, frame);
+                    fabric.ingress(sim, src as usize, dst as usize, frame);
                 });
             }
             (DcPartition::Group(p), NetMsg::Deliver { host, frame }) => {
@@ -567,10 +578,7 @@ impl Partition for DcPartition {
     }
 
     fn events_executed(&self) -> u64 {
-        match self {
-            DcPartition::Fabric(p) => p.sim.events_executed(),
-            DcPartition::Group(p) => p.cluster.sim().events_executed(),
-        }
+        self.sim().events_executed()
     }
 
     fn finish(self) -> DcOut {

@@ -127,7 +127,7 @@ where
 {
     assert!(cfg.client_threads > 0, "need at least one client thread");
     assert!(cfg.client_ports > 0 && cfg.tier_ports > 0);
-    let mut cluster = Cluster::new(cfg.seed);
+    let mut cluster = Cluster::new();
     cluster.set_tracer(tracer.clone());
     if tracer.is_enabled() {
         tracer.set_process_name(REQUEST_LANES_NODE, "request-lanes");

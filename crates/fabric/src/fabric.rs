@@ -8,7 +8,9 @@
 //! frames to [`Fabric::ingress`], and the fabric hands every final hop to
 //! the hook installed with [`Fabric::set_delivery`]. Both directions are
 //! staged by the caller, so the fabric runs on its own event queue or on
-//! the hosts' one alike:
+//! the hosts' one alike. The sending stack names a frame's source and
+//! destination hosts (each connection learns its peer's attachment when it
+//! opens), so the fabric keeps no per-connection state:
 //!
 //! * **Data path**: a frame serializes on the host's access link, enters
 //!   the source host's edge switch, and is forwarded hop by hop. Each hop
@@ -56,7 +58,7 @@ use ioat_netsim::link::Link;
 use ioat_netsim::{ConnId, Frame};
 use ioat_simcore::hash::FastHasher;
 use ioat_simcore::time::Bandwidth;
-use ioat_simcore::{FastHashMap, Sim, SimDuration, SimTime};
+use ioat_simcore::{Sim, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::hash::Hasher;
 use std::rc::Rc;
@@ -168,15 +170,13 @@ impl FaultState {
 /// stack at `arrive`.
 type Delivery = Box<dyn Fn(&mut Sim, usize, Frame, SimTime)>;
 
-/// A compiled, running switch fabric. Create with [`Fabric::new`], route
-/// connections between topology hosts with [`Fabric::open`], install the
-/// final-hop hook with [`Fabric::set_delivery`], and feed departing frames
-/// to [`Fabric::ingress`].
+/// A compiled, running switch fabric. Create with [`Fabric::new`], install
+/// the final-hop hook with [`Fabric::set_delivery`], and feed departing
+/// frames to [`Fabric::ingress`].
 pub struct Fabric {
     topo: Topology,
     params: FabricParams,
     switches: RefCell<Vec<SwitchRt>>,
-    conns: RefCell<FastHashMap<ConnId, (usize, usize)>>,
     stats: RefCell<GlobalStats>,
     delivery: RefCell<Option<Delivery>>,
     faults: RefCell<Option<FaultState>>,
@@ -231,7 +231,6 @@ impl Fabric {
             topo,
             params,
             switches: RefCell::new(switches),
-            conns: RefCell::new(FastHashMap::default()),
             stats: RefCell::new(GlobalStats::default()),
             delivery: RefCell::new(None),
             faults: RefCell::new(None),
@@ -296,20 +295,6 @@ impl Fabric {
         self.params
     }
 
-    /// Routes connection `id` between topology hosts `att_a` and `att_b`.
-    /// Only the routing entry lives here: the endpoint stacks are opened
-    /// against each other wherever they run, and their frames enter
-    /// through [`Fabric::ingress`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the endpoints are equal or `id` is already routed.
-    pub fn open(&self, att_a: usize, att_b: usize, id: ConnId) {
-        assert_ne!(att_a, att_b, "connection endpoints must differ");
-        let prev = self.conns.borrow_mut().insert(id, (att_a, att_b));
-        assert!(prev.is_none(), "connection {id} already routed");
-    }
-
     /// Installs the delivery hook: every final hop to a host is handed to
     /// `hook` as `(sim, host, frame, arrive)` at the forwarding decision.
     /// The switch's shared-buffer claim is released at `arrive`, when the
@@ -323,24 +308,12 @@ impl Fabric {
         assert!(prev.is_none(), "delivery hook installed twice");
     }
 
-    /// A data frame from topology host `src` has finished serializing on
-    /// its access link and enters the fabric at its edge switch now.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame's connection was never [opened](Fabric::open).
-    pub fn ingress(self: &Rc<Self>, sim: &mut Sim, src: usize, frame: Frame) {
-        let dst = self.conn_peer(src, frame.conn);
+    /// A data frame from topology host `src` to topology host `dst` has
+    /// finished serializing on its access link and enters the fabric at
+    /// `src`'s edge switch now.
+    pub fn ingress(self: &Rc<Self>, sim: &mut Sim, src: usize, dst: usize, frame: Frame) {
         let edge = self.topo.host_edge(src);
         self.hop(sim, edge, frame, src, dst);
-    }
-
-    /// The minimum cross-partition latency this fabric guarantees: every
-    /// frame entering or leaving it crosses at least one link of
-    /// `switch_latency`, and ACKs travel at least one full path link.
-    /// This is the conservative-window lookahead a parallel run may use.
-    pub fn lookahead(&self) -> SimDuration {
-        self.params.switch_latency
     }
 
     /// Global count of frames tail-dropped at switch buffers — the
@@ -360,16 +333,6 @@ impl Fabric {
     /// identity.
     pub fn blackholes(&self) -> u64 {
         self.stats.borrow().route_blackholes
-    }
-
-    /// Highest shared-buffer occupancy any switch has reached, bytes.
-    pub fn peak_occupancy(&self) -> u64 {
-        self.switches
-            .borrow()
-            .iter()
-            .map(|s| s.peak)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Runtime statistics of switch `sw`.
@@ -413,7 +376,8 @@ impl Fabric {
     /// switch is not crashed. `None` when the forwarding switch itself is
     /// crashed or no candidate survives: the frame has no live path (a
     /// route blackhole). With no fault state installed, or every
-    /// candidate alive, the choice is bit-identical to `route_port`.
+    /// candidate alive, the choice is bit-identical to `route_port`:
+    /// `survivors[hash % n]` is then `first + hash % n`.
     fn route_port_at(
         &self,
         sw: usize,
@@ -441,7 +405,6 @@ impl Fabric {
         let survivors: Vec<usize> = (first..first + n).filter(|&p| alive(p)).collect();
         match survivors.len() {
             0 => None,
-            s if s == n => Some(self.route_port(sw, src, dst, conn)),
             s => Some(survivors[(self.ecmp_hash(sw, src, dst, conn) % s as u64) as usize]),
         }
     }
@@ -542,24 +505,6 @@ impl Fabric {
         }
     }
 
-    /// The endpoint opposite `src` on `conn`.
-    fn conn_peer(&self, src: usize, conn: ConnId) -> usize {
-        let (a, b) = *self
-            .conns
-            .borrow()
-            .get(&conn)
-            .expect("frame for a connection the fabric never opened");
-        if a == src {
-            b
-        } else {
-            debug_assert_eq!(
-                b, src,
-                "frame entered at neither endpoint of its connection"
-            );
-            a
-        }
-    }
-
     /// One forwarding step at switch `sw`: ECMP port choice, shared-buffer
     /// claim (or tail-drop), serialization, and delivery to the next hop.
     fn hop(self: &Rc<Self>, sim: &mut Sim, sw: usize, frame: Frame, src: usize, dst: usize) {
@@ -653,14 +598,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "connection conn1 already routed")]
-    fn connection_routed_twice_rejected() {
-        let fabric = small_fabric();
-        fabric.open(0, 15, ConnId(1));
-        fabric.open(3, 12, ConnId(1));
     }
 
     #[test]

@@ -33,12 +33,11 @@
 //!
 //! let mut sim = Sim::new();
 //! let fabric = Fabric::new(TopologySpec::FatTree { k: 4 }, FabricParams::gige());
-//! fabric.open(0, 15, ConnId(1));
 //! let landed = Rc::new(Cell::new(None));
 //! let seen = Rc::clone(&landed);
 //! fabric.set_delivery(move |_sim, host, frame, _arrive| seen.set(Some((host, frame.payload))));
 //! let frame = Frame { conn: ConnId(1), payload: 1448, seq_end: 1448 };
-//! fabric.ingress(&mut sim, 0, frame);
+//! fabric.ingress(&mut sim, 0, 15, frame);
 //! sim.run();
 //! assert_eq!(landed.get(), Some((15, 1448)));
 //! // edge → aggregation → core → aggregation → edge

@@ -68,10 +68,9 @@ impl Loopback {
         port
     }
 
-    /// Routes `id` between the stacks attached at hosts `a` and `b` and
-    /// opens them against each other.
+    /// Opens connection `id` between the stacks attached at hosts `a` and
+    /// `b`.
     pub fn open(&self, a: usize, b: usize, opts: SocketOpts, id: ConnId) -> ConnId {
-        self.fabric.open(a, b, id);
         let hosts = self.hosts.borrow();
         let (sa, pa) = &hosts[&a];
         let (sb, pb) = &hosts[&b];
@@ -80,9 +79,9 @@ impl Loopback {
 }
 
 impl FrameRouter for Loopback {
-    fn frame_departed(self: Rc<Self>, sim: &mut Sim, src: usize, frame: Frame, arrive: SimTime) {
+    fn frame_departed(&self, sim: &mut Sim, src: usize, dst: usize, frame: Frame, arrive: SimTime) {
         let fabric = Rc::clone(&self.fabric);
-        sim.schedule_at(arrive, move |sim| fabric.ingress(sim, src, frame));
+        sim.schedule_at(arrive, move |sim| fabric.ingress(sim, src, dst, frame));
     }
 
     fn ack_delay(&self, from: usize, to: usize) -> SimDuration {

@@ -104,6 +104,15 @@ pub fn event_budget() -> Option<u64> {
     }
 }
 
+/// The event limit of every simulation the harness builds: a generous
+/// 2·10⁹-event runaway guard (experiments run millions of events),
+/// clamped to the active scope's [`event_budget`] so a wedged job dies
+/// after a fixed event count instead of spinning for the full allowance.
+pub fn event_limit() -> u64 {
+    const RUNAWAY: u64 = 2_000_000_000;
+    event_budget().map_or(RUNAWAY, |budget| budget.min(RUNAWAY))
+}
+
 /// Records a violation into the active scope (no-op without one).
 pub fn submit(v: AuditViolation) {
     if is_active() {
@@ -296,9 +305,10 @@ mod tests {
     #[test]
     fn event_budget_is_visible_only_inside_its_scope() {
         assert_eq!(event_budget(), None);
-        let (r, _) = with_audit_budget(Some(5_000), event_budget);
-        assert_eq!(r.unwrap(), Some(5_000));
+        let (r, _) = with_audit_budget(Some(5_000), || (event_budget(), event_limit()));
+        assert_eq!(r.unwrap(), (Some(5_000), 5_000));
         assert_eq!(event_budget(), None);
+        assert_eq!(event_limit(), 2_000_000_000);
     }
 
     #[test]

@@ -257,62 +257,6 @@ impl IoatConfig {
         self.multi_queue = on;
         self
     }
-
-    /// True when anything differs from the traditional 2007 baseline:
-    /// any I/OAT feature bit, or a non-default receive mode.
-    pub fn any(&self) -> bool {
-        self.dma_engine
-            || self.split_header
-            || self.multi_queue
-            || self.rx_mode != RxMode::Interrupt
-    }
-
-    /// Short label used in result tables. Exhaustive over every feature ×
-    /// rx-mode combination — no variant silently renders as a wrong or
-    /// catch-all label (`config::tests::labels_are_exhaustive_and_unique`
-    /// enumerates all of them).
-    pub fn label(&self) -> &'static str {
-        use RxMode::*;
-        match (
-            self.rx_mode,
-            self.dma_engine,
-            self.split_header,
-            self.multi_queue,
-        ) {
-            (Interrupt, false, false, false) => "non-I/OAT",
-            (Interrupt, false, false, true) => "non-I/OAT+MQ",
-            (Interrupt, false, true, false) => "SPLIT-only",
-            (Interrupt, false, true, true) => "SPLIT-only+MQ",
-            (Interrupt, true, false, false) => "I/OAT-DMA",
-            (Interrupt, true, false, true) => "I/OAT-DMA+MQ",
-            (Interrupt, true, true, false) => "I/OAT",
-            (Interrupt, true, true, true) => "I/OAT+MQ",
-            (Coalesced, false, false, false) => "non-I/OAT/coalesce",
-            (Coalesced, false, false, true) => "non-I/OAT+MQ/coalesce",
-            (Coalesced, false, true, false) => "SPLIT-only/coalesce",
-            (Coalesced, false, true, true) => "SPLIT-only+MQ/coalesce",
-            (Coalesced, true, false, false) => "I/OAT-DMA/coalesce",
-            (Coalesced, true, false, true) => "I/OAT-DMA+MQ/coalesce",
-            (Coalesced, true, true, false) => "I/OAT/coalesce",
-            (Coalesced, true, true, true) => "I/OAT+MQ/coalesce",
-            (BusyPoll, false, false, false) => "non-I/OAT/busypoll",
-            (BusyPoll, false, false, true) => "non-I/OAT+MQ/busypoll",
-            (BusyPoll, false, true, false) => "SPLIT-only/busypoll",
-            (BusyPoll, false, true, true) => "SPLIT-only+MQ/busypoll",
-            (BusyPoll, true, false, false) => "I/OAT-DMA/busypoll",
-            (BusyPoll, true, false, true) => "I/OAT-DMA+MQ/busypoll",
-            (BusyPoll, true, true, false) => "I/OAT/busypoll",
-            (BusyPoll, true, true, true) => "I/OAT+MQ/busypoll",
-            (ZeroCopy, false, false, false) => "non-I/OAT/zerocopy",
-            (ZeroCopy, false, false, true) => "non-I/OAT+MQ/zerocopy",
-            (ZeroCopy, false, true, false) => "SPLIT-only/zerocopy",
-            (ZeroCopy, false, true, true) => "SPLIT-only+MQ/zerocopy",
-            (ZeroCopy, true, false, false) => "I/OAT-DMA/zerocopy",
-            (ZeroCopy, true, false, true) => "I/OAT-DMA+MQ/zerocopy",
-            (ZeroCopy, true, true, false) => "I/OAT/zerocopy",
-            (ZeroCopy, true, true, true) => "I/OAT+MQ/zerocopy",
-        }
-    }
 }
 
 /// Cost parameters of the host stack model.
@@ -476,42 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn ioat_labels() {
-        assert_eq!(IoatConfig::disabled().label(), "non-I/OAT");
-        assert_eq!(IoatConfig::dma_only().label(), "I/OAT-DMA");
-        assert_eq!(IoatConfig::full().label(), "I/OAT");
-        assert_eq!(IoatConfig::full_with_multi_queue().label(), "I/OAT+MQ");
-        assert!(!IoatConfig::disabled().any());
-        assert!(IoatConfig::full().any());
-        assert!(IoatConfig::disabled().with_rx_mode(RxMode::BusyPoll).any());
-        assert_eq!(
-            IoatConfig::full().with_rx_mode(RxMode::ZeroCopy).label(),
-            "I/OAT/zerocopy"
-        );
-    }
-
-    #[test]
-    fn labels_are_exhaustive_and_unique() {
-        use std::collections::BTreeSet;
-        let mut seen = BTreeSet::new();
-        for rx_mode in RxMode::ALL {
-            for bits in 0u8..8 {
-                let cfg = IoatConfig {
-                    dma_engine: bits & 1 != 0,
-                    split_header: bits & 2 != 0,
-                    multi_queue: bits & 4 != 0,
-                    rx_mode,
-                };
-                let label = cfg.label();
-                assert!(!label.is_empty() && !label.contains("custom"), "{label}");
-                assert!(seen.insert(label), "duplicate label {label} for {cfg:?}");
-                // `any()` is false only for the single all-default config.
-                assert_eq!(cfg.any(), cfg != IoatConfig::default());
-            }
-        }
-        assert_eq!(seen.len(), 32);
-        // Tags are unique too (they feed dotted row IDs).
-        let tags: BTreeSet<_> = RxMode::ALL.iter().map(|m| m.tag()).collect();
+    fn rx_mode_tags_are_unique() {
+        // Tags feed dotted row IDs.
+        let tags: std::collections::BTreeSet<_> = RxMode::ALL.iter().map(|m| m.tag()).collect();
         assert_eq!(tags.len(), RxMode::ALL.len());
     }
 

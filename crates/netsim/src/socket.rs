@@ -100,7 +100,7 @@ impl Socket {
     where
         F: FnOnce(&mut Sim) + 'static,
     {
-        stack::app_compute(&self.stack, sim, self.conn, duration, then);
+        stack::app_compute(&self.stack, sim, duration, then);
     }
 }
 

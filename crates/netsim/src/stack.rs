@@ -62,21 +62,20 @@ pub type StackRef = Rc<RefCell<HostStack>>;
 /// schedules no arrival event: it hands the frame to
 /// [`FrameRouter::frame_departed`] with the instant it would reach the
 /// fabric, and the router owns hop-by-hop forwarding, buffering and drops
-/// from there. ACKs keep netsim's latency-only simplification: they bypass
+/// from there. The sender names both ends: a connection learns its peer's
+/// attachment index when it opens, so the router keeps no per-connection
+/// state. ACKs keep netsim's latency-only simplification: they bypass
 /// serialization, buffers and the router, and reach the connection's
 /// other endpoint after [`FrameRouter::ack_delay`], the topology's
 /// reverse-path latency, fixed when the connection opens (ACK loss stays
 /// unmodeled, so windows cannot deadlock).
-///
-/// `frame_departed` takes `self: Rc<Self>` so implementations can
-/// re-capture themselves in scheduled continuations without a `&self`
-/// lifetime.
 pub trait FrameRouter {
-    /// A frame from attachment `src` finished serializing at
-    /// `arrive - access latency` and enters the fabric at `arrive`.
-    /// Called synchronously (no event is scheduled); the implementation
-    /// stages the frame for whichever simulation owns the fabric.
-    fn frame_departed(self: Rc<Self>, sim: &mut Sim, src: usize, frame: Frame, arrive: SimTime);
+    /// A frame from attachment `src` to attachment `dst` finished
+    /// serializing at `arrive - access latency` and enters the fabric at
+    /// `arrive`. Called synchronously (no event is scheduled); the
+    /// implementation stages the frame for whichever simulation owns the
+    /// fabric.
+    fn frame_departed(&self, sim: &mut Sim, src: usize, dst: usize, frame: Frame, arrive: SimTime);
     /// How long an ACK takes from attachment point `from` to `to`.
     fn ack_delay(&self, from: usize, to: usize) -> SimDuration;
 }
@@ -120,6 +119,9 @@ struct Conn {
     peer: StackRef,
     /// How long an ACK takes to reach `peer`.
     ack_delay: SimDuration,
+    /// The router attachment index of `peer`'s port, where this end's
+    /// data frames go; `None` on wired ports.
+    peer_attachment: Option<usize>,
 }
 
 /// Running stack-level statistics.
@@ -747,13 +749,14 @@ pub fn open_connection(
         opts.mss() <= opts.rcvbuf,
         "MSS must fit in the receive buffer"
     );
-    let (delay_a, delay_b) = {
+    let (route_a, route_b) = {
         let (sa, sb) = (a.borrow(), b.borrow());
         let (pa, pb) = (&sa.ports[port_a], &sb.ports[port_b]);
         match (&pa.router, &pb.router) {
-            (Some((ra, att_a)), Some((rb, att_b))) => {
-                (ra.ack_delay(*att_a, *att_b), rb.ack_delay(*att_b, *att_a))
-            }
+            (Some((ra, att_a)), Some((rb, att_b))) => (
+                (ra.ack_delay(*att_a, *att_b), Some(*att_b)),
+                (rb.ack_delay(*att_b, *att_a), Some(*att_a)),
+            ),
             _ => {
                 let wired =
                     pa.peer.as_ref().is_some_and(|p| Rc::ptr_eq(p, b)) && pa.peer_port == port_b;
@@ -761,22 +764,24 @@ pub fn open_connection(
                     wired,
                     "ports are neither wired to each other nor both router-attached"
                 );
-                (pa.tx.latency(), pb.tx.latency())
+                ((pa.tx.latency(), None), (pb.tx.latency(), None))
             }
         }
     };
-    install_endpoint(a, port_a, opts, id, b, delay_a);
-    install_endpoint(b, port_b, opts, id, a, delay_b);
+    install_endpoint(a, port_a, opts, id, b, route_a);
+    install_endpoint(b, port_b, opts, id, a, route_b);
     id
 }
 
+/// Installs one end of connection `id` on `s`; `route` is its ACK delay
+/// and, on a router port, the peer's attachment index.
 fn install_endpoint(
     s: &StackRef,
     port: usize,
     opts: SocketOpts,
     id: ConnId,
     peer: &StackRef,
-    ack_delay: SimDuration,
+    (ack_delay, peer_attachment): (SimDuration, Option<usize>),
 ) {
     let mut st = s.borrow_mut();
     assert!(
@@ -824,6 +829,7 @@ fn install_endpoint(
             handler: None,
             peer: Rc::clone(peer),
             ack_delay,
+            peer_attachment,
         },
     );
 }
@@ -885,11 +891,10 @@ pub fn add_recv_credit(s: &StackRef, sim: &mut Sim, conn: ConnId) {
 /// (the scheduler migrates runnable threads), then runs `then`. Models
 /// per-message application processing (validation, transformation, script
 /// execution).
-pub fn app_compute<F>(s: &StackRef, sim: &mut Sim, conn: ConnId, duration: SimDuration, then: F)
+pub fn app_compute<F>(s: &StackRef, sim: &mut Sim, duration: SimDuration, then: F)
 where
     F: FnOnce(&mut Sim) + 'static,
 {
-    let _ = conn;
     let (core, tracer, track) = {
         let st = s.borrow();
         let idx = st.cores.least_loaded_index(sim.now());
@@ -1026,7 +1031,7 @@ fn pump(s: &StackRef, sim: &mut Sim, conn: ConnId) {
 fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
     enum Egress {
         Peer(StackRef, usize),
-        Handoff(Rc<dyn FrameRouter>, usize),
+        Handoff(Rc<dyn FrameRouter>, usize, usize),
     }
     let (train, link, egress) = {
         let mut st = s.borrow_mut();
@@ -1058,6 +1063,7 @@ fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
             return;
         }
         let peer_window = c.send.peer_window;
+        let peer_attachment = c.peer_attachment;
         st.stats.peak_window = st.stats.peak_window.max(peer_window);
         for (frame, lost) in &mut train {
             st.tx_meter.record(now, frame.payload);
@@ -1069,8 +1075,10 @@ fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
             }
         }
         let port = &st.ports[port_idx];
-        let egress = if let Some((router, attachment)) = &port.router {
-            Egress::Handoff(Rc::clone(router), *attachment)
+        let egress = if let Some((router, src)) = &port.router {
+            let dst =
+                peer_attachment.expect("router-attached connection without a peer attachment");
+            Egress::Handoff(Rc::clone(router), *src, dst)
         } else {
             Egress::Peer(
                 Rc::clone(port.peer.as_ref().expect("port not wired")),
@@ -1092,12 +1100,12 @@ fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
                     frame_arrived(&peer2, sim, peer_port, frame);
                 });
             }
-            Egress::Handoff(router, attachment) => {
+            Egress::Handoff(router, src, dst) => {
                 // Identical serializer accounting to `transmit`, but no
                 // local arrival event: the router stages the frame for the
                 // simulation that owns the fabric.
                 let arrive = link.transmit_dropped(sim, frame.wire_bytes());
-                Rc::clone(router).frame_departed(sim, *attachment, frame, arrive);
+                router.frame_departed(sim, *src, *dst, frame, arrive);
             }
         }
     }
@@ -2406,6 +2414,86 @@ mod tests {
             (0.7..1.4).contains(&ratio),
             "unfair split: {d1:.0} vs {d2:.0} bytes"
         );
+    }
+
+    /// A router that records every hand-off and delivers each frame
+    /// straight to the stack attached at the destination it names.
+    #[derive(Default)]
+    struct RecordingRouter {
+        hosts: RefCell<FastHashMap<usize, (StackRef, usize)>>,
+        handoffs: RefCell<Vec<(usize, usize, ConnId)>>,
+    }
+
+    impl FrameRouter for RecordingRouter {
+        fn frame_departed(
+            &self,
+            sim: &mut Sim,
+            src: usize,
+            dst: usize,
+            frame: Frame,
+            arrive: SimTime,
+        ) {
+            self.handoffs.borrow_mut().push((src, dst, frame.conn));
+            let (stack, port) = self.hosts.borrow()[&dst].clone();
+            sim.schedule_at(arrive, move |sim| frame_arrived(&stack, sim, port, frame));
+        }
+
+        fn ack_delay(&self, _from: usize, _to: usize) -> SimDuration {
+            SimDuration::from_micros(10)
+        }
+    }
+
+    #[test]
+    fn router_hand_offs_name_the_sender_and_its_peer() {
+        let mut sim = Sim::new();
+        sim.set_event_limit(50_000_000);
+        let router = Rc::new(RecordingRouter::default());
+        let attach = |att: usize| {
+            let s = HostStack::new(
+                &format!("h{att}"),
+                2,
+                StackParams::default(),
+                IoatConfig::disabled(),
+            );
+            let tx = Link::new("tx", Bandwidth::from_gbps(1), SimDuration::from_micros(5));
+            let port = attach_router(&s, tx, Rc::clone(&router) as Rc<dyn FrameRouter>, att);
+            router.hosts.borrow_mut().insert(att, (Rc::clone(&s), port));
+            (s, port)
+        };
+        let (h3, p3) = attach(3);
+        let (h7, p7) = attach(7);
+        // One connection opened from each side; both carry data both ways.
+        let c1 = open_connection(&h3, &h7, p3, p7, SocketOpts::tuned(), ConnId(1));
+        let c2 = open_connection(&h7, &h3, p7, p3, SocketOpts::tuned(), ConnId(2));
+        for c in [c1, c2] {
+            app_send(&h3, &mut sim, c, 300_000);
+            app_send(&h7, &mut sim, c, 100_000);
+        }
+        // Bounded: a misrouted frame would keep its connection retrying.
+        sim.run_until(SimTime::from_millis(50));
+        let handoffs = router.handoffs.borrow();
+        for &(src, dst, conn) in handoffs.iter() {
+            assert!(
+                matches!((src, dst), (3, 7) | (7, 3)),
+                "{conn} handed off as {src} → {dst}"
+            );
+        }
+        assert_eq!(h7.borrow().rx_meter().total_bytes(), 600_000);
+        assert_eq!(h3.borrow().rx_meter().total_bytes(), 200_000);
+        for (src, stack) in [(3, &h3), (7, &h7)] {
+            let sent = handoffs.iter().filter(|h| h.0 == src).count() as u64;
+            assert_eq!(
+                sent,
+                stack.borrow().stats().frames_sent,
+                "hand-offs from {src}"
+            );
+            for c in [c1, c2] {
+                assert!(
+                    handoffs.iter().any(|&(s, _, conn)| s == src && conn == c),
+                    "{src} sent no frame on {c}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -168,7 +168,7 @@ fn run_traced_modes(
     tracer: &Tracer,
 ) -> PvfsResult {
     assert!(cfg.io_servers > 0 && cfg.clients > 0);
-    let mut cluster = Cluster::new(0xF5);
+    let mut cluster = Cluster::new();
     cluster.set_tracer(tracer.clone());
     cluster.set_faults(&cfg.faults);
     if tracer.is_enabled() {

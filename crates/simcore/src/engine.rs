@@ -607,28 +607,6 @@ impl Sim {
         }
         None
     }
-
-    /// Runs a single event if one is pending, returning `true` if an event
-    /// executed. Useful for fine-grained test assertions.
-    ///
-    /// Deferred entries still at their key instant (see
-    /// [`Sim::schedule_deferred`]) are re-keyed transparently on the way:
-    /// they do not count as the step's event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured event limit is exceeded, exactly like
-    /// [`Sim::run`] — a runaway event loop driven one `step` at a time
-    /// must fail just as loudly.
-    pub fn step(&mut self) -> bool {
-        match self.pop_due(|_| true) {
-            Some(event) => {
-                self.execute(event);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -879,20 +857,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "event limit")]
-    fn event_limit_applies_to_step_driven_loops() {
-        // Regression: `step()` incremented `executed` without checking the
-        // limit, so a runaway loop driven one step at a time spun forever.
-        let mut sim = Sim::new();
-        sim.set_event_limit(1_000);
-        fn forever(sim: &mut Sim) {
-            sim.schedule(SimDuration::from_nanos(1), forever);
-        }
-        sim.schedule(SimDuration::ZERO, forever);
-        while sim.step() {}
-    }
-
-    #[test]
     fn run_until_advances_clock_when_queue_drains() {
         // Regression: with an empty (or drained) queue `run_until(limit)`
         // left `now` behind `limit`, so elapsed-window accounting differed
@@ -1078,17 +1042,5 @@ mod tests {
             assert!(popped.windows(2).all(|w| w[0] < w[1]), "n = {n}");
             assert_eq!(heap.len(), 0);
         }
-    }
-
-    #[test]
-    fn step_executes_one_event() {
-        let mut sim = Sim::new();
-        let (log, mk) = recorder();
-        sim.schedule(SimDuration::from_nanos(1), mk(1));
-        sim.schedule(SimDuration::from_nanos(2), mk(2));
-        assert!(sim.step());
-        assert_eq!(*log.borrow(), vec![1]);
-        assert!(sim.step());
-        assert!(!sim.step());
     }
 }

@@ -12,7 +12,7 @@
 /// A deterministic random-number source.
 ///
 /// Implements xoshiro256++ with the distribution helpers the workloads
-/// need (exponential inter-arrivals, discrete choices). A `SimRng` can be
+/// need (uniform ranges, Bernoulli draws, discrete choices). A `SimRng` can be
 /// `fork`ed to give each model component an independent stream that does
 /// not perturb the others when one component draws more.
 ///
@@ -115,16 +115,6 @@ impl SimRng {
                 return lo + high;
             }
         }
-    }
-
-    /// Exponentially distributed value with the given mean (inverse-CDF
-    /// method). A zero or negative mean returns 0.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        // 1 - uniform() is in (0, 1]; ln of it is finite.
-        -mean * (1.0 - self.uniform()).ln()
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
@@ -233,17 +223,6 @@ mod tests {
         }
         let frac = f64::from(matching_bits) / (samples as f64 * 64.0);
         assert!((frac - 0.5).abs() < 0.02, "bit agreement {frac}");
-    }
-
-    #[test]
-    fn exponential_mean_converges() {
-        let mut rng = SimRng::seed_from(99);
-        let n = 50_000;
-        let mean = 10.0;
-        let sum: f64 = (0..n).map(|_| rng.exponential(mean)).sum();
-        let emp = sum / n as f64;
-        assert!((emp - mean).abs() / mean < 0.03, "empirical mean {emp}");
-        assert_eq!(rng.exponential(0.0), 0.0);
     }
 
     #[test]

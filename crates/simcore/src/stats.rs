@@ -99,11 +99,6 @@ impl RateMeter {
     pub fn mbps(&self, now: SimTime) -> f64 {
         self.bytes.window_rate_per_sec(now) * 8.0 / 1e6
     }
-
-    /// Throughput in MB/s over the window ending at `now`.
-    pub fn mbytes_per_sec(&self, now: SimTime) -> f64 {
-        self.bytes.window_rate_per_sec(now) / 1e6
-    }
 }
 
 /// Online mean/min/max/variance (Welford) summary.
@@ -377,8 +372,6 @@ mod tests {
         m.record(SimTime::from_millis(500), 125_000_000);
         let mbps = m.mbps(SimTime::from_secs(1));
         assert!((mbps - 1000.0).abs() < 1e-9, "mbps = {mbps}");
-        let mbs = m.mbytes_per_sec(SimTime::from_secs(1));
-        assert!((mbs - 125.0).abs() < 1e-9);
     }
 
     #[test]

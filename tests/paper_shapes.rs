@@ -3,8 +3,8 @@
 //! live in `EXPERIMENTS.md` and are regenerated by `repro`.
 
 use ioat_sim::core::metrics::ExperimentWindow;
-use ioat_sim::core::microbench::{bandwidth, bidirectional, copybench, sockopts, splitup};
-use ioat_sim::core::IoatConfig;
+use ioat_sim::core::microbench::{bandwidth, bidirectional, copybench, splitup};
+use ioat_sim::core::{IoatConfig, SocketOpts};
 
 /// Fig. 3a shape: bandwidth scales ~linearly with ports and I/OAT saves
 /// receiver CPU at every port count.
@@ -47,15 +47,30 @@ fn fig3b_shape() {
     assert!(b.relative_cpu_benefit() > 0.0);
 }
 
-/// Fig. 5 shape: optimizations never hurt throughput, and the relative
-/// I/OAT CPU benefit at the most optimized case exceeds the base case.
+/// Fig. 5 shape: optimizations never hurt throughput, they cut the
+/// non-I/OAT receiver's CPU cost, and the relative I/OAT CPU benefit at
+/// the most optimized case exceeds the base case.
 #[test]
 fn fig5_shape() {
-    let rows = sockopts::sweep_bandwidth(&sockopts::SweepConfig::quick_test());
-    assert_eq!(rows.len(), 5);
-    let first = &rows[0].comparison;
-    let last = &rows[4].comparison;
+    let rows: Vec<_> = SocketOpts::all_cases()
+        .into_iter()
+        .map(|(_, opts)| {
+            bandwidth::compare(&bandwidth::BandwidthConfig {
+                ports: 2,
+                opts,
+                window: ExperimentWindow::quick(),
+            })
+        })
+        .collect();
+    let first = &rows[0];
+    let last = &rows[4];
     assert!(last.non_ioat.mbps >= first.non_ioat.mbps * 0.95);
+    assert!(
+        last.non_ioat.rx_cpu < first.non_ioat.rx_cpu,
+        "Case 5 CPU {:.3} should be below Case 1 {:.3}",
+        last.non_ioat.rx_cpu,
+        first.non_ioat.rx_cpu
+    );
     assert!(
         last.relative_cpu_benefit() >= first.relative_cpu_benefit(),
         "benefit should grow with optimizations: case1 {:.3} case5 {:.3}",
