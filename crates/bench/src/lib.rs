@@ -1359,53 +1359,23 @@ pub fn run_figure_supervised(
     Some(fig)
 }
 
-/// Runs the Fig. 7 configuration with tracing on, prints the per-category
-/// CPU split-up over the measurement window for non-I/OAT and full I/OAT,
-/// and writes the full-I/OAT run as a Perfetto-loadable Chrome trace plus
-/// companion event CSV next to it. Tracing is inherently
-/// single-threaded; this path never uses the sweep pool.
-pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
-    use ioat_telemetry::{cpu_splitup, export, Category, Tracer};
-    let cfg = splitup::SplitupConfig { ports: 2, window };
-    let msg = 64 * 1024;
-    let mut runs = Vec::new();
-    for (label, ioat) in [
-        ("non-I/OAT", IoatConfig::disabled()),
-        ("I/OAT full", IoatConfig::full()),
-    ] {
-        let tracer = Tracer::enabled();
-        let (res, (from, to)) = splitup::run_one_traced(&cfg, ioat, msg, &tracer);
-        let report = cpu_splitup(&tracer.events(), from, to);
-        println!("\n=== Fig 7 CPU split-up ({label}, 64 KB messages) ===");
-        print!("{}", report.render_table());
-        for (cat, share) in report.receive_path_shares() {
-            println!(
-                "  {:<10} {:>5.1}% of the CPU receive path",
-                cat.name(),
-                share * 100.0
-            );
-        }
-        println!(
-            "  rx-cpu {:>5.1}%   goodput {:>6.0} Mbps   {} events",
-            res.rx_cpu * 100.0,
-            res.mbps,
-            tracer.len()
-        );
-        runs.push((report, tracer));
-    }
-    let receive_path = [Category::Interrupt, Category::Protocol, Category::Copy];
-    let (non, _) = &runs[0];
-    let (full, tracer) = &runs[1];
-    println!(
-        "\n  copy share of the CPU receive path: {:.1}% -> {:.1}%",
-        non.share_among(Category::Copy, &receive_path) * 100.0,
-        full.share_among(Category::Copy, &receive_path) * 100.0
-    );
-    println!(
-        "  copy time absorbed by the DMA engine: {:.0} us on the dma-chan track",
-        full.busy(Category::Dma).as_micros_f64()
-    );
-    if let Err(e) = export::write_chrome_trace(path, tracer) {
+/// Traces one configuration twice, non-I/OAT then full I/OAT. `run`
+/// drives one run into the tracer it is given, prints that run's lines and
+/// returns its CPU split-up; `summarize` then prints lines comparing the
+/// two split-ups. The full-I/OAT run is written as a Perfetto-loadable
+/// Chrome trace at `path` plus the event CSV next to it. Tracing is
+/// inherently single-threaded; this path never uses the sweep pool.
+fn trace_non_and_full(
+    path: &std::path::Path,
+    mut run: impl FnMut(&str, IoatConfig, &ioat_telemetry::Tracer) -> ioat_telemetry::SplitupReport,
+    summarize: impl FnOnce(&ioat_telemetry::SplitupReport, &ioat_telemetry::SplitupReport),
+) {
+    use ioat_telemetry::{export, Tracer};
+    let non = run("non-I/OAT", IoatConfig::disabled(), &Tracer::enabled());
+    let tracer = Tracer::enabled();
+    let full = run("I/OAT full", IoatConfig::full(), &tracer);
+    summarize(&non, &full);
+    if let Err(e) = export::write_chrome_trace(path, &tracer) {
         eprintln!("error: cannot write {}: {e}", path.display());
         std::process::exit(1);
     }
@@ -1423,27 +1393,62 @@ pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
     println!("open the JSON at https://ui.perfetto.dev or chrome://tracing");
 }
 
+/// Runs the Fig. 7 configuration with tracing on, prints the per-category
+/// CPU split-up over the measurement window for non-I/OAT and full I/OAT,
+/// and writes the full-I/OAT run's trace (see [`trace_non_and_full`]).
+pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
+    use ioat_telemetry::{cpu_splitup, Category};
+    let cfg = splitup::SplitupConfig { ports: 2, window };
+    let msg = 64 * 1024;
+    let run = |label: &str, ioat, tracer: &_| {
+        let (res, (from, to)) = splitup::run_one_traced(&cfg, ioat, msg, tracer);
+        let report = cpu_splitup(&tracer.events(), from, to);
+        println!("\n=== Fig 7 CPU split-up ({label}, 64 KB messages) ===");
+        print!("{}", report.render_table());
+        for (cat, share) in report.receive_path_shares() {
+            println!(
+                "  {:<10} {:>5.1}% of the CPU receive path",
+                cat.name(),
+                share * 100.0
+            );
+        }
+        println!(
+            "  rx-cpu {:>5.1}%   goodput {:>6.0} Mbps   {} events",
+            res.rx_cpu * 100.0,
+            res.mbps,
+            tracer.len()
+        );
+        report
+    };
+    trace_non_and_full(path, run, |non, full| {
+        let receive_path = [Category::Interrupt, Category::Protocol, Category::Copy];
+        println!(
+            "\n  copy share of the CPU receive path: {:.1}% -> {:.1}%",
+            non.share_among(Category::Copy, &receive_path) * 100.0,
+            full.share_among(Category::Copy, &receive_path) * 100.0
+        );
+        println!(
+            "  copy time absorbed by the DMA engine: {:.0} us on the dma-chan track",
+            full.busy(Category::Dma).as_micros_f64()
+        );
+    });
+}
+
 /// Runs the Fig. 10a configuration (6 servers × 6 clients, concurrent
 /// read) with tracing on for non-I/OAT and full I/OAT, prints the
 /// per-component CPU split-up on both nodes — this is the telemetry view
 /// that diagnosed the PVFS throughput bug: the I/O-server node's daemons
 /// barely register while the compute node's process-context receive path
 /// saturates, so the binding constraint is CPU, not the wire — and writes
-/// the full-I/OAT run as a Perfetto-loadable Chrome trace plus the event
-/// CSV, exactly like [`trace_fig7`]. Single-threaded by design.
+/// the full-I/OAT run's trace (see [`trace_non_and_full`]).
 pub fn trace_fig10a(window: ExperimentWindow, path: &std::path::Path) {
     use ioat_pvfs::harness::concurrent_read_traced;
-    use ioat_telemetry::{cpu_splitup, export, Category, Tracer};
+    use ioat_telemetry::{cpu_splitup, Category};
     let elapsed = (window.to() - window.from()).as_secs_f64();
-    let mut last: Option<Tracer> = None;
-    for (label, ioat) in [
-        ("non-I/OAT", IoatConfig::disabled()),
-        ("I/OAT full", IoatConfig::full()),
-    ] {
+    let run = |label: &str, ioat, tracer: &_| {
         let mut cfg = PvfsConfig::paper(6, 6, ioat);
         cfg.window = window;
-        let tracer = Tracer::enabled();
-        let res = concurrent_read_traced(&cfg, &tracer);
+        let res = concurrent_read_traced(&cfg, tracer);
         let report = cpu_splitup(&tracer.events(), window.from(), window.to());
         println!("\n=== Fig 10a CPU split-up ({label}, 6 servers x 6 clients, read) ===");
         print!("{}", report.render_table());
@@ -1476,25 +1481,9 @@ pub fn trace_fig10a(window: ExperimentWindow, path: &std::path::Path) {
             res.server_cpu * 100.0,
             tracer.len()
         );
-        last = Some(tracer);
-    }
-    let tracer = last.expect("loop ran");
-    if let Err(e) = export::write_chrome_trace(path, &tracer) {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    let csv_events = path.with_extension("events.csv");
-    if let Err(e) = std::fs::write(&csv_events, export::events_csv(&tracer.events())) {
-        eprintln!("error: cannot write {}: {e}", csv_events.display());
-        std::process::exit(1);
-    }
-    println!(
-        "\nwrote {} ({} events) and {}",
-        path.display(),
-        tracer.len(),
-        csv_events.display()
-    );
-    println!("open the JSON at https://ui.perfetto.dev or chrome://tracing");
+        report
+    };
+    trace_non_and_full(path, run, |_, _| {});
 }
 
 #[cfg(test)]

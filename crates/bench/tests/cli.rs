@@ -291,3 +291,24 @@ fn audit_run_is_bit_identical_to_plain_run() {
     let _ = std::fs::remove_file(&plain);
     let _ = std::fs::remove_file(&audited);
 }
+
+#[test]
+fn trace_without_target_writes_fig7_trace_and_csv() {
+    // With no target, --trace runs only the Fig. 7 split-up and writes the
+    // full-I/OAT run as a Chrome trace plus its events CSV sidecar.
+    let dir = std::env::temp_dir().join(format!("ioat_bench_cli_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let json = dir.join("t.json");
+    let out = repro(&["--quick", "--trace", json.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let doc = std::fs::read_to_string(&json).expect("trace JSON written");
+    assert!(doc.contains("traceEvents"), "not a Chrome trace");
+    assert!(!doc.contains("\"cat\":\"sim\""), "no engine events");
+    assert!(dir.join("t.events.csv").exists(), "events CSV written");
+    assert!(
+        stdout(&out).contains("copy share of the CPU receive path"),
+        "stdout: {}",
+        stdout(&out)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -15,9 +15,9 @@ use ioat_telemetry::{Category, Tracer, TrackId};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// Pseudo node id used for simulator-engine events in exported traces
-/// (kept far away from real node indices).
-pub const SIM_TRACK_NODE: u32 = 9_999;
+/// Pseudo node id that carries audit-violation instants in exported
+/// traces (kept far away from real node indices).
+pub const AUDIT_TRACK_NODE: u32 = 9_999;
 
 /// Configuration of one node.
 #[derive(Debug, Clone)]
@@ -174,26 +174,12 @@ impl Cluster {
         self.faults = plan.clone();
     }
 
-    /// The installed fault plan (inert by default).
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Attaches a tracer to the cluster: every node already added (and
     /// every node added afterwards) gets it, with the node's index as the
-    /// Chrome-trace pid. When the tracer records [`Category::Sim`], the
-    /// simulator's event hook also emits one instant per executed event
-    /// on a dedicated pseudo process.
+    /// Chrome-trace pid.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         for (i, node) in self.nodes.iter().enumerate() {
             node.borrow_mut().set_tracer(tracer.clone(), i as u32);
-        }
-        if tracer.records(Category::Sim) {
-            tracer.set_process_name(SIM_TRACK_NODE, "sim-engine");
-            let tr = tracer.clone();
-            self.sim.set_event_hook(move |at, _seq| {
-                tr.instant("event", Category::Sim, TrackId::new(SIM_TRACK_NODE, 0), at);
-            });
         }
         self.tracer = tracer;
     }
@@ -327,14 +313,14 @@ impl Cluster {
         }
         let quiescent = self.sim.events_pending() == 0;
         stack::audit_cluster_conservation(self.frame_totals(), 0, 0, now, quiescent);
-        if self.tracer.records(Category::Audit) {
+        if self.tracer.is_enabled() {
             for v in ioat_guard::violations_since(before) {
                 // Event names must be `'static`; the invariant name is,
                 // and it identifies the failed check unambiguously.
                 self.tracer.instant(
                     v.invariant,
                     Category::Audit,
-                    TrackId::new(SIM_TRACK_NODE, 0),
+                    TrackId::new(AUDIT_TRACK_NODE, 0),
                     v.at,
                 );
             }

@@ -169,23 +169,15 @@ pub fn run_one_traced(
 /// within a tolerance). This holds because spans are emitted at job
 /// submission — in-flight jobs at window close already have their spans —
 /// and every `run_job` partitions its busy interval into spans with no gap
-/// or overlap. Only runs when the tracer records every CPU category (a
-/// filtered tracer would undercount by construction).
+/// or overlap. Only runs with an enabled tracer.
 fn audit_cycle_sum(
     rx: &ioat_netsim::stack::HostStack,
     tracer: &ioat_telemetry::Tracer,
     from: ioat_simcore::SimTime,
     to: ioat_simcore::SimTime,
 ) {
-    use ioat_telemetry::{Category, EventKind};
-    let cpu_cats = [
-        Category::Interrupt,
-        Category::Protocol,
-        Category::Copy,
-        Category::Dma,
-        Category::App,
-    ];
-    if !ioat_guard::enabled() || !cpu_cats.iter().all(|&c| tracer.records(c)) {
+    use ioat_telemetry::EventKind;
+    if !ioat_guard::enabled() || !tracer.is_enabled() {
         return;
     }
     let node = rx.node_id();

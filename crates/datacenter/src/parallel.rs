@@ -64,7 +64,6 @@ use ioat_netsim::{ConnId, Frame, Socket};
 use ioat_parsim::{Outbox, ParsimReport, Partition};
 use ioat_simcore::{Counter, Histogram, Sim, SimDuration, SimRng, SimTime, Summary};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A frame crossing a partition boundary. Plain `Copy` data — the only
@@ -306,8 +305,9 @@ struct FabricOut {
 struct GroupPart {
     cluster: Cluster,
     shared: Rc<GroupShared>,
-    /// Topology host → (stack, port) for frames delivered off the fabric.
-    host_ports: HashMap<usize, (StackRef, usize)>,
+    /// (topology host, stack, port) of the group's 2f hosts, searched by
+    /// topology host for frames delivered off the fabric.
+    host_ports: Vec<(usize, StackRef, usize)>,
     proxies: Vec<NodeHandle>,
     webs: Vec<NodeHandle>,
 }
@@ -322,7 +322,7 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
 
     // Proxies {g, g+G, …} and webs [g·f, (g+1)·f): the closed set of the
     // subset rule `w = (p·f + j) mod n_webs`.
-    let mut host_ports = HashMap::new();
+    let mut host_ports = Vec::with_capacity(2 * lay.f);
     let proxies: Vec<(usize, NodeHandle, usize)> = (0..lay.f)
         .map(|i| {
             let p = g + i * lay.groups;
@@ -337,7 +337,7 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
                 p,
                 &cfg.fabric,
             );
-            host_ports.insert(p, (Rc::clone(cluster.stack(h)), port));
+            host_ports.push((p, Rc::clone(cluster.stack(h)), port));
             (p, h, port)
         })
         .collect();
@@ -355,7 +355,7 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
                 lay.n_proxies + w,
                 &cfg.fabric,
             );
-            host_ports.insert(lay.n_proxies + w, (Rc::clone(cluster.stack(h)), port));
+            host_ports.push((lay.n_proxies + w, Rc::clone(cluster.stack(h)), port));
             (w, h, port)
         })
         .collect();
@@ -559,11 +559,12 @@ impl Partition for DcPartition {
                 });
             }
             (DcPartition::Group(p), NetMsg::Deliver { host, frame }) => {
-                let (stack, port) = p
+                let (_, stack, port) = p
                     .host_ports
-                    .get(&host)
-                    .expect("frame delivered to a host outside this partition")
-                    .clone();
+                    .iter()
+                    .find(|(h, ..)| *h == host)
+                    .expect("frame delivered to a host outside this partition");
+                let (stack, port) = (Rc::clone(stack), *port);
                 p.cluster.sim_mut().schedule_at(fire_at, move |sim| {
                     stack::frame_arrived(&stack, sim, port, frame);
                 });

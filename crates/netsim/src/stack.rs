@@ -95,13 +95,19 @@ struct RxQueue {
     pending: Vec<Frame>,
 }
 
+/// What a port's access link leads to.
+#[derive(Clone)]
+enum Attachment {
+    /// Port `.1` of stack `.0`, wired back to this one (see [`wire`]).
+    Peer(StackRef, usize),
+    /// A router that knows this port by attachment index `.1` (see
+    /// [`attach_router`]).
+    Router(Rc<dyn FrameRouter>, usize),
+}
+
 struct Port {
     tx: Link,
-    peer: Option<StackRef>,
-    peer_port: usize,
-    /// Routed alternative to `peer`: the fabric this port attaches to and
-    /// the attachment index the fabric knows this port by.
-    router: Option<(Rc<dyn FrameRouter>, usize)>,
+    attachment: Attachment,
     queues: Vec<RxQueue>,
 }
 
@@ -443,11 +449,6 @@ impl HostStack {
         self.faults = faults;
     }
 
-    /// The attached fault injector (inert by default).
-    pub fn faults(&self) -> &FaultInjector {
-        &self.faults
-    }
-
     /// Marks a fault-recovery event on this node's fault track.
     fn fault_instant(&self, name: &'static str, at: SimTime) {
         self.tracer
@@ -536,13 +537,13 @@ impl HostStack {
         busy.as_secs_f64() / (window.as_secs_f64() * self.cores.len() as f64)
     }
 
-    /// Adds a NIC port transmitting over `tx`; returns the port index.
-    /// `coalescing` enables the hardware interrupt-coalescing feature on
-    /// the port's receive side — under [`RxMode::Interrupt`] only; the
-    /// other modes fix their own notification strategy. With `multi_queue`
-    /// the port exposes one receive queue per core, each with independent
-    /// interrupt moderation.
-    pub fn add_port(&mut self, tx: Link, coalescing: bool) -> usize {
+    /// Adds a NIC port transmitting over `tx` to `attachment`; returns the
+    /// port index. `coalescing` enables the hardware interrupt-coalescing
+    /// feature on the port's receive side — under [`RxMode::Interrupt`]
+    /// only; the other modes fix their own notification strategy. With
+    /// `multi_queue` the port exposes one receive queue per core, each
+    /// with independent interrupt moderation.
+    fn add_port(&mut self, tx: Link, coalescing: bool, attachment: Attachment) -> usize {
         let p = &self.params;
         let n_queues = if self.ioat.multi_queue {
             self.cores.len()
@@ -565,9 +566,7 @@ impl HostStack {
             .collect();
         self.ports.push(Port {
             tx,
-            peer: None,
-            peer_port: 0,
-            router: None,
+            attachment,
             queues,
         });
         self.ports.len() - 1
@@ -691,18 +690,14 @@ pub fn wire(
     let name_b = b.borrow().name.clone();
     let link_ab = Link::new(&format!("{name_a}->{name_b}"), bandwidth, latency);
     let link_ba = Link::new(&format!("{name_b}->{name_a}"), bandwidth, latency);
-    let ai = a.borrow_mut().add_port(link_ab, coalescing);
-    let bi = b.borrow_mut().add_port(link_ba, coalescing);
-    {
-        let mut sa = a.borrow_mut();
-        sa.ports[ai].peer = Some(Rc::clone(b));
-        sa.ports[ai].peer_port = bi;
-    }
-    {
-        let mut sb = b.borrow_mut();
-        sb.ports[bi].peer = Some(Rc::clone(a));
-        sb.ports[bi].peer_port = ai;
-    }
+    // Each port names the other, so both indices are fixed before either
+    // port exists; wiring a stack to itself puts b's port after a's.
+    let ai = a.borrow().ports.len();
+    let bi = b.borrow().ports.len() + usize::from(Rc::ptr_eq(a, b));
+    a.borrow_mut()
+        .add_port(link_ab, coalescing, Attachment::Peer(Rc::clone(b), bi));
+    b.borrow_mut()
+        .add_port(link_ba, coalescing, Attachment::Peer(Rc::clone(a), ai));
     (ai, bi)
 }
 
@@ -716,10 +711,8 @@ pub fn attach_router(
     router: Rc<dyn FrameRouter>,
     attachment: usize,
 ) -> usize {
-    let mut st = s.borrow_mut();
-    let idx = st.add_port(tx, false);
-    st.ports[idx].router = Some((router, attachment));
-    idx
+    s.borrow_mut()
+        .add_port(tx, false, Attachment::Router(router, attachment))
 }
 
 /// Opens a full-duplex connection between ports `port_a` on `a` and
@@ -752,20 +745,17 @@ pub fn open_connection(
     let (route_a, route_b) = {
         let (sa, sb) = (a.borrow(), b.borrow());
         let (pa, pb) = (&sa.ports[port_a], &sb.ports[port_b]);
-        match (&pa.router, &pb.router) {
-            (Some((ra, att_a)), Some((rb, att_b))) => (
+        match (&pa.attachment, &pb.attachment) {
+            (Attachment::Router(ra, att_a), Attachment::Router(rb, att_b)) => (
                 (ra.ack_delay(*att_a, *att_b), Some(*att_b)),
                 (rb.ack_delay(*att_b, *att_a), Some(*att_a)),
             ),
-            _ => {
-                let wired =
-                    pa.peer.as_ref().is_some_and(|p| Rc::ptr_eq(p, b)) && pa.peer_port == port_b;
-                assert!(
-                    wired,
-                    "ports are neither wired to each other nor both router-attached"
-                );
+            (Attachment::Peer(peer, peer_port), _)
+                if Rc::ptr_eq(peer, b) && *peer_port == port_b =>
+            {
                 ((pa.tx.latency(), None), (pb.tx.latency(), None))
             }
+            _ => panic!("ports are neither wired to each other nor both router-attached"),
         }
     };
     install_endpoint(a, port_a, opts, id, b, route_a);
@@ -1029,11 +1019,7 @@ fn pump(s: &StackRef, sim: &mut Sim, conn: ConnId) {
 /// sender's NIC transmitted it) but never reaches the peer's
 /// `frame_arrived` — and schedules no event at all.
 fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
-    enum Egress {
-        Peer(StackRef, usize),
-        Handoff(Rc<dyn FrameRouter>, usize, usize),
-    }
-    let (train, link, egress) = {
+    let (train, link, attachment, peer_attachment) = {
         let mut st = s.borrow_mut();
         let now = sim.now();
         let Some(c) = st.conns.get_mut(&conn) else {
@@ -1075,37 +1061,33 @@ fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
             }
         }
         let port = &st.ports[port_idx];
-        let egress = if let Some((router, src)) = &port.router {
-            let dst =
-                peer_attachment.expect("router-attached connection without a peer attachment");
-            Egress::Handoff(Rc::clone(router), *src, dst)
-        } else {
-            Egress::Peer(
-                Rc::clone(port.peer.as_ref().expect("port not wired")),
-                port.peer_port,
-            )
-        };
-        (train, port.tx.clone(), egress)
+        (
+            train,
+            port.tx.clone(),
+            port.attachment.clone(),
+            peer_attachment,
+        )
     };
     for (frame, lost) in train {
         if lost {
             link.transmit_dropped(sim, frame.wire_bytes());
             continue;
         }
-        match &egress {
-            Egress::Peer(peer, peer_port) => {
-                let peer2 = Rc::clone(peer);
-                let peer_port = *peer_port;
+        match &attachment {
+            Attachment::Peer(peer, peer_port) => {
+                let (peer, peer_port) = (Rc::clone(peer), *peer_port);
                 link.transmit(sim, frame.wire_bytes(), move |sim| {
-                    frame_arrived(&peer2, sim, peer_port, frame);
+                    frame_arrived(&peer, sim, peer_port, frame);
                 });
             }
-            Egress::Handoff(router, src, dst) => {
+            Attachment::Router(router, src) => {
                 // Identical serializer accounting to `transmit`, but no
                 // local arrival event: the router stages the frame for the
                 // simulation that owns the fabric.
+                let dst =
+                    peer_attachment.expect("router-attached connection without a peer attachment");
                 let arrive = link.transmit_dropped(sim, frame.wire_bytes());
-                router.frame_departed(sim, *src, *dst, frame, arrive);
+                router.frame_departed(sim, *src, dst, frame, arrive);
             }
         }
     }
@@ -1124,7 +1106,7 @@ fn arm_rto(s: &StackRef, sim: &mut Sim, conn: ConnId) {
         let lossy_port = |st: &HostStack, conn: ConnId| {
             st.conns
                 .get(&conn)
-                .is_some_and(|c| st.ports[c.send.port].router.is_some())
+                .is_some_and(|c| matches!(st.ports[c.send.port].attachment, Attachment::Router(..)))
         };
         if !st.faults.is_active() && !lossy_port(&st, conn) {
             return;
@@ -1929,10 +1911,11 @@ mod tests {
     fn connecting_unwired_ports_panics() {
         let a = HostStack::new("a", 2, StackParams::default(), IoatConfig::disabled());
         let b = HostStack::new("b", 2, StackParams::default(), IoatConfig::disabled());
-        let la = Link::new("x", Bandwidth::from_gbps(1), SimDuration::ZERO);
-        let lb = Link::new("y", Bandwidth::from_gbps(1), SimDuration::ZERO);
-        a.borrow_mut().add_port(la, false);
-        b.borrow_mut().add_port(lb, false);
+        let c = HostStack::new("c", 2, StackParams::default(), IoatConfig::disabled());
+        let d = HostStack::new("d", 2, StackParams::default(), IoatConfig::disabled());
+        let gbps = Bandwidth::from_gbps(1);
+        wire(&a, &c, gbps, SimDuration::ZERO, false);
+        wire(&b, &d, gbps, SimDuration::ZERO, false);
         open_connection(&a, &b, 0, 0, SocketOpts::tuned(), ConnId(9));
     }
 
@@ -2240,7 +2223,8 @@ mod tests {
                 IoatConfig::disabled().with_multi_queue(mq),
             );
             let l = Link::new("x", Bandwidth::from_gbps(1), SimDuration::ZERO);
-            s.borrow_mut().add_port(l, false);
+            let peer = HostStack::new("p", 1, StackParams::default(), IoatConfig::disabled());
+            s.borrow_mut().add_port(l, false, Attachment::Peer(peer, 0));
             s
         };
         let a = mk(true);

@@ -212,25 +212,6 @@ impl RecvState {
     }
 }
 
-/// Cuts `bytes` into MSS-sized frame payloads.
-///
-/// ```rust
-/// use ioat_netsim::tcp::segment_sizes;
-/// assert_eq!(segment_sizes(3000, 1460), vec![1460, 1460, 80]);
-/// assert_eq!(segment_sizes(0, 1460), Vec::<u64>::new());
-/// ```
-pub fn segment_sizes(bytes: u64, mss: u64) -> Vec<u64> {
-    assert!(mss > 0, "MSS must be positive");
-    let mut out = Vec::with_capacity((bytes / mss + 1) as usize);
-    let mut left = bytes;
-    while left > 0 {
-        let take = left.min(mss);
-        out.push(take);
-        left -= take;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,13 +356,5 @@ mod tests {
             assert!(off + 16_384 <= 65_536);
         }
         assert_eq!(RecvState::ring_offset(123, 4_096, 4_096), 0);
-    }
-
-    #[test]
-    fn segmentation_covers_all_bytes() {
-        let segs = segment_sizes(10_000, 1460);
-        assert_eq!(segs.iter().sum::<u64>(), 10_000);
-        assert!(segs[..segs.len() - 1].iter().all(|&s| s == 1460));
-        assert_eq!(segment_sizes(1460, 1460), vec![1460]);
     }
 }

@@ -7,7 +7,6 @@
 use ioat_netsim::config::{IoatConfig, SocketOpts, StackParams};
 use ioat_netsim::socket::socket_pair;
 use ioat_netsim::stack::HostStack;
-use ioat_netsim::tcp::segment_sizes;
 use ioat_netsim::{ConnId, SocketEvent};
 use ioat_simcore::time::Bandwidth;
 use ioat_simcore::{Sim, SimDuration, SimRng, SimTime};
@@ -110,22 +109,6 @@ fn receiver_stats_are_coherent() {
         assert!(st.interrupts <= st.frames_processed, "seed {seed}");
         assert!(st.deliveries >= 1, "seed {seed}");
         assert!(st.deliveries <= st.frames_processed, "seed {seed}");
-    }
-}
-
-/// Segmentation covers every byte with MSS-bounded pieces.
-#[test]
-fn segmentation_is_exact() {
-    for seed in 0..256 {
-        let mut rng = SimRng::seed_from(seed);
-        let bytes = rng.range(0, 10_000_000);
-        let mss = rng.range(1, 10_000);
-        let segs = segment_sizes(bytes, mss);
-        assert_eq!(segs.iter().sum::<u64>(), bytes, "seed {seed}");
-        assert!(segs.iter().all(|&s| s > 0 && s <= mss), "seed {seed}");
-        if bytes > 0 {
-            assert_eq!(segs.len() as u64, bytes.div_ceil(mss), "seed {seed}");
-        }
     }
 }
 

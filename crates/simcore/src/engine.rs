@@ -5,7 +5,9 @@
 //! `Rc<RefCell<_>>` cells that the closures capture. Two events scheduled
 //! for the same instant execute in scheduling order (FIFO tie-break on a
 //! monotonically increasing sequence number), which makes every run
-//! bit-reproducible.
+//! bit-reproducible. Executing an event only advances the clock, counts
+//! it and runs its action; models that are traced record their own spans
+//! from the costs they compute.
 //!
 //! # Queue internals
 //!
@@ -36,8 +38,6 @@
 //!   cancel an unrelated later event.
 
 use crate::time::{SimDuration, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// An opaque handle identifying a scheduled event, usable with
 /// [`Sim::cancel`].
@@ -51,9 +51,6 @@ pub struct EventId {
 }
 
 type Action = Box<dyn FnOnce(&mut Sim)>;
-
-/// Observer invoked for every executed event (see [`Sim::set_event_hook`]).
-type EventHook = Rc<RefCell<dyn FnMut(SimTime, u64)>>;
 
 /// Stale-entry count that triggers a heap compaction sweep. Below this the
 /// linear sweep costs more than the memory it reclaims.
@@ -244,11 +241,6 @@ pub struct Sim {
     /// Hard cap on executed events; guards against accidental infinite
     /// event loops in model code.
     event_limit: u64,
-    /// Optional per-event observer (telemetry). `None` costs nothing on
-    /// the hot path; when set, it is called with `(time, seq)` before each
-    /// action runs and cannot touch the simulator, so it cannot perturb
-    /// execution order.
-    hook: Option<EventHook>,
 }
 
 impl Default for Sim {
@@ -282,7 +274,6 @@ impl Sim {
             scheduled: 0,
             cancelled: 0,
             event_limit: u64::MAX,
-            hook: None,
         }
     }
 
@@ -321,13 +312,6 @@ impl Sim {
     /// [`Sim::cancel`]. Exposed for regression tests and diagnostics.
     pub fn tombstones(&self) -> usize {
         self.stale
-    }
-
-    /// Installs an observer called with `(time, seq)` for every executed
-    /// event, replacing any previous hook. The observer deliberately gets
-    /// no simulator access: it can record, not perturb.
-    pub fn set_event_hook(&mut self, hook: impl FnMut(SimTime, u64) + 'static) {
-        self.hook = Some(Rc::new(RefCell::new(hook)));
     }
 
     /// Caps the total number of events this simulator will execute.
@@ -378,9 +362,9 @@ impl Sim {
     /// identical to the relay formulation step for step, so execution
     /// order is bit-identical — but no relay closure is allocated, no
     /// relay event executes (it does not count toward
-    /// [`Sim::events_executed`], the event limit, or the event hook), and
-    /// the slab slot is reused across both phases, so the returned
-    /// [`EventId`] stays valid for [`Sim::cancel`] throughout.
+    /// [`Sim::events_executed`] or the event limit), and the slab slot is
+    /// reused across both phases, so the returned [`EventId`] stays valid
+    /// for [`Sim::cancel`] throughout.
     ///
     /// # Panics
     ///
@@ -478,7 +462,7 @@ impl Sim {
     /// [`EventId`], is untouched. The fire instant may lie beyond the
     /// window, so the loop looks at the new top again.
     #[inline]
-    fn pop_due(&mut self, due: impl Fn(SimTime) -> bool) -> Option<(SimTime, u64, Action)> {
+    fn pop_due(&mut self, due: impl Fn(SimTime) -> bool) -> Option<(SimTime, Action)> {
         loop {
             let top = *self.heap.peek()?;
             let slot = &mut self.slots[top.slot as usize];
@@ -508,13 +492,13 @@ impl Sim {
             self.free.push(top.slot);
             self.live -= 1;
             self.heap.pop();
-            return Some((top.at, top.seq, action));
+            return Some((top.at, action));
         }
     }
 
     /// Runs a popped event: advances the clock, counts it against the
-    /// event limit, shows it to the hook, then calls its action.
-    fn execute(&mut self, (at, seq, action): (SimTime, u64, Action)) {
+    /// event limit, then calls its action.
+    fn execute(&mut self, (at, action): (SimTime, Action)) {
         debug_assert!(at >= self.now, "event time went backwards");
         self.now = at;
         self.executed += 1;
@@ -524,9 +508,6 @@ impl Sim {
             self.event_limit,
             self.now
         );
-        if let Some(hook) = self.hook.clone() {
-            (hook.borrow_mut())(at, seq);
-        }
         action(self);
     }
 
@@ -837,23 +818,6 @@ mod tests {
         assert!(sim.tombstones() < 4 * COMPACT_MIN_STALE);
         sim.run();
         assert_eq!(*log.borrow(), vec![42]);
-    }
-
-    #[test]
-    fn event_hook_observes_every_event() {
-        let mut sim = Sim::new();
-        let (log, mk) = recorder();
-        let seen: Rc<RefCell<Vec<(SimTime, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-        let s = Rc::clone(&seen);
-        sim.set_event_hook(move |at, seq| s.borrow_mut().push((at, seq)));
-        sim.schedule(SimDuration::from_nanos(10), mk(1));
-        sim.schedule(SimDuration::from_nanos(20), mk(2));
-        sim.run();
-        assert_eq!(*log.borrow(), vec![1, 2]);
-        assert_eq!(
-            *seen.borrow(),
-            vec![(SimTime::from_nanos(10), 0), (SimTime::from_nanos(20), 1)]
-        );
     }
 
     #[test]

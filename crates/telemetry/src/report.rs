@@ -64,29 +64,9 @@ impl SplitupReport {
         )
     }
 
-    /// Total span time across all categories and tracks.
-    pub fn total(&self) -> SimDuration {
-        SimDuration::from_nanos(
-            self.per_track
-                .values()
-                .map(|cats| cats.iter().sum::<u64>())
-                .sum(),
-        )
-    }
-
     /// A category's share of the time in `cats` (0 when that total is 0).
     pub fn share_among(&self, cat: Category, cats: &[Category]) -> f64 {
         let total: u64 = cats.iter().map(|c| self.busy(*c).as_nanos()).sum();
-        if total == 0 {
-            0.0
-        } else {
-            self.busy(cat).as_nanos() as f64 / total as f64
-        }
-    }
-
-    /// A category's share of all traced span time.
-    pub fn share(&self, cat: Category) -> f64 {
-        let total = self.total().as_nanos();
         if total == 0 {
             0.0
         } else {
@@ -168,7 +148,6 @@ mod tests {
         assert_eq!(r.busy(Category::Interrupt).as_nanos(), 100);
         assert_eq!(r.busy(Category::Protocol).as_nanos(), 300);
         assert_eq!(r.busy(Category::Copy).as_nanos(), 600);
-        assert_eq!(r.total().as_nanos(), 1_000);
         assert_eq!(
             r.busy_on(TrackId::new(0, 1), Category::Copy).as_nanos(),
             600
@@ -188,8 +167,8 @@ mod tests {
         assert_eq!(r.busy(Category::Protocol).as_nanos(), 300); // untouched
         assert_eq!(r.busy(Category::Copy).as_nanos(), 100); // [400,500)
         let empty = cpu_splitup(&sample_events(), t(2_000), t(3_000));
-        assert_eq!(empty.total().as_nanos(), 0);
-        assert_eq!(empty.share(Category::Copy), 0.0);
+        assert_eq!(empty.tracks().count(), 0);
+        assert_eq!(empty.receive_path_shares()[2].1, 0.0);
     }
 
     #[test]
@@ -201,7 +180,6 @@ mod tests {
         assert_eq!(rx[0].1, 0.1);
         assert_eq!(rx[1].1, 0.3);
         assert_eq!(rx[2].1, 0.6);
-        assert_eq!(r.share(Category::Copy), 0.6);
         assert_eq!(r.share_among(Category::Copy, &[Category::Copy]), 1.0);
     }
 

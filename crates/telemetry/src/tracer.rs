@@ -6,6 +6,10 @@
 //! simulation. Event names are `&'static str` and events are `Copy`
 //! structs pushed into a pre-allocated buffer: the hot path allocates
 //! nothing once the buffer has warmed up.
+//!
+//! An enabled tracer keeps every event the models emit. The engine itself
+//! emits none, so a trace grows with the spans, instants and counters the
+//! models record, not with the number of events the simulator executes.
 
 use ioat_simcore::SimTime;
 use std::cell::RefCell;
@@ -13,7 +17,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Event category, mirroring the paper's receive-path decomposition plus
-/// the simulator's own layers.
+/// the model layers that emit events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
     /// Interrupt handling (per-coalescing-event fixed + per-frame cost).
@@ -33,19 +37,16 @@ pub enum Category {
     /// Injected faults and the recovery they trigger (drops, retransmits,
     /// timeouts, failovers).
     Fault,
-    /// Simulator engine events (very high volume; off in `enabled()`).
-    Sim,
     /// Anything else.
     Other,
     /// Runtime invariant-audit events (violations surfaced by
-    /// `ioat-guard`). Appended last so existing discriminants — and any
-    /// traces serialized with them — stay stable.
+    /// `ioat-guard`).
     Audit,
 }
 
 impl Category {
     /// All categories, in display order.
-    pub const ALL: [Category; 11] = [
+    pub const ALL: [Category; 10] = [
         Category::Interrupt,
         Category::Protocol,
         Category::Copy,
@@ -54,7 +55,6 @@ impl Category {
         Category::Request,
         Category::Io,
         Category::Fault,
-        Category::Sim,
         Category::Other,
         Category::Audit,
     ];
@@ -70,14 +70,9 @@ impl Category {
             Category::Request => "request",
             Category::Io => "io",
             Category::Fault => "fault",
-            Category::Sim => "sim",
             Category::Other => "other",
             Category::Audit => "audit",
         }
-    }
-
-    fn bit(self) -> u32 {
-        1 << (self as u32)
     }
 
     /// Index into [`Category::ALL`].
@@ -144,7 +139,6 @@ pub struct Event {
 
 struct TraceBuf {
     events: Vec<Event>,
-    mask: u32,
     /// (node, core) -> thread name for export metadata.
     tracks: BTreeMap<(u32, u32), String>,
     /// node -> process name for export metadata.
@@ -194,26 +188,11 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// An enabled tracer recording every category except the very
-    /// high-volume [`Category::Sim`] engine events.
+    /// An enabled tracer recording every event it is given.
     pub fn enabled() -> Self {
-        let mask = Category::ALL
-            .iter()
-            .filter(|c| **c != Category::Sim)
-            .fold(0, |m, c| m | c.bit());
-        Tracer::with_mask(mask)
-    }
-
-    /// An enabled tracer recording all categories, engine events included.
-    pub fn all() -> Self {
-        Tracer::with_mask(u32::MAX)
-    }
-
-    fn with_mask(mask: u32) -> Self {
         Tracer {
             inner: Some(Rc::new(RefCell::new(TraceBuf {
                 events: Vec::with_capacity(INITIAL_CAPACITY),
-                mask,
                 tracks: BTreeMap::new(),
                 processes: BTreeMap::new(),
             }))),
@@ -225,21 +204,10 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Whether a specific category is being recorded.
-    pub fn records(&self, cat: Category) -> bool {
-        match &self.inner {
-            None => false,
-            Some(b) => b.borrow().mask & cat.bit() != 0,
-        }
-    }
-
     #[inline]
     fn push(&self, ev: Event) {
         if let Some(b) = &self.inner {
-            let mut b = b.borrow_mut();
-            if b.mask & ev.cat.bit() != 0 {
-                b.events.push(ev);
-            }
+            b.borrow_mut().events.push(ev);
         }
     }
 
@@ -341,13 +309,6 @@ impl Tracer {
             .as_ref()
             .map_or_else(BTreeMap::new, |b| b.borrow().tracks.clone())
     }
-
-    /// Drops all recorded events, keeping the mask and metadata.
-    pub fn clear(&self) {
-        if let Some(b) = &self.inner {
-            b.borrow_mut().events.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -366,30 +327,6 @@ mod tests {
         assert!(!tr.is_enabled());
         assert!(tr.is_empty());
         assert!(tr.events().is_empty());
-    }
-
-    #[test]
-    fn category_mask_filters() {
-        let tr = Tracer::enabled();
-        tr.span("irq", Category::Interrupt, TrackId::new(0, 1), t(0), t(5));
-        tr.span("ev", Category::Sim, TrackId::new(0, 1), t(5), t(9));
-        assert!(tr.records(Category::Interrupt));
-        assert!(!tr.records(Category::Sim));
-        assert_eq!(tr.len(), 1);
-        assert_eq!(tr.events()[0].name, "irq");
-    }
-
-    #[test]
-    fn enabled_skips_sim_category() {
-        let tr = Tracer::enabled();
-        assert!(tr.records(Category::Interrupt));
-        assert!(!tr.records(Category::Sim));
-        // Audit violations are rare and load-bearing: the default tracer
-        // must keep them even though it drops engine noise.
-        assert!(tr.records(Category::Audit));
-        assert_eq!(Category::Audit.name(), "audit");
-        let all = Tracer::all();
-        assert!(all.records(Category::Sim));
     }
 
     #[test]
@@ -420,15 +357,5 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].name, "a");
         assert!(matches!(evs[1].kind, EventKind::Instant { at } if at == t(15)));
-    }
-
-    #[test]
-    fn clear_keeps_metadata() {
-        let tr = Tracer::enabled();
-        tr.set_process_name(0, "n");
-        tr.instant("x", Category::Other, TrackId::new(0, 0), t(1));
-        tr.clear();
-        assert!(tr.is_empty());
-        assert_eq!(tr.process_names().len(), 1);
     }
 }
