@@ -1380,7 +1380,7 @@ fn trace_non_and_full(
         std::process::exit(1);
     }
     let csv_events = path.with_extension("events.csv");
-    if let Err(e) = std::fs::write(&csv_events, export::events_csv(&tracer.events())) {
+    if let Err(e) = std::fs::write(&csv_events, tracer.with_events(export::events_csv)) {
         eprintln!("error: cannot write {}: {e}", csv_events.display());
         std::process::exit(1);
     }
@@ -1402,7 +1402,7 @@ pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
     let msg = 64 * 1024;
     let run = |label: &str, ioat, tracer: &_| {
         let (res, (from, to)) = splitup::run_one_traced(&cfg, ioat, msg, tracer);
-        let report = cpu_splitup(&tracer.events(), from, to);
+        let report = tracer.with_events(|evs| cpu_splitup(evs, from, to));
         println!("\n=== Fig 7 CPU split-up ({label}, 64 KB messages) ===");
         print!("{}", report.render_table());
         for (cat, share) in report.receive_path_shares() {
@@ -1449,7 +1449,7 @@ pub fn trace_fig10a(window: ExperimentWindow, path: &std::path::Path) {
         let mut cfg = PvfsConfig::paper(6, 6, ioat);
         cfg.window = window;
         let res = concurrent_read_traced(&cfg, tracer);
-        let report = cpu_splitup(&tracer.events(), window.from(), window.to());
+        let report = tracer.with_events(|evs| cpu_splitup(evs, window.from(), window.to()));
         println!("\n=== Fig 10a CPU split-up ({label}, 6 servers x 6 clients, read) ===");
         print!("{}", report.render_table());
         // Core-equivalents per node over the window: node 0 is the

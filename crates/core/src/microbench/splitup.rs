@@ -183,19 +183,22 @@ fn audit_cycle_sum(
     let node = rx.node_id();
     let cores = rx.cores().len() as u32;
     let mut span_ns = 0u64;
-    for ev in tracer.events() {
-        if let EventKind::Span { start, end } = ev.kind {
-            // CPU tracks only: the DMA channel's pseudo-track (core index
-            // == core count) carries engine busy time, not CPU cycles.
-            if ev.track.node == node && ev.track.core < cores {
-                let s = start.max(from);
-                let e = end.min(to);
-                if e > s {
-                    span_ns += e.as_nanos() - s.as_nanos();
+    tracer.with_events(|evs| {
+        for ev in evs {
+            if let EventKind::Span { start, end } = ev.kind {
+                // CPU tracks only: the DMA channel's pseudo-track (core
+                // index == core count) carries engine busy time, not CPU
+                // cycles.
+                if ev.track.node == node && ev.track.core < cores {
+                    let s = start.max(from);
+                    let e = end.min(to);
+                    if e > s {
+                        span_ns += e.as_nanos() - s.as_nanos();
+                    }
                 }
             }
         }
-    }
+    });
     let busy_ns = rx.cores().busy().as_nanos();
     ioat_guard::check(
         "core/splitup",

@@ -375,10 +375,8 @@ mod tests {
         assert_eq!(off.completed, on.completed);
         assert_eq!(off.latency_p99_us.to_bits(), on.latency_p99_us.to_bits());
         let requests = tracer
-            .events()
-            .iter()
-            .filter(|e| e.cat == Category::Request)
-            .count() as u64;
+            .with_events(|evs| evs.iter().filter(|e| e.cat == Category::Request).count())
+            as u64;
         assert!(
             requests >= on.completed,
             "every completed transaction has a request span"

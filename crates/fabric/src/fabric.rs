@@ -409,30 +409,6 @@ impl Fabric {
         }
     }
 
-    /// Counts one frame dropped at `sw` with no live path. The global
-    /// counter carries the test-only `audit-bug` skew, mirroring the
-    /// tail-drop counter, so the conservation audit's blackhole term is
-    /// provably enforced.
-    fn note_blackhole(&self, sw: usize) {
-        self.switches.borrow_mut()[sw].blackholes += 1;
-        let g = &mut self.stats.borrow_mut().route_blackholes;
-        #[cfg(not(feature = "audit-bug"))]
-        {
-            *g += 1;
-        }
-        #[cfg(feature = "audit-bug")]
-        {
-            // Test-only accounting bug: stop incrementing the *global*
-            // blackhole counter at 96 so both the fabric's own
-            // blackhole-accounting audit and the cluster frame-
-            // conservation audit have a known defect to catch. Only this
-            // counter is skewed; routing behavior is untouched.
-            if *g % 97 != 96 {
-                *g += 1;
-            }
-        }
-    }
-
     /// Audits the fabric's internal accounting:
     ///
     /// * Σ per-switch tail-drops equals the global drop counter (ditto
@@ -515,7 +491,8 @@ impl Fabric {
         // machinery recovers once a flap/crash window closes (or ECMP
         // re-hashes onto a surviving path at an earlier tier).
         let Some(pick) = self.route_port_at(sw, src, dst, frame.conn, sim.now()) else {
-            self.note_blackhole(sw);
+            self.switches.borrow_mut()[sw].blackholes += 1;
+            self.stats.borrow_mut().route_blackholes += 1;
             return;
         };
         let (link, dest) = {
@@ -523,23 +500,7 @@ impl Fabric {
             let s = &mut switches[sw];
             if s.occupancy + wire > self.params.buffer_bytes {
                 s.tail_drops += 1;
-                let g = &mut self.stats.borrow_mut().tail_drops;
-                #[cfg(not(feature = "audit-bug"))]
-                {
-                    *g += 1;
-                }
-                #[cfg(feature = "audit-bug")]
-                {
-                    // Test-only accounting bug: silently drop every 97th
-                    // increment of the *global* drop counter so both the
-                    // fabric's own drop-accounting audit and the cluster
-                    // frame-conservation audit have a known defect to
-                    // catch. Only this counter is skewed; forwarding
-                    // behavior is untouched.
-                    if *g % 97 != 96 {
-                        *g += 1;
-                    }
-                }
+                self.stats.borrow_mut().tail_drops += 1;
                 return;
             }
             s.occupancy += wire;
@@ -583,6 +544,86 @@ mod tests {
 
     fn small_fabric() -> FabricRef {
         Fabric::new(TopologySpec::FatTree { k: 4 }, FabricParams::gige())
+    }
+
+    /// Drives frames through a k=4 fat-tree whose switches buffer two
+    /// frames, with host 4's edge switch crashed: a burst from host 0
+    /// tail-drops at its edge, and a frame from host 4 blackholes. The
+    /// run drains, and the unaltered counters pass every audit.
+    fn dropped_and_blackholed() -> (FabricRef, SimTime) {
+        let frame = Frame {
+            conn: ConnId(1),
+            payload: 1448,
+            seq_end: 1448,
+        };
+        let params = FabricParams {
+            buffer_bytes: 2 * frame.wire_bytes(),
+            ..FabricParams::gige()
+        };
+        let fabric = Fabric::new(TopologySpec::FatTree { k: 4 }, params);
+        fabric.set_faults(&FaultPlan {
+            switch_crashes: vec![CrashWindow {
+                service: fabric.topology().host_edge(4) as u32,
+                window: TimeWindow::new(SimTime::ZERO, SimTime::from_millis(1)),
+            }],
+            ..FaultPlan::none()
+        });
+        fabric.set_delivery(|_, _, _, _| {});
+        let mut sim = Sim::new();
+        for _ in 0..6 {
+            fabric.ingress(&mut sim, 0, 15, frame);
+        }
+        fabric.ingress(&mut sim, 4, 15, frame);
+        let end = sim.run();
+        assert!(fabric.tail_drops() > 0 && fabric.blackholes() > 0);
+        assert!(audit_failures(&fabric, end).is_empty());
+        (fabric, end)
+    }
+
+    /// The invariants a quiescent [`Fabric::audit`] reports as failed.
+    fn audit_failures(fabric: &Fabric, now: SimTime) -> Vec<&'static str> {
+        let (res, violations) = ioat_guard::with_audit(|| fabric.audit(now, true));
+        assert!(res.is_ok());
+        violations.iter().map(|v| v.invariant).collect()
+    }
+
+    fn fires(failures: &[&str], prefix: &str) -> bool {
+        failures.iter().any(|inv| inv.starts_with(prefix))
+    }
+
+    #[test]
+    fn miscounted_drops_and_blackholes_fail_the_cross_checks() {
+        let (fabric, end) = dropped_and_blackholed();
+        {
+            let mut g = fabric.stats.borrow_mut();
+            g.tail_drops -= 1;
+            g.route_blackholes -= 1;
+        }
+        let failures = audit_failures(&fabric, end);
+        assert!(fires(&failures, "drop accounting"), "{failures:?}");
+        assert!(fires(&failures, "blackhole accounting"), "{failures:?}");
+    }
+
+    #[test]
+    fn overfull_peak_fails_the_capacity_check() {
+        let (fabric, end) = dropped_and_blackholed();
+        fabric.switches.borrow_mut()[0].peak = fabric.params.buffer_bytes + 1;
+        let failures = audit_failures(&fabric, end);
+        assert!(
+            fires(&failures, "shared-buffer occupancy never exceeds capacity"),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn leaked_claim_fails_the_quiescent_buffer_check() {
+        let (fabric, end) = dropped_and_blackholed();
+        fabric.switches.borrow_mut()[0].occupancy += 1;
+        let failures = audit_failures(&fabric, end);
+        assert!(
+            fires(&failures, "quiescent switch buffers are empty"),
+            "{failures:?}"
+        );
     }
 
     #[test]

@@ -7,10 +7,6 @@
 //! audit and the five-term cluster conservation identity. Any seed that
 //! trips an audit is a real conservation bug, and the failure message
 //! carries the seed for deterministic replay.
-//!
-//! Skipped under the `audit-bug` feature, which deliberately skews a
-//! counter so the audits have something to catch.
-#![cfg(not(feature = "audit-bug"))]
 
 mod common;
 

@@ -44,22 +44,32 @@ fn delivered(stack: &StackRef, conn: ConnId) -> Rc<RefCell<u64>> {
 }
 
 /// The fabric's accounting audit plus the cluster-wide conservation
-/// identity with its switch-drop and blackhole terms, at quiescence.
-/// With the deliberate `audit-bug` skew compiled in these audits
-/// (correctly) fail once drops occur — `audit_bug.rs` asserts exactly
-/// that — so they are skipped there.
+/// identity with its switch-drop and blackhole terms, at quiescence. Each
+/// fabric term the run exercised is then shown to be enforced: one frame
+/// missing from it must break the identity.
 fn audit(sim: &Sim, fabric: &FabricRef, stacks: &[StackRef]) {
-    if cfg!(feature = "audit-bug") {
-        return;
+    let now = sim.now();
+    let totals = stack::frame_totals(stacks);
+    let (drops, blackholes) = (fabric.tail_drops(), fabric.blackholes());
+    fabric.audit(now, true);
+    stack::audit_cluster_conservation(totals, drops, blackholes, now, true);
+    let miscounts = [
+        (drops > 0).then(|| (drops - 1, blackholes)),
+        (blackholes > 0).then(|| (drops, blackholes - 1)),
+    ];
+    for (d, b) in miscounts.into_iter().flatten() {
+        let (res, violations) = ioat_guard::with_audit(|| {
+            stack::audit_cluster_conservation(totals, d, b, now, true);
+        });
+        assert!(res.is_ok());
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.invariant.starts_with("frame conservation")),
+            "switch_dropped={d} (true {drops}), route_blackholed={b} (true {blackholes}) \
+             must break cluster conservation: {violations:?}"
+        );
     }
-    fabric.audit(sim.now(), true);
-    stack::audit_cluster_conservation(
-        stack::frame_totals(stacks),
-        fabric.tail_drops(),
-        fabric.blackholes(),
-        sim.now(),
-        true,
-    );
 }
 
 /// One inter-pod bulk transfer (host 0 → host 15, the full 6-link path)

@@ -7,8 +7,8 @@
 //! [`FaultInjector`] is consulted by the stack, the tiers and the PVFS
 //! daemons at well-defined hook points:
 //!
-//! * **Per-link frame loss/corruption** ([`LossModel`]): Bernoulli
-//!   loss decided at the sender's egress, one
+//! * **Per-link frame loss/corruption** ([`FaultPlan::loss`]):
+//!   Bernoulli loss decided at the sender's egress, one
 //!   dedicated RNG stream per `(node, link)` so the fault stream never
 //!   perturbs workload randomness (see [`ioat_simcore::SimRng::stream`]).
 //!   A corrupted frame is dropped at the receiver's CRC check, which is
@@ -41,40 +41,6 @@
 use ioat_simcore::{SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// Per-link frame-loss model, applied at the sender's egress.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum LossModel {
-    /// No loss (the hook consumes no randomness).
-    #[default]
-    None,
-    /// Independent loss: each frame is dropped with probability `p`.
-    Bernoulli {
-        /// Per-frame drop probability.
-        p: f64,
-    },
-}
-
-impl LossModel {
-    /// True when the model can drop frames (and therefore draws RNG).
-    pub fn is_active(&self) -> bool {
-        !matches!(self, LossModel::None)
-    }
-
-    /// Panics unless every configured probability is a probability.
-    fn validate(&self) {
-        let check = |name: &str, p: f64| {
-            assert!(
-                p.is_finite() && (0.0..=1.0).contains(&p),
-                "LossModel: {name} must be a probability in [0, 1], got {p}"
-            );
-        };
-        match *self {
-            LossModel::None => {}
-            LossModel::Bernoulli { p } => check("p", p),
-        }
-    }
-}
 
 /// A half-open interval of simulated time `[from, to)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,8 +150,10 @@ pub struct FaultPlan {
     /// Seed of the dedicated fault RNG streams (ignored when no
     /// stochastic model is active).
     pub seed: u64,
-    /// Egress frame loss on every link.
-    pub loss: LossModel,
+    /// Probability that a frame is lost at its sender's egress, on every
+    /// link, each frame independently; 0 means no loss (the hook then
+    /// consumes no randomness).
+    pub loss: f64,
     /// Scheduled daemon crash–restart windows.
     pub crashes: Vec<CrashWindow>,
     /// Seed-driven fabric link flaps; consumed by the fabric, not the
@@ -203,22 +171,18 @@ impl FaultPlan {
     }
 
     /// A plan with only independent frame loss at probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `p` is a probability in `[0, 1]` (NaN included).
     pub fn bernoulli_loss(seed: u64, p: f64) -> Self {
-        // Checked here as well as in validate(): `p > 0.0` below would
-        // silently collapse NaN to the inert model.
-        assert!(
-            p.is_finite() && (0.0..=1.0).contains(&p),
-            "LossModel: p must be a probability in [0, 1], got {p}"
-        );
-        FaultPlan {
+        let plan = FaultPlan {
             seed,
-            loss: if p > 0.0 {
-                LossModel::Bernoulli { p }
-            } else {
-                LossModel::None
-            },
+            loss: p,
             ..FaultPlan::none()
-        }
+        };
+        plan.validate();
+        plan
     }
 
     /// True when the plan configures at least one fault.
@@ -229,7 +193,7 @@ impl FaultPlan {
     /// True when the plan configures a fault the per-node injectors
     /// consume (loss, daemon crashes).
     pub fn has_node_faults(&self) -> bool {
-        self.loss.is_active() || !self.crashes.is_empty()
+        self.loss > 0.0 || !self.crashes.is_empty()
     }
 
     /// True when the plan configures a fault the fabric consumes (link
@@ -238,12 +202,16 @@ impl FaultPlan {
         self.link_flap.is_some_and(|m| m.is_active()) || !self.switch_crashes.is_empty()
     }
 
-    /// Panics with a named message unless every probability is a
-    /// probability and every window runs forwards. Struct-literal plans
-    /// bypass [`TimeWindow::new`], so the consumers ([`FaultInjector::new`]
-    /// and the fabric's plan install) re-check here.
+    /// Panics with a named message unless the loss is a probability and
+    /// every window runs forwards. Struct-literal plans bypass
+    /// [`TimeWindow::new`], so the consumers ([`FaultInjector::new`] and
+    /// the fabric's plan install) re-check here.
     pub fn validate(&self) {
-        self.loss.validate();
+        assert!(
+            (0.0..=1.0).contains(&self.loss),
+            "FaultPlan: loss must be a probability in [0, 1], got {}",
+            self.loss
+        );
         for c in self.crashes.iter().chain(&self.switch_crashes) {
             assert!(
                 c.window.from <= c.window.to,
@@ -354,16 +322,14 @@ impl FaultInjector {
     }
 
     /// Egress hook: should the frame leaving on `link` be lost? Draws
-    /// from the link's dedicated stream only when a loss model is active.
+    /// from the link's dedicated stream only when the loss is positive.
     pub fn frame_lost(&self, link: usize) -> bool {
         let Some(inner) = &self.inner else {
             return false;
         };
         let mut st = inner.borrow_mut();
-        match st.plan.loss {
-            LossModel::None => false,
-            LossModel::Bernoulli { p } => st.link_rng(link).chance(p),
-        }
+        let p = st.plan.loss;
+        p > 0.0 && st.link_rng(link).chance(p)
     }
 
     /// Daemon hook: is `service` inside one of its crash windows at `now`?
@@ -554,7 +520,7 @@ mod tests {
         // A struct literal bypasses `bernoulli_loss`'s own check, so
         // this reaches the injector's validation.
         let plan = FaultPlan {
-            loss: LossModel::Bernoulli { p: -0.2 },
+            loss: -0.2,
             ..FaultPlan::none()
         };
         FaultInjector::new(&plan, 0);

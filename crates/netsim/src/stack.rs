@@ -1171,19 +1171,7 @@ pub fn frame_arrived(s: &StackRef, sim: &mut Sim, port: usize, frame: Frame) {
         // RSS: steer the frame onto its flow's queue before any other
         // decision — the coalescer is per-queue.
         let queue = st.rx_queue_for(port, frame.conn);
-        #[cfg(not(feature = "audit-bug"))]
-        {
-            st.stats.frames_arrived += 1;
-        }
-        #[cfg(feature = "audit-bug")]
-        {
-            // Test-only accounting bug: silently drop every 97th increment
-            // so the frame-conservation audit has a known defect to catch.
-            // Only this counter is skewed; behavior is untouched.
-            if st.stats.frames_arrived % 97 != 96 {
-                st.stats.frames_arrived += 1;
-            }
-        }
+        st.stats.frames_arrived += 1;
         // The NIC's DMA write lands the payload in kernel memory and
         // invalidates any stale copies of those lines in the CPU cache —
         // this is why receive-side copies run cold in practice. With
@@ -1938,24 +1926,26 @@ mod tests {
         assert_eq!(end_off, end_on, "tracing must not change event timing");
         assert_eq!(util_off.to_bits(), util_on.to_bits());
         assert_eq!(stats_off.deliveries, stats_on.deliveries);
-        // The receive path shows up in every paper category.
-        let events = tr.events();
-        for cat in [
-            Category::Interrupt,
-            Category::Protocol,
-            Category::Copy,
-            Category::Dma,
-        ] {
-            assert!(
-                events.iter().any(|e| e.cat == cat),
-                "no {} events recorded",
-                cat.name()
-            );
-        }
-        // Engine transfers land on the DMA pseudo-track (core 4 of node 1).
-        assert!(events
-            .iter()
-            .any(|e| e.name == "dma_transfer" && e.track == TrackId::new(1, 4)));
+        tr.with_events(|events| {
+            // The receive path shows up in every paper category.
+            for cat in [
+                Category::Interrupt,
+                Category::Protocol,
+                Category::Copy,
+                Category::Dma,
+            ] {
+                assert!(
+                    events.iter().any(|e| e.cat == cat),
+                    "no {} events recorded",
+                    cat.name()
+                );
+            }
+            // Engine transfers land on the DMA pseudo-track (core 4 of
+            // node 1).
+            assert!(events
+                .iter()
+                .any(|e| e.name == "dma_transfer" && e.track == TrackId::new(1, 4)));
+        });
     }
 
     #[test]
@@ -2001,7 +1991,6 @@ mod tests {
         assert_eq!(st.rx_meter().total_bytes(), 200_000, "stats survive");
     }
 
-    #[cfg(not(feature = "audit-bug"))]
     #[test]
     fn conservation_audits_pass_on_healthy_and_faulty_runs() {
         // Under loss the audits must stay silent because recovery
@@ -2027,27 +2016,31 @@ mod tests {
         );
     }
 
-    /// With the `audit-bug` feature the frame-arrival counter silently
-    /// drops every 97th increment; the conservation audits must catch it
-    /// as a structured violation (this is the acceptance-criteria check
-    /// that the audits detect a real accounting bug, not just tautologies).
-    #[cfg(feature = "audit-bug")]
+    /// The frame audits catch a real accounting bug, not just tautologies:
+    /// one arrival missing from the receiver's counter trips both the
+    /// per-stack and the cluster-wide frame-conservation identities.
     #[test]
-    fn injected_accounting_bug_is_caught_by_the_frame_audit() {
+    fn miscounted_arrival_is_caught_by_the_frame_audits() {
         let (mut sim, a, b, conn) = pair(IoatConfig::disabled(), SocketOpts::tuned());
-        app_send(&a, &mut sim, conn, 1_000_000); // ≫ 97 frames
+        app_send(&a, &mut sim, conn, 1_000_000);
         let end = sim.run();
+        b.borrow_mut().stats.frames_arrived -= 1;
         let (res, violations) = ioat_guard::with_audit(|| {
             b.borrow().audit(end);
             audit_cluster_conservation(frame_totals(&[a.clone(), b.clone()]), 0, 0, end, true);
         });
         assert!(res.is_ok());
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.invariant.contains("frame conservation")),
-            "skewed counter must trip the frame-conservation audit: {violations:?}"
-        );
+        for invariant in [
+            "frame conservation: arrived = processed + pending",
+            "frame conservation: sent = arrived",
+        ] {
+            assert!(
+                violations
+                    .iter()
+                    .any(|v| v.invariant.starts_with(invariant)),
+                "a lost arrival must trip '{invariant}': {violations:?}"
+            );
+        }
     }
 
     #[test]
@@ -2124,7 +2117,6 @@ mod tests {
     /// `coalesce_max_frames` frames must still be delivered in full (the
     /// stale delay timer flushes the partial tail) and the conservation
     /// audits must see every frame and byte.
-    #[cfg(not(feature = "audit-bug"))]
     #[test]
     fn coalescing_tail_batch_is_flushed_and_audited() {
         let opts = SocketOpts {
@@ -2150,7 +2142,6 @@ mod tests {
     /// shuffles which frames form the final batch, and retransmissions
     /// must not strand a partial tail either. The frame-conservation audit
     /// accounts for every byte.
-    #[cfg(not(feature = "audit-bug"))]
     #[test]
     fn coalescing_tail_flush_survives_injected_loss() {
         let opts = SocketOpts {
@@ -2275,12 +2266,12 @@ mod tests {
             app_send(&a, &mut sim, ConnId(i), 500_000);
         }
         sim.run();
-        let cores: std::collections::BTreeSet<u32> = tr
-            .events()
-            .iter()
-            .filter(|e| e.name == "tcpip")
-            .map(|e| e.track.core)
-            .collect();
+        let cores: std::collections::BTreeSet<u32> = tr.with_events(|evs| {
+            evs.iter()
+                .filter(|e| e.name == "tcpip")
+                .map(|e| e.track.core)
+                .collect()
+        });
         assert!(
             cores.len() > 1,
             "RSS should spread protocol work across cores, saw {cores:?}"
@@ -2309,7 +2300,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "audit-bug"))]
     #[test]
     fn zero_copy_delivers_without_copies_wakes_or_engine_transfers() {
         let ioat = IoatConfig::full().with_rx_mode(RxMode::ZeroCopy);

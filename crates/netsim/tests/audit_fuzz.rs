@@ -5,10 +5,6 @@
 //! conservation bug (or a broken invariant), and the failure message
 //! carries the seed for deterministic replay. The fabric counterpart
 //! lives in `ioat-fabric`'s `tests/audit_fuzz.rs`.
-//!
-//! Skipped under the `audit-bug` feature, which deliberately skews a
-//! counter so the audits have something to catch.
-#![cfg(not(feature = "audit-bug"))]
 
 use ioat_faults::{FaultInjector, FaultPlan};
 use ioat_netsim::stack::{

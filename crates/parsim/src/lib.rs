@@ -106,12 +106,9 @@ struct Staged<M> {
 
 struct OutboxInner<M> {
     src: usize,
-    /// Exact per-sender emission sequence — the deterministic merge
-    /// tie-break. Never skewed.
+    /// Per-sender emission sequence: the deterministic merge tie-break,
+    /// and the count of messages this partition has emitted.
     seq: u64,
-    /// Boundary-conservation audit counter. Equals `seq` unless the
-    /// test-only `audit-bug` feature deliberately mis-counts it.
-    audit_emitted: u64,
     staged: Vec<Staged<M>>,
 }
 
@@ -136,7 +133,6 @@ impl<M> Outbox<M> {
             inner: Rc::new(RefCell::new(OutboxInner {
                 src,
                 seq: 0,
-                audit_emitted: 0,
                 staged: Vec::new(),
             })),
         }
@@ -157,21 +153,6 @@ impl<M> Outbox<M> {
         let mut inner = self.inner.borrow_mut();
         let seq = inner.seq;
         inner.seq += 1;
-        #[cfg(not(feature = "audit-bug"))]
-        {
-            inner.audit_emitted += 1;
-        }
-        #[cfg(feature = "audit-bug")]
-        {
-            // Test-only accounting bug: silently drop every 97th
-            // increment so the boundary-conservation audit has a known
-            // defect to catch. Only this counter is skewed; the merge
-            // sequence (`seq`) and the staged message are untouched, so
-            // simulation results are bit-identical.
-            if inner.audit_emitted % 97 != 96 {
-                inner.audit_emitted += 1;
-            }
-        }
         inner.staged.push(Staged {
             dst,
             fire_at,
@@ -310,7 +291,7 @@ fn check_boundary_conservation(at: SimTime, emitted: u64, accounted: u64) {
 struct RoundSlot {
     /// Earliest pending event instant over all partitions.
     min_next: AtomicU64,
-    /// Σ `audit_emitted` over all partitions.
+    /// Σ outbox `seq` (messages emitted) over all partitions.
     emitted: AtomicU64,
     /// Σ (`injected` + still-staged) over all partitions.
     accounted: AtomicU64,
@@ -446,21 +427,19 @@ where
     let mut events = vec![0u64; n];
     let mut emitted = vec![0u64; n];
     let mut injected = vec![0u64; n];
-    let mut audit_emitted = 0u64;
     for res in worker_results {
         let (parts, worker_rounds) = res.expect("no panic recorded, so every worker completed");
         rounds = rounds.max(worker_rounds);
         for p in parts {
             events[p.idx] = p.events;
-            emitted[p.idx] = p.emitted_seq;
+            emitted[p.idx] = p.emitted;
             injected[p.idx] = p.injected;
-            audit_emitted += p.audit_emitted;
             outs[p.idx] = Some(p.out);
         }
     }
     // Quiescent end-state form of the boundary identity: the final
     // window's emissions were drained and injected, so nothing is staged.
-    check_boundary_conservation(horizon, audit_emitted, injected.iter().sum());
+    check_boundary_conservation(horizon, emitted.iter().sum(), injected.iter().sum());
     let outs: Vec<P::Out> = outs
         .into_iter()
         .map(|o| o.expect("every partition produced a result"))
@@ -484,8 +463,7 @@ struct PartResult<O> {
     idx: usize,
     out: O,
     events: u64,
-    emitted_seq: u64,
-    audit_emitted: u64,
+    emitted: u64,
     injected: u64,
 }
 
@@ -575,7 +553,7 @@ where
                 let (mut emitted, mut accounted) = (0, 0);
                 for (_, _, ob, injected) in &parts {
                     let inner = ob.inner.borrow();
-                    emitted += inner.audit_emitted;
+                    emitted += inner.seq;
                     accounted += *injected + inner.staged.len() as u64;
                 }
                 slot.emitted.fetch_add(emitted, Ordering::AcqRel);
@@ -638,15 +616,11 @@ where
         let mut parts = Some(parts);
         guarded(bars, &mut || {
             for (idx, p, ob, injected) in parts.take().expect("finished once") {
-                let (emitted_seq, audit_emitted) = {
-                    let inner = ob.inner.borrow();
-                    (inner.seq, inner.audit_emitted)
-                };
+                let emitted = ob.inner.borrow().seq;
                 results.push(PartResult {
                     idx,
                     events: p.events_executed(),
-                    emitted_seq,
-                    audit_emitted,
+                    emitted,
                     injected,
                     out: p.finish(),
                 });
@@ -661,4 +635,92 @@ where
         return None;
     }
     Some((results, rounds))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const HOP: SimDuration = SimDuration::from_micros(1);
+    const HORIZON: SimTime = SimTime::from_micros(100);
+
+    /// One token bounced between two partitions, one `HOP` per leg.
+    /// With `lose_on`, the partition drops the message it stages on that
+    /// event out of its outbox: a message emitted but never delivered.
+    struct Bounce {
+        out: Outbox<()>,
+        next: Option<SimTime>,
+        events: u64,
+        lose_on: Option<u64>,
+    }
+
+    impl Bounce {
+        fn run_while(&mut self, due: impl Fn(SimTime) -> bool) {
+            while let Some(t) = self.next.filter(|&t| due(t)) {
+                self.next = None;
+                self.events += 1;
+                self.out.send(1 - self.out.src(), t + HOP, ());
+                if self.lose_on == Some(self.events) {
+                    self.out.inner.borrow_mut().staged.pop();
+                }
+            }
+        }
+    }
+
+    impl Partition for Bounce {
+        type Msg = ();
+        type Out = u64;
+
+        fn next_event_at(&mut self) -> Option<SimTime> {
+            self.next
+        }
+
+        fn run_before(&mut self, limit: SimTime) {
+            self.run_while(|t| t < limit);
+        }
+
+        fn run_final(&mut self, horizon: SimTime) {
+            self.run_while(|t| t <= horizon);
+        }
+
+        fn inject(&mut self, fire_at: SimTime, _msg: ()) {
+            self.next = Some(fire_at);
+        }
+
+        fn events_executed(&self) -> u64 {
+            self.events
+        }
+
+        fn finish(self) -> u64 {
+            self.events
+        }
+    }
+
+    #[test]
+    fn lost_boundary_message_fails_conservation_mid_run() {
+        for threads in [1, 2] {
+            let builders: Vec<_> = (0..2)
+                .map(|_| {
+                    |idx: usize, out: Outbox<()>| Bounce {
+                        out,
+                        next: (idx == 0).then_some(SimTime::ZERO),
+                        events: 0,
+                        lose_on: (idx == 1).then_some(3),
+                    }
+                })
+                .collect();
+            let (res, violations) = ioat_guard::with_audit(|| run(builders, HOP, HORIZON, threads));
+            let (outs, _) = res.expect("a lost message does not stop the run");
+            assert_eq!(outs, [3, 3], "the token stops where it was lost");
+            let first = violations
+                .iter()
+                .filter(|v| v.invariant == "boundary-conservation")
+                .map(|v| v.at)
+                .min();
+            assert!(
+                first.is_some_and(|at| at < HORIZON),
+                "threads={threads}: the loss must be flagged before the horizon: {violations:?}"
+            );
+        }
+    }
 }

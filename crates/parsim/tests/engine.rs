@@ -22,10 +22,6 @@ fn run_ring(
 
 const HORIZON: SimTime = SimTime::from_millis(5);
 
-// These long rings push well over 97 messages across boundaries, which
-// under `audit-bug` trips the (debug-panicking) conservation check;
-// `tests/audit_bug.rs` exercises that build under an audit scope.
-#[cfg(not(feature = "audit-bug"))]
 #[test]
 fn results_are_bit_identical_across_worker_counts() {
     let (outs1, rep1) = run_ring(5, 0xA11CE, HORIZON, 1);
@@ -55,7 +51,6 @@ fn results_are_bit_identical_across_worker_counts() {
     assert!(rep1.mean_window_ns() > 0.0);
 }
 
-#[cfg(not(feature = "audit-bug"))]
 #[test]
 fn same_seed_reruns_reproduce_exactly() {
     let a = run_ring(4, 7, HORIZON, 3);
@@ -64,10 +59,6 @@ fn same_seed_reruns_reproduce_exactly() {
     assert_eq!(a.1, b.1);
 }
 
-// Under the test-only `audit-bug` feature the emitted counter is skewed
-// on purpose, so the "audit clean" half of this test would fail by
-// design; `tests/audit_bug.rs` covers that build instead.
-#[cfg(not(feature = "audit-bug"))]
 #[test]
 fn boundary_traffic_is_conserved_and_audit_clean() {
     for threads in [1, 3] {

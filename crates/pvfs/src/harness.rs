@@ -392,13 +392,14 @@ mod tests {
         assert_eq!(off.mbytes_per_sec.to_bits(), on.mbytes_per_sec.to_bits());
         assert_eq!(off.client_cpu.to_bits(), on.client_cpu.to_bits());
         assert_eq!(off.opens, on.opens);
-        let events = tracer.events();
-        let opens = events
-            .iter()
-            .filter(|e| e.name == "meta_open" && e.cat == Category::Io)
-            .count() as u64;
-        assert_eq!(opens, on.opens, "one meta_open span per client open");
-        assert!(events.iter().any(|e| e.name == "io_reply"));
+        tracer.with_events(|events| {
+            let opens = events
+                .iter()
+                .filter(|e| e.name == "meta_open" && e.cat == Category::Io)
+                .count() as u64;
+            assert_eq!(opens, on.opens, "one meta_open span per client open");
+            assert!(events.iter().any(|e| e.name == "io_reply"));
+        });
     }
 
     #[test]

@@ -41,79 +41,80 @@ fn ts_us(t: SimTime) -> String {
 /// Renders the full Chrome `trace_event` JSON document for a tracer's
 /// events and metadata.
 pub fn chrome_trace_json(tracer: &Tracer) -> String {
-    let events = tracer.events();
-    // ~120 bytes per serialized event is a comfortable upper bound.
-    let mut out = String::with_capacity(events.len() * 120 + 1024);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push_obj = |out: &mut String, body: String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push_str("\n{");
-        out.push_str(&body);
-        out.push('}');
-    };
-
-    for (node, name) in tracer.process_names() {
-        push_obj(
-            &mut out,
-            format!(
-                "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{node},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}",
-                json_escape(&name)
-            ),
-        );
-    }
-    for ((node, core), name) in tracer.track_names() {
-        push_obj(
-            &mut out,
-            format!(
-                "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{node},\"tid\":{core},\
-                 \"args\":{{\"name\":\"{}\"}}",
-                json_escape(&name)
-            ),
-        );
-    }
-    for ev in &events {
-        let common = format!(
-            "\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{},\"tid\":{}",
-            json_escape(ev.name),
-            ev.cat.name(),
-            ev.track.node,
-            ev.track.core
-        );
-        let body = match ev.kind {
-            EventKind::Span { start, end } => {
-                let dur_ns = end.as_nanos() - start.as_nanos();
-                format!(
-                    "{common},\"ph\":\"X\",\"ts\":{},\"dur\":{}.{:03}",
-                    ts_us(start),
-                    dur_ns / 1_000,
-                    dur_ns % 1_000
-                )
+    tracer.with_events(|events| {
+        // ~120 bytes per serialized event is a comfortable upper bound.
+        let mut out = String::with_capacity(events.len() * 120 + 1024);
+        out.push_str("{\"traceEvents\":[");
+        let mut first = true;
+        let mut push_obj = |out: &mut String, body: String| {
+            if !std::mem::take(&mut first) {
+                out.push(',');
             }
-            EventKind::Instant { at } => {
-                format!("{common},\"ph\":\"i\",\"s\":\"t\",\"ts\":{}", ts_us(at))
-            }
-            EventKind::Counter { at, value } => {
-                // JSON has no NaN/Infinity; a pathological counter value
-                // must not corrupt the whole trace document.
-                let v = if value.is_finite() {
-                    format!("{value}")
-                } else {
-                    "null".to_string()
-                };
-                format!(
-                    "{common},\"ph\":\"C\",\"ts\":{},\"args\":{{\"value\":{v}}}",
-                    ts_us(at)
-                )
-            }
+            out.push_str("\n{");
+            out.push_str(&body);
+            out.push('}');
         };
-        push_obj(&mut out, body);
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
-    out
+
+        for (node, name) in tracer.process_names() {
+            push_obj(
+                &mut out,
+                format!(
+                    "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{node},\"tid\":0,\
+                 \"args\":{{\"name\":\"{}\"}}",
+                    json_escape(&name)
+                ),
+            );
+        }
+        for ((node, core), name) in tracer.track_names() {
+            push_obj(
+                &mut out,
+                format!(
+                    "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{node},\"tid\":{core},\
+                 \"args\":{{\"name\":\"{}\"}}",
+                    json_escape(&name)
+                ),
+            );
+        }
+        for ev in events {
+            let common = format!(
+                "\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{},\"tid\":{}",
+                json_escape(ev.name),
+                ev.cat.name(),
+                ev.track.node,
+                ev.track.core
+            );
+            let body = match ev.kind {
+                EventKind::Span { start, end } => {
+                    let dur_ns = end.as_nanos() - start.as_nanos();
+                    format!(
+                        "{common},\"ph\":\"X\",\"ts\":{},\"dur\":{}.{:03}",
+                        ts_us(start),
+                        dur_ns / 1_000,
+                        dur_ns % 1_000
+                    )
+                }
+                EventKind::Instant { at } => {
+                    format!("{common},\"ph\":\"i\",\"s\":\"t\",\"ts\":{}", ts_us(at))
+                }
+                EventKind::Counter { at, value } => {
+                    // JSON has no NaN/Infinity; a pathological counter value
+                    // must not corrupt the whole trace document.
+                    let v = if value.is_finite() {
+                        format!("{value}")
+                    } else {
+                        "null".to_string()
+                    };
+                    format!(
+                        "{common},\"ph\":\"C\",\"ts\":{},\"args\":{{\"value\":{v}}}",
+                        ts_us(at)
+                    )
+                }
+            };
+            push_obj(&mut out, body);
+        }
+        out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
+        out
+    })
 }
 
 /// Writes the Chrome trace JSON to `path`.
@@ -268,7 +269,7 @@ mod tests {
         let tr = Tracer::enabled();
         tr.span("s", Category::Copy, TrackId::new(0, 1), t(5), t(9));
         tr.counter("c", Category::Io, TrackId::new(1, 0), t(7), 2.5);
-        let csv = events_csv(&tr.events());
+        let csv = tr.with_events(events_csv);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[1], "s,copy,0,1,span,5,9,");

@@ -139,7 +139,7 @@ mod tests {
         tr.span("copy", Category::Copy, c1, t(400), t(1_000));
         tr.instant("mark", Category::Copy, c1, t(500));
         tr.counter("q", Category::Other, c1, t(600), 3.0);
-        tr.events()
+        tr.with_events(<[Event]>::to_vec)
     }
 
     #[test]

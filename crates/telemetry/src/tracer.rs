@@ -289,11 +289,14 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Snapshot of all recorded events, in emission order.
-    pub fn events(&self) -> Vec<Event> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |b| b.borrow().events.clone())
+    /// Runs `f` over the recorded events, in emission order, without
+    /// copying them (an empty slice when the tracer is disabled). `f`
+    /// must not record into this tracer.
+    pub fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
+        match &self.inner {
+            Some(b) => f(&b.borrow().events),
+            None => f(&[]),
+        }
     }
 
     /// Snapshot of process-name metadata.
@@ -326,7 +329,7 @@ mod tests {
         tr.counter("c", Category::Other, TrackId::new(0, 0), t(1), 2.0);
         assert!(!tr.is_enabled());
         assert!(tr.is_empty());
-        assert!(tr.events().is_empty());
+        assert!(tr.with_events(|evs| evs.is_empty()));
     }
 
     #[test]
@@ -353,9 +356,10 @@ mod tests {
         let tr = Tracer::enabled();
         tr.span("a", Category::Copy, TrackId::new(0, 0), t(10), t(20));
         tr.instant("b", Category::App, TrackId::new(0, 1), t(15));
-        let evs = tr.events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].name, "a");
-        assert!(matches!(evs[1].kind, EventKind::Instant { at } if at == t(15)));
+        tr.with_events(|evs| {
+            assert_eq!(evs.len(), 2);
+            assert_eq!(evs[0].name, "a");
+            assert!(matches!(evs[1].kind, EventKind::Instant { at } if at == t(15)));
+        });
     }
 }

@@ -109,7 +109,7 @@ fn datacenter_tracing_is_bit_for_bit_non_perturbing() {
     assert_eq!(rng_off, rng_on, "tracing must not consume randomness");
     // And the trace actually captured the run.
     assert!(!tracer.is_empty());
-    assert!(tracer.events().iter().any(|e| e.cat == Category::Request));
+    assert!(tracer.with_events(|evs| evs.iter().any(|e| e.cat == Category::Request)));
 }
 
 /// The inert fault plan must be a true no-op: `run` is *defined* through
@@ -203,6 +203,8 @@ fn pvfs_tracing_is_bit_for_bit_non_perturbing() {
     assert_eq!(off.client_cpu.to_bits(), on.client_cpu.to_bits());
     assert_eq!(off.server_cpu.to_bits(), on.server_cpu.to_bits());
     assert_eq!(off.opens, on.opens);
-    assert!(tracer.events().iter().any(|e| e.cat == Category::Io));
-    assert!(tracer.events().iter().any(|e| e.cat == Category::Dma));
+    tracer.with_events(|evs| {
+        assert!(evs.iter().any(|e| e.cat == Category::Io));
+        assert!(evs.iter().any(|e| e.cat == Category::Dma));
+    });
 }
