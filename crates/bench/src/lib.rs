@@ -1639,6 +1639,23 @@ mod tests {
     }
 
     #[test]
+    fn event_budget_watchdog_reports_a_wedged_figure() {
+        // 5000 events is far below what even a quick fig3a point needs,
+        // so every simulation trips the deterministic watchdog; the
+        // supervisor must classify that as `wedged:`, not `panicked:`.
+        let opts = SuperviseOpts {
+            audit: true,
+            event_budget: Some(5_000),
+            ..SuperviseOpts::default()
+        };
+        let fig = run_figure_supervised("fig3a", ExperimentWindow::quick(), 2, &opts)
+            .expect("known figure");
+        let reason = fig.error.as_deref().expect("watchdog fired");
+        assert!(reason.starts_with("wedged:"), "reason: {reason}");
+        assert!(reason.contains("event limit"), "reason: {reason}");
+    }
+
+    #[test]
     fn forced_failure_is_isolated_and_classified() {
         let opts = SuperviseOpts {
             force_fail: Some("fig6".to_string()),

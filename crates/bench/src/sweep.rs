@@ -55,6 +55,9 @@ type JobResult<T> = Result<T, Box<dyn Any + Send>>;
 /// cursor — index order, so early rows start first — and write each
 /// outcome into its input slot. Workers themselves never panic (every
 /// job runs under `catch_unwind`), so the pool always drains fully.
+/// Each worker runs under the caller's audit scope
+/// ([`ioat_guard::current`]), so jobs audit and budget exactly as they
+/// would inline.
 ///
 /// # Panics
 ///
@@ -86,23 +89,26 @@ where
     let job_cells: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let result_cells: Vec<Mutex<Option<JobResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
+    let audit = ioat_guard::current();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let job = job_cells[i]
-                    .lock()
-                    .expect("job mutex never poisoned: taken exactly once")
-                    .take()
-                    .expect("each job index is claimed exactly once");
-                let out = panic::catch_unwind(AssertUnwindSafe(job));
-                *result_cells[i]
-                    .lock()
-                    .expect("result mutex never poisoned: written exactly once") = Some(out);
+            scope.spawn(|| {
+                audit.enter(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        return;
+                    }
+                    let job = job_cells[i]
+                        .lock()
+                        .expect("job mutex never poisoned: taken exactly once")
+                        .take()
+                        .expect("each job index is claimed exactly once");
+                    let out = panic::catch_unwind(AssertUnwindSafe(job));
+                    *result_cells[i]
+                        .lock()
+                        .expect("result mutex never poisoned: written exactly once") = Some(out);
+                })
             });
         }
     });
@@ -153,6 +159,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ioat_simcore::SimTime;
 
     #[test]
     fn results_come_back_in_input_order() {
@@ -249,6 +256,25 @@ mod tests {
             .expect_err("panics propagate");
         let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "slow early panic");
+    }
+
+    #[test]
+    fn workers_run_under_the_callers_audit_scope() {
+        let (r, violations) = ioat_guard::with_audit_budget(Some(4_321), || {
+            let jobs: Vec<_> = (0..4u64)
+                .map(|i| {
+                    move || {
+                        ioat_guard::check("sweep", "hand-off", SimTime::ZERO, false, || {
+                            format!("job {i}")
+                        });
+                        ioat_guard::event_limit()
+                    }
+                })
+                .collect();
+            run_jobs(jobs, 2)
+        });
+        assert_eq!(r.expect("no job panics"), [4_321; 4]);
+        assert_eq!(violations.len(), 4, "every job's violation is collected");
     }
 
     #[test]

@@ -11,13 +11,9 @@ use ioat_netsim::stack::{self, HostStack, StackRef};
 use ioat_netsim::{ConnId, IoatConfig, Link, Socket, SocketOpts, StackParams};
 use ioat_simcore::time::Bandwidth;
 use ioat_simcore::{Sim, SimDuration};
-use ioat_telemetry::{Category, Tracer, TrackId};
+use ioat_telemetry::Tracer;
 use std::collections::HashMap;
 use std::rc::Rc;
-
-/// Pseudo node id that carries audit-violation instants in exported
-/// traces (kept far away from real node indices).
-pub const AUDIT_TRACK_NODE: u32 = 9_999;
 
 /// Configuration of one node.
 #[derive(Debug, Clone)]
@@ -297,34 +293,14 @@ impl Cluster {
     }
 
     /// Runs the full audit suite over the cluster at the current instant:
-    /// engine queue health, every node's conservation identities (plus its
-    /// DMA engine, when present) and the cross-node frame/byte
-    /// conservation check. Violations produced by this pass are also
-    /// surfaced as [`Category::Audit`] trace instants so they land next to
-    /// the activity that caused them in exported traces.
+    /// the partition-local audits ([`Cluster::run_local_audits`]) plus the
+    /// cross-node frame/byte conservation check.
     ///
     /// Audits are pure reads — calling this cannot perturb the run.
     pub fn run_audits(&self) {
-        let before = ioat_guard::violation_count();
-        let now = self.sim.now();
-        ioat_guard::audit_sim(&self.sim);
-        for node in &self.nodes {
-            node.borrow().audit(now);
-        }
+        self.run_local_audits();
         let quiescent = self.sim.events_pending() == 0;
-        stack::audit_cluster_conservation(self.frame_totals(), 0, 0, now, quiescent);
-        if self.tracer.is_enabled() {
-            for v in ioat_guard::violations_since(before) {
-                // Event names must be `'static`; the invariant name is,
-                // and it identifies the failed check unambiguously.
-                self.tracer.instant(
-                    v.invariant,
-                    Category::Audit,
-                    TrackId::new(AUDIT_TRACK_NODE, 0),
-                    v.at,
-                );
-            }
-        }
+        stack::audit_cluster_conservation(self.frame_totals(), 0, 0, self.sim.now(), quiescent);
     }
 
     /// Runs only the partition-local audits: engine queue health and every

@@ -104,21 +104,6 @@ impl FabricParams {
     }
 }
 
-/// Per-switch runtime statistics snapshot.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SwitchStats {
-    /// Frames this switch forwarded (claimed buffer and serialized).
-    pub forwarded: u64,
-    /// Frames tail-dropped at a full shared buffer.
-    pub tail_drops: u64,
-    /// Frames dropped here with no surviving path (flapped links /
-    /// crashed switches severed every equal-cost candidate, or this
-    /// switch itself was crashed).
-    pub blackholes: u64,
-    /// Peak shared-buffer occupancy observed, bytes.
-    pub peak_occupancy: u64,
-}
-
 struct OutPort {
     link: Link,
     dest: Hop,
@@ -333,17 +318,6 @@ impl Fabric {
     /// identity.
     pub fn blackholes(&self) -> u64 {
         self.stats.borrow().route_blackholes
-    }
-
-    /// Runtime statistics of switch `sw`.
-    pub fn switch_stats(&self, sw: usize) -> SwitchStats {
-        let s = &self.switches.borrow()[sw];
-        SwitchStats {
-            forwarded: s.forwarded,
-            tail_drops: s.tail_drops,
-            blackholes: s.blackholes,
-            peak_occupancy: s.peak,
-        }
     }
 
     /// The output port ECMP selects on switch `sw` for a frame of

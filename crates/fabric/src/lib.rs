@@ -50,5 +50,5 @@
 pub mod fabric;
 pub mod topology;
 
-pub use fabric::{Fabric, FabricParams, FabricRef, SwitchStats};
+pub use fabric::{Fabric, FabricParams, FabricRef};
 pub use topology::{Hop, Topology, TopologySpec};

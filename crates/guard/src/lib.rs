@@ -16,7 +16,7 @@
 //!   audit scope, catching panics and returning collected violations.
 //!   The optional *event budget* is a deterministic watchdog: components
 //!   that construct a [`Sim`] clamp their event limit to it (see
-//!   [`event_budget`]), so a wedged job dies with a reproducible "event
+//!   [`event_limit`]), so a wedged job dies with a reproducible "event
 //!   limit exceeded" panic after a fixed number of events, never a
 //!   wall-clock timeout.
 //!
@@ -24,11 +24,14 @@
 //! stacks, DMA engines and the fabric each have an `audit`), and the
 //! harness that owns them calls those directly at a quiescent point.
 //!
-//! The scope is process-global and serialized: figure jobs inside one
-//! scope may fan out across sweep-pool worker threads, and their audits
-//! must all land in the same collection. Concurrent [`with_audit`] calls
-//! (e.g. parallel tests) therefore queue on an internal lock; scopes must
-//! not nest.
+//! A scope belongs to the run that opens it, not to the process: it
+//! lives in the opening thread's slot, so concurrent runs (e.g. parallel
+//! tests) each see only their own scope, and a nested scope shadows the
+//! outer one until it returns. A run that fans out across threads hands
+//! its scope on: the sweep pool and the partitioned engine take
+//! [`current`] before spawning and run each worker under
+//! [`AuditScope::enter`], so the workers' violations land in the run's
+//! collection and their simulations inherit its budget.
 //!
 //! Audits are *pure reads over counters at quiescent points* — they run
 //! after `Sim::run_until` returns and never schedule events or mutate
@@ -36,9 +39,9 @@
 //! with and without `--audit`.
 
 use ioat_simcore::{Sim, SimTime};
+use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One failed invariant check, as data rather than a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,93 +66,77 @@ impl std::fmt::Display for AuditViolation {
     }
 }
 
-/// Serializes audit scopes: one scope at a time process-wide.
-static SCOPE: Mutex<()> = Mutex::new(());
-/// Violations collected by the currently active scope.
-static VIOLATIONS: Mutex<Vec<AuditViolation>> = Mutex::new(Vec::new());
-/// Whether a scope is active (readable from any worker thread).
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Event budget of the active scope; 0 means "no budget set".
-static BUDGET: AtomicU64 = AtomicU64::new(0);
+/// One run's audit scope: its event budget and the violations its
+/// checks collect, shared by every worker thread the run hands it to.
+struct Scope {
+    budget: Option<u64>,
+    violations: Mutex<Vec<AuditViolation>>,
+}
+
+thread_local! {
+    /// The scope this thread runs under, if any.
+    static SCOPE: RefCell<Option<Arc<Scope>>> = const { RefCell::new(None) };
+}
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A panicking audit scope must not wedge every later scope.
+    // The lock only guards a push or a take, so a poisoned list is still whole.
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// True while a [`with_audit`] scope is active anywhere in the process.
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Acquire)
+/// Runs `f` with this thread's scope, if any.
+fn with_scope<R>(f: impl FnOnce(Option<&Scope>) -> R) -> R {
+    SCOPE.with(|slot| f(slot.borrow().as_deref()))
+}
+
+/// A handle on the audit scope of the calling thread: empty outside a
+/// scope. A thread pool takes one with [`current`] before it spawns and
+/// runs each worker body under [`AuditScope::enter`], so the workers'
+/// checks, audits and event limits belong to the run that spawned them.
+#[derive(Clone)]
+pub struct AuditScope(Option<Arc<Scope>>);
+
+/// The calling thread's audit scope (empty outside one).
+pub fn current() -> AuditScope {
+    AuditScope(SCOPE.with(|slot| slot.borrow().clone()))
+}
+
+impl AuditScope {
+    /// Runs `f` on the calling thread under this scope, restoring the
+    /// thread's previous scope when `f` returns or unwinds.
+    pub fn enter<T>(&self, f: impl FnOnce() -> T) -> T {
+        struct Restore(Option<Arc<Scope>>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                SCOPE.with(|slot| *slot.borrow_mut() = self.0.take());
+            }
+        }
+        let _restore = Restore(SCOPE.with(|slot| slot.replace(self.0.clone())));
+        f()
+    }
 }
 
 /// True when audits should run at all: inside a scope, or always in
 /// debug builds. Callers gate the (cheap, end-of-run) audit computation
 /// on this so release-mode sweeps without `--audit` pay nothing.
 pub fn enabled() -> bool {
-    is_active() || cfg!(debug_assertions)
-}
-
-/// The active scope's deterministic watchdog: a cap on simulator events.
-/// Components constructing a [`Sim`] clamp their event limit to this, so
-/// a wedged job panics reproducibly instead of spinning forever.
-///
-/// The budget is process-wide, not per thread: while a scope holds one,
-/// *every* `Sim` built anywhere in the process inherits it, including
-/// ones built by unscoped code on other threads. A test that sets a
-/// small budget belongs in its own test binary (its own process).
-pub fn event_budget() -> Option<u64> {
-    match BUDGET.load(Ordering::Acquire) {
-        0 => None,
-        b => Some(b),
-    }
+    cfg!(debug_assertions) || with_scope(|scope| scope.is_some())
 }
 
 /// The event limit of every simulation the harness builds: a generous
 /// 2·10⁹-event runaway guard (experiments run millions of events),
-/// clamped to the active scope's [`event_budget`] so a wedged job dies
+/// clamped to the calling thread's scope budget so a wedged job dies
 /// after a fixed event count instead of spinning for the full allowance.
 pub fn event_limit() -> u64 {
     const RUNAWAY: u64 = 2_000_000_000;
-    event_budget().map_or(RUNAWAY, |budget| budget.min(RUNAWAY))
-}
-
-/// Records a violation into the active scope (no-op without one).
-pub fn submit(v: AuditViolation) {
-    if is_active() {
-        lock(&VIOLATIONS).push(v);
-    }
-}
-
-/// Violations collected by the active scope so far (0 without one).
-/// Pairs with [`violations_since`] so a harness can surface the
-/// violations its own audit pass just produced (e.g. as trace instants).
-pub fn violation_count() -> usize {
-    if is_active() {
-        lock(&VIOLATIONS).len()
-    } else {
-        0
-    }
-}
-
-/// Clones the violations collected after index `since` (empty without an
-/// active scope).
-pub fn violations_since(since: usize) -> Vec<AuditViolation> {
-    if is_active() {
-        lock(&VIOLATIONS)
-            .get(since..)
-            .map(<[AuditViolation]>::to_vec)
-            .unwrap_or_default()
-    } else {
-        Vec::new()
-    }
+    with_scope(|scope| scope.and_then(|s| s.budget)).map_or(RUNAWAY, |budget| budget.min(RUNAWAY))
 }
 
 /// The reporting primitive every audit identity goes through.
 ///
-/// When `ok` is false: inside a scope the violation is collected; outside
-/// a scope debug builds panic with the violation text (audits are
-/// always-on under `cargo test`) and release builds stay silent. `detail`
-/// is only evaluated on failure.
+/// When `ok` is false: inside the calling thread's scope the violation
+/// is collected; outside a scope debug builds panic with the violation
+/// text (audits are always-on under `cargo test`) and release builds
+/// stay silent. `detail` is only evaluated on failure.
 pub fn check(
     component: &str,
     invariant: &'static str,
@@ -166,31 +153,29 @@ pub fn check(
         at,
         detail: detail(),
     };
-    if is_active() {
-        submit(v);
-    } else if cfg!(debug_assertions) && !std::thread::panicking() {
-        panic!("{v}");
-    }
+    with_scope(|scope| match scope {
+        Some(scope) => lock(&scope.violations).push(v),
+        None if cfg!(debug_assertions) && !std::thread::panicking() => panic!("{v}"),
+        None => {}
+    });
 }
 
-/// Runs `f` under an audit scope with a sim-event budget, catching
-/// panics. Returns `f`'s outcome (the panic payload on unwind) and every
-/// violation collected while the scope was active.
-///
-/// The budget applies process-wide for the scope's duration (see
-/// [`event_budget`]), so concurrent unscoped simulations see it too.
+/// Runs `f` on the calling thread under a new audit scope with a
+/// sim-event budget, catching panics. Returns `f`'s outcome (the panic
+/// payload on unwind) and every violation collected in the scope, by
+/// this thread and by the workers it handed the scope to. The thread's
+/// previous scope, if any, is restored afterwards.
 pub fn with_audit_budget<T>(
     budget: Option<u64>,
     f: impl FnOnce() -> T,
 ) -> (std::thread::Result<T>, Vec<AuditViolation>) {
-    let _scope = lock(&SCOPE);
-    lock(&VIOLATIONS).clear();
-    BUDGET.store(budget.unwrap_or(0), Ordering::Release);
-    ACTIVE.store(true, Ordering::Release);
-    let result = panic::catch_unwind(AssertUnwindSafe(f));
-    ACTIVE.store(false, Ordering::Release);
-    BUDGET.store(0, Ordering::Release);
-    let violations = std::mem::take(&mut *lock(&VIOLATIONS));
+    let scope = Arc::new(Scope {
+        budget,
+        violations: Mutex::new(Vec::new()),
+    });
+    let result =
+        AuditScope(Some(Arc::clone(&scope))).enter(|| panic::catch_unwind(AssertUnwindSafe(f)));
+    let violations = std::mem::take(&mut *lock(&scope.violations));
     (result, violations)
 }
 
@@ -242,6 +227,7 @@ pub fn audit_sim(sim: &Sim) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     fn violation(detail: &str) -> AuditViolation {
         AuditViolation {
@@ -250,6 +236,11 @@ mod tests {
             at: SimTime::ZERO,
             detail: detail.into(),
         }
+    }
+
+    /// Fails a check whose violation equals `violation(detail)`.
+    fn fail(detail: &str) {
+        check("test", "unit", SimTime::ZERO, false, || detail.into());
     }
 
     #[test]
@@ -273,42 +264,83 @@ mod tests {
                 false,
                 || "sent=10 got=9".into(),
             );
-            assert_eq!(violation_count(), 1);
-            submit(violation("direct"));
-            let fresh = violations_since(1);
-            assert_eq!(fresh.len(), 1);
-            assert_eq!(fresh[0].detail, "direct");
             42
         });
         assert_eq!(r.unwrap(), 42);
-        assert_eq!(violation_count(), 0, "no active scope outside with_audit");
-        assert_eq!(v.len(), 2);
+        assert_eq!(v.len(), 1);
         assert_eq!(v[0].component, "stack:a");
         assert_eq!(v[0].invariant, "byte-conservation");
         assert_eq!(v[0].at, SimTime::from_nanos(5));
-        assert_eq!(v[1].detail, "direct");
         assert!(v[0].to_string().contains("byte-conservation"));
     }
 
     #[test]
     fn scope_catches_panics_and_still_returns_violations() {
         let (r, v) = with_audit(|| {
-            submit(violation("before the crash"));
+            fail("before the crash");
             panic!("boom");
         });
         let payload = r.expect_err("closure panicked");
         assert_eq!(failure_reason(payload.as_ref()), "panicked: boom");
         assert_eq!(v.len(), 1);
-        assert!(!is_active(), "scope deactivated after a panic");
+        assert!(current().0.is_none(), "scope uninstalled after a panic");
     }
 
     #[test]
     fn event_budget_is_visible_only_inside_its_scope() {
-        assert_eq!(event_budget(), None);
-        let (r, _) = with_audit_budget(Some(5_000), || (event_budget(), event_limit()));
-        assert_eq!(r.unwrap(), (Some(5_000), 5_000));
-        assert_eq!(event_budget(), None);
         assert_eq!(event_limit(), 2_000_000_000);
+        let (r, _) = with_audit_budget(Some(5_000), event_limit);
+        assert_eq!(r.unwrap(), 5_000);
+        assert_eq!(event_limit(), 2_000_000_000);
+    }
+
+    #[test]
+    fn nested_scope_shadows_the_outer_one_until_it_returns() {
+        let (r, outer) = with_audit_budget(Some(7), || {
+            let (inner_limit, inner) = with_audit_budget(Some(3), || {
+                fail("inner");
+                event_limit()
+            });
+            fail("outer");
+            (inner_limit.unwrap(), inner, event_limit())
+        });
+        let (inner_limit, inner, outer_limit) = r.unwrap();
+        assert_eq!((inner_limit, outer_limit), (3, 7));
+        assert_eq!(inner, [violation("inner")]);
+        assert_eq!(outer, [violation("outer")]);
+    }
+
+    #[test]
+    fn a_scope_does_not_reach_unscoped_threads() {
+        // While thread A holds a budgeted scope, an unrelated thread B
+        // that never entered one must see neither its budget nor its
+        // collection: B's failed check panics (in debug builds) and A
+        // collects nothing.
+        let parked = Barrier::new(2);
+        let done = Barrier::new(2);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                with_audit_budget(Some(5_000), || {
+                    parked.wait();
+                    done.wait();
+                })
+            });
+            parked.wait();
+            let b = s.spawn(|| {
+                let failed = panic::catch_unwind(|| fail("unscoped"));
+                (failed, event_limit())
+            });
+            let (failed, limit) = b.join().unwrap();
+            done.wait();
+            let (r, a_violations) = a.join().unwrap();
+            r.unwrap();
+            assert_eq!(limit, 2_000_000_000, "B must not inherit A's budget");
+            assert!(a_violations.is_empty(), "A collected {a_violations:?}");
+            if cfg!(debug_assertions) {
+                let payload = failed.expect_err("B's failed check must panic");
+                assert!(failure_reason(payload.as_ref()).contains("audit violation"));
+            }
+        });
     }
 
     #[test]

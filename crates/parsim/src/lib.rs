@@ -34,13 +34,13 @@
 //! thread at all.
 //!
 //! **Conservation** of boundary traffic is audited every round at every
-//! thread count whenever audits are on ([`ioat_guard::enabled`]: an
-//! audit scope, or any debug build). Between the inject phase and the
-//! next execute phase all mailboxes are empty, so each message a
-//! partition emitted is either still staged in an outbox or already
-//! injected. Workers fold both sums into the round's shared slot and
-//! worker 0 checks them after the barrier; the quiescent form is checked
-//! once more at the horizon.
+//! thread count whenever audits are on ([`ioat_guard::enabled`]: the
+//! run's audit scope, which [`run`] hands to every worker, or any debug
+//! build). Between the inject phase and the next execute phase all
+//! mailboxes are empty, so each message a partition emitted is either
+//! still staged in an outbox or already injected. Workers fold both sums
+//! into the round's shared slot and worker 0 checks them after the
+//! barrier; the quiescent form is checked once more at the horizon.
 //!
 //! Why conservative rather than optimistic (Time Warp)? The models here
 //! are closures over `Rc<RefCell<...>>` state with no state-saving or
@@ -354,8 +354,9 @@ struct Shared<M> {
 ///
 /// Every thread count runs the same worker loop: worker 0 on the
 /// calling thread (so `threads = 1` spawns no thread) and workers 1..
-/// on scoped threads. Results are bit-identical for any `threads`; the
-/// count only changes which worker hosts which partition.
+/// on scoped threads, each under the caller's audit scope
+/// ([`ioat_guard::current`]). Results are bit-identical for any
+/// `threads`; the count only changes which worker hosts which partition.
 ///
 /// # Panics
 ///
@@ -397,13 +398,15 @@ where
         mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
     };
 
+    let audit = ioat_guard::current();
     let worker_results: Vec<WorkerOutcome<P::Out>> = std::thread::scope(|scope| {
         let mut per_worker = per_worker.into_iter();
         let first = per_worker.next().expect("at least one worker");
         let shared = &shared;
+        let audit = &audit;
         let handles: Vec<_> = per_worker
             .enumerate()
-            .map(|(w, mine)| scope.spawn(move || worker_loop(w + 1, mine, shared)))
+            .map(|(w, mine)| scope.spawn(move || audit.enter(|| worker_loop(w + 1, mine, shared))))
             .collect();
         let mut results = vec![worker_loop(0, first, shared)];
         results.extend(
@@ -722,5 +725,50 @@ mod tests {
                 "threads={threads}: the loss must be flagged before the horizon: {violations:?}"
             );
         }
+    }
+
+    /// A partition with no events whose `finish` fails a check and
+    /// reports the event limit it sees.
+    struct FailsInFinish(usize);
+
+    impl Partition for FailsInFinish {
+        type Msg = ();
+        type Out = u64;
+
+        fn next_event_at(&mut self) -> Option<SimTime> {
+            None
+        }
+
+        fn run_before(&mut self, _limit: SimTime) {}
+
+        fn run_final(&mut self, _horizon: SimTime) {}
+
+        fn inject(&mut self, _fire_at: SimTime, _msg: ()) {}
+
+        fn events_executed(&self) -> u64 {
+            0
+        }
+
+        fn finish(self) -> u64 {
+            ioat_guard::check("parsim-test", "hand-off", HORIZON, false, || {
+                format!("partition {}", self.0)
+            });
+            ioat_guard::event_limit()
+        }
+    }
+
+    #[test]
+    fn workers_run_under_the_callers_audit_scope() {
+        // At two threads partition 1 lives on the spawned worker 1.
+        let builders: Vec<_> = (0..2)
+            .map(|_| |idx: usize, _: Outbox<()>| FailsInFinish(idx))
+            .collect();
+        let (res, violations) =
+            ioat_guard::with_audit_budget(Some(4_321), || run(builders, HOP, HORIZON, 2));
+        let (outs, _) = res.expect("no partition panics");
+        assert_eq!(outs, [4_321, 4_321]);
+        let mut seen: Vec<_> = violations.iter().map(|v| v.detail.as_str()).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, ["partition 0", "partition 1"]);
     }
 }

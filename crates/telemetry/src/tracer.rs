@@ -39,14 +39,11 @@ pub enum Category {
     Fault,
     /// Anything else.
     Other,
-    /// Runtime invariant-audit events (violations surfaced by
-    /// `ioat-guard`).
-    Audit,
 }
 
 impl Category {
     /// All categories, in display order.
-    pub const ALL: [Category; 10] = [
+    pub const ALL: [Category; 9] = [
         Category::Interrupt,
         Category::Protocol,
         Category::Copy,
@@ -56,7 +53,6 @@ impl Category {
         Category::Io,
         Category::Fault,
         Category::Other,
-        Category::Audit,
     ];
 
     /// Stable lowercase name (used in exports).
@@ -71,7 +67,6 @@ impl Category {
             Category::Io => "io",
             Category::Fault => "fault",
             Category::Other => "other",
-            Category::Audit => "audit",
         }
     }
 
