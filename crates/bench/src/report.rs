@@ -32,26 +32,8 @@
 //! byte-identical at any `--sim-threads` value.
 
 use crate::{FigureResult, FigureRows};
+use ioat_telemetry::export::json_escape;
 use std::fmt::Write as _;
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// An `f64` as a JSON number. JSON has no NaN/Infinity; those become
 /// `null` rather than corrupting the document.
@@ -106,7 +88,7 @@ fn figure_json(fig: &FigureResult, indent: &str) -> String {
     // the identity header and `wall_ms` so partial-failure runs diff
     // cleanly against a clean baseline (only the failed figure changes).
     let error = match &fig.error {
-        Some(reason) => format!("\"{}\"", esc(reason)),
+        Some(reason) => format!("\"{}\"", json_escape(reason)),
         None => "null".to_string(),
     };
     // Schema 3: events/sec only when both inputs are meaningful — a
@@ -128,9 +110,9 @@ fn figure_json(fig: &FigureResult, indent: &str) -> String {
          \"status\": \"{}\", \"error\": {error}, \
          \"wall_ms\": {}, \"sim_events\": {}, \"events_per_sec\": {events_per_sec}, \
          \"peak_rss_bytes\": {peak_rss}, \"kind\": \"{}\",\n{indent} \"rows\": [",
-        esc(&fig.name),
-        esc(&fig.title),
-        esc(&fig.unit),
+        json_escape(&fig.name),
+        json_escape(&fig.title),
+        json_escape(&fig.unit),
         if fig.failed() { "failed" } else { "ok" },
         num(fig.wall_ms),
         fig.sim_events,
@@ -143,7 +125,7 @@ fn figure_json(fig: &FigureResult, indent: &str) -> String {
                 format!(
                     "{{\"label\": \"{}\", \"non_ioat\": {}, \"ioat\": {}, \
                      \"non_cpu\": {}, \"ioat_cpu\": {}}}",
-                    esc(&r.label),
+                    json_escape(&r.label),
                     num(r.non_ioat),
                     num(r.ioat),
                     num(r.non_cpu),
@@ -212,7 +194,7 @@ fn figure_json(fig: &FigureResult, indent: &str) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "\"{}\"", esc(note));
+        let _ = write!(out, "\"{}\"", json_escape(note));
     }
     // Schema 4: one entry per partitioned simulation the figure built
     // (empty for figures that don't run on the parallel engine). All
@@ -227,7 +209,7 @@ fn figure_json(fig: &FigureResult, indent: &str) -> String {
             out,
             "\n{indent}  {{\"label\": \"{}\", \"partitions\": {}, \"rounds\": {}, \
              \"mean_window_ns\": {}, \"events\": [{}]}}",
-            esc(&p.label),
+            json_escape(&p.label),
             p.partitions,
             p.rounds,
             num(p.mean_window_ns),
@@ -371,7 +353,7 @@ mod tests {
         assert!(doc.contains("\"events\": [100, 2000, 3000]"));
     }
 
-    /// Inverse of [`esc`], for round-trip testing only: decodes the
+    /// Inverse of [`json_escape`], for round-trip testing only: decodes the
     /// escape sequences the writer can emit.
     fn unescape(s: &str) -> String {
         let mut out = String::new();
@@ -405,9 +387,19 @@ mod tests {
         // (NUL, BEL, ESC), DEL-adjacent text, and non-ASCII.
         let hostile = "q=\" bs=\\ nl=\n cr=\r tab=\t nul=\0 bel=\x07 esc=\x1b \
                        u=✓ crab=🦀 end";
-        assert_eq!(unescape(&esc(hostile)), hostile, "escaper is lossless");
-        assert!(!esc(hostile).contains('\n'), "no raw control chars leak");
-        assert!(esc(hostile).contains("\\u0000"), "NUL uses \\u form");
+        assert_eq!(
+            unescape(&json_escape(hostile)),
+            hostile,
+            "escaper is lossless"
+        );
+        assert!(
+            !json_escape(hostile).contains('\n'),
+            "no raw control chars leak"
+        );
+        assert!(
+            json_escape(hostile).contains("\\u0000"),
+            "NUL uses \\u form"
+        );
 
         // The same strings flowing through every user-controlled field of
         // a failed figure must still yield a structurally valid document.

@@ -1,6 +1,5 @@
 //! Experiment measurement: warm-up + window handling and result types.
 
-use crate::cluster::{Cluster, NodeHandle};
 use ioat_simcore::stats::relative_benefit;
 use ioat_simcore::{SimDuration, SimTime};
 
@@ -10,7 +9,8 @@ use ioat_simcore::{SimDuration, SimTime};
 /// fill, windows open, queues reach steady state), then measure for
 /// `measure`. Throughput and CPU utilization are reported over the
 /// measurement window only, the way the paper's `ttcp` runs report
-/// steady-state numbers.
+/// steady-state numbers. A [`Cluster::measured`](crate::Cluster::measured)
+/// cluster opens the window on every node before the run starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentWindow {
     /// Warm-up length (excluded from all metrics).
@@ -44,26 +44,6 @@ impl ExperimentWindow {
     /// Measurement end time.
     pub fn to(&self) -> SimTime {
         SimTime::ZERO + self.warmup + self.measure
-    }
-
-    /// Runs `cluster` through warm-up, opens the measurement window on the
-    /// given nodes, runs it and returns `(from, to)`.
-    pub fn execute(&self, cluster: &mut Cluster, nodes: &[NodeHandle]) -> (SimTime, SimTime) {
-        cluster.run_until(self.from());
-        for &n in nodes {
-            cluster
-                .stack(n)
-                .borrow_mut()
-                .begin_measurement(self.from(), self.to());
-        }
-        cluster.run_until(self.to());
-        // Every figure harness funnels through here, so this one call
-        // gives the whole suite end-of-window invariant coverage. Gated:
-        // release sweeps without `--audit` skip even the cheap reads.
-        if ioat_guard::enabled() {
-            cluster.run_audits();
-        }
-        (self.from(), self.to())
     }
 }
 

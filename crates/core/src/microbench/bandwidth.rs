@@ -76,7 +76,7 @@ pub fn run_with_faults(
     ioat: IoatConfig,
     faults: &FaultPlan,
 ) -> FaultedThroughputResult {
-    let mut cluster = Cluster::new();
+    let mut cluster = Cluster::measured(cfg.window);
     cluster.set_faults(faults);
     let tx = cluster.add_node(NodeConfig::testbed("sender", ioat));
     let rx = cluster.add_node(NodeConfig::testbed("receiver", ioat));
@@ -88,7 +88,7 @@ pub fn run_with_faults(
         stream(&s_tx, cluster.sim_mut(), hint, 1_000.0);
     }
 
-    let (_, to) = cfg.window.execute(&mut cluster, &[tx, rx]);
+    let (_, to) = cluster.run_measured();
     let rxs = cluster.stack(rx).borrow();
     let txs = cluster.stack(tx).borrow();
     let (st, sr) = (txs.stats(), rxs.stats());

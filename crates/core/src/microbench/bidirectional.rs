@@ -45,7 +45,7 @@ impl BidirConfig {
 /// directions; `rx_cpu`/`tx_cpu` are the two nodes' utilizations (both
 /// nodes send *and* receive, so they are near-symmetric).
 pub fn run(cfg: &BidirConfig, ioat: IoatConfig) -> ThroughputResult {
-    let mut cluster = Cluster::new();
+    let mut cluster = Cluster::measured(cfg.window);
     let a = cluster.add_node(NodeConfig::testbed("node-a", ioat));
     let b = cluster.add_node(NodeConfig::testbed("node-b", ioat));
     let pairs = cluster.connect_ports(a, b, cfg.ports, cfg.opts.coalescing);
@@ -59,7 +59,7 @@ pub fn run(cfg: &BidirConfig, ioat: IoatConfig) -> ThroughputResult {
         stream(&sb, cluster.sim_mut(), hint, 1_000.0);
     }
 
-    let (_, to) = cfg.window.execute(&mut cluster, &[a, b]);
+    let (_, to) = cluster.run_measured();
     let sa = cluster.stack(a).borrow();
     let sb = cluster.stack(b).borrow();
     ThroughputResult {

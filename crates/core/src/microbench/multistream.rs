@@ -64,7 +64,7 @@ impl MultiStreamConfig {
 /// Runs the multi-stream test; CPU is reported on the receiving server.
 pub fn run(cfg: &MultiStreamConfig, ioat: IoatConfig) -> ThroughputResult {
     assert!(cfg.threads > 0, "at least one stream required");
-    let mut cluster = Cluster::new();
+    let mut cluster = Cluster::measured(cfg.window);
     cluster.set_bandwidth(cfg.link);
     let client = cluster.add_node(NodeConfig::profiled("client", ioat, cfg.profile));
     let server = cluster.add_node(NodeConfig::profiled("server", ioat, cfg.profile));
@@ -80,7 +80,7 @@ pub fn run(cfg: &MultiStreamConfig, ioat: IoatConfig) -> ThroughputResult {
         stream(&s_tx, cluster.sim_mut(), hint, rate_mbps);
     }
 
-    let (_, to) = cfg.window.execute(&mut cluster, &[client, server]);
+    let (_, to) = cluster.run_measured();
     let rxs = cluster.stack(server).borrow();
     let txs = cluster.stack(client).borrow();
     ThroughputResult {

@@ -120,7 +120,7 @@ pub fn run_one_traced(
     (ioat_simcore::SimTime, ioat_simcore::SimTime),
 ) {
     let opts = opts_for(msg_size);
-    let mut cluster = Cluster::new();
+    let mut cluster = Cluster::measured(cfg.window);
     cluster.set_tracer(tracer.clone());
     let clients = cluster.add_node(NodeConfig::testbed("clients", ioat));
     let server = cluster.add_node(NodeConfig::testbed("server", ioat));
@@ -150,7 +150,7 @@ pub fn run_one_traced(
             }
         });
     }
-    let (from, to) = cfg.window.execute(&mut cluster, &[clients, server]);
+    let (from, to) = cluster.run_measured();
     let rxs = cluster.stack(server).borrow();
     let txs = cluster.stack(clients).borrow();
     audit_cycle_sum(&rxs, tracer, from, to);

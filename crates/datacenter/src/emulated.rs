@@ -81,7 +81,7 @@ pub struct EmulatedResult {
 /// Runs the emulated-clients scenario.
 pub fn run(cfg: &EmulatedConfig) -> EmulatedResult {
     assert!(cfg.threads > 0, "need at least one thread");
-    let mut cluster = Cluster::new();
+    let mut cluster = Cluster::measured(cfg.window);
     let client = cluster.add_node(NodeConfig::testbed("proxy-client", cfg.ioat));
     let server = cluster.add_node(NodeConfig::testbed("web-server", cfg.ioat));
     let opts = SocketOpts::tuned();
@@ -135,7 +135,7 @@ pub fn run(cfg: &EmulatedConfig) -> EmulatedResult {
             });
     }
 
-    let (from, to) = cfg.window.execute(&mut cluster, &[client, server]);
+    let (from, to) = cluster.run_measured();
     let elapsed = (to - from).as_secs_f64();
     let result = {
         let c = cluster.stack(client).borrow();

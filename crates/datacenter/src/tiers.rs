@@ -127,7 +127,7 @@ where
 {
     assert!(cfg.client_threads > 0, "need at least one client thread");
     assert!(cfg.client_ports > 0 && cfg.tier_ports > 0);
-    let mut cluster = Cluster::new();
+    let mut cluster = Cluster::measured(cfg.window);
     cluster.set_tracer(tracer.clone());
     if tracer.is_enabled() {
         tracer.set_process_name(REQUEST_LANES_NODE, "request-lanes");
@@ -280,7 +280,7 @@ where
             });
     }
 
-    let (from, to) = cfg.window.execute(&mut cluster, &[clients, proxy, web]);
+    let (from, to) = cluster.run_measured();
     let shared = shared.borrow();
     if ioat_guard::enabled() {
         // Request lifecycle conservation: every fired request completed,

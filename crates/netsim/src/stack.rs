@@ -470,9 +470,10 @@ impl HostStack {
     }
 
     /// Opens the measurement window `[from, to)` on every meter: the byte
-    /// meters start counting at `from` and the core meters count busy
-    /// time inside the window. Call it at simulated time `from` (or
-    /// earlier), so no core has begun a busy run past `from` yet.
+    /// meters count from `from` and the core meters count busy time
+    /// inside the window. Call it before the node runs any job — when it
+    /// is built — since a core meter opened after recording a busy run
+    /// panics.
     pub fn begin_measurement(&mut self, from: SimTime, to: SimTime) {
         self.rx_meter.begin_window(from);
         self.tx_meter.begin_window(from);

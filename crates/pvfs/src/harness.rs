@@ -168,7 +168,7 @@ fn run_traced_modes(
     tracer: &Tracer,
 ) -> PvfsResult {
     assert!(cfg.io_servers > 0 && cfg.clients > 0);
-    let mut cluster = Cluster::new();
+    let mut cluster = Cluster::measured(cfg.window);
     cluster.set_tracer(tracer.clone());
     cluster.set_faults(&cfg.faults);
     if tracer.is_enabled() {
@@ -209,9 +209,8 @@ fn run_traced_modes(
         // Data connections: one per I/O server, over that server's port.
         let mut client_socks = Vec::new();
         let mut server_socks = Vec::new();
-        for (s, pair) in pairs.iter().enumerate() {
-            let _ = s;
-            let (cs, ss) = cluster.open(compute, server, *pair, opts);
+        for &pair in &pairs {
+            let (cs, ss) = cluster.open(compute, server, pair, opts);
             client_socks.push(cs);
             server_socks.push(ss);
         }
@@ -285,7 +284,7 @@ fn run_traced_modes(
             });
     }
 
-    let (from, to) = cfg.window.execute(&mut cluster, &[compute, server]);
+    let (from, to) = cluster.run_measured();
     if ioat_guard::enabled() {
         for p in &processes {
             p.audit(to);

@@ -21,22 +21,20 @@ pub type ResourceRef = Rc<RefCell<Resource>>;
 /// Sums the busy time that falls inside one measurement window
 /// `[from, to)`.
 ///
-/// Busy runs must be reported in start order without overlap, which a
-/// FIFO resource guarantees. The meter keeps only the latest run (merged
-/// with any run that starts where it ends). A FIFO resource starts each
-/// job at `max(busy_until, now)`, so at any instant only that run can
-/// reach past `now`: every earlier run has already ended. Opening the
-/// window at or before its start instant therefore loses nothing, and
-/// the meter holds O(1) state however long the simulation runs. A meter
-/// that is never opened measures `[0, SimTime::MAX)`, so its
-/// [`busy`](Self::busy) is the whole-run total.
+/// The window is opened before the first busy run is recorded, so each
+/// run adds its overlap with the window as it arrives and the meter
+/// holds O(1) state however long the simulation runs. Busy runs must be
+/// reported in start order without overlap, which a FIFO resource
+/// guarantees. A meter that is never opened measures
+/// `[0, SimTime::MAX)`, so its [`busy`](Self::busy) is the whole-run
+/// total.
 #[derive(Debug, Clone, Copy)]
 pub struct UtilizationMeter {
     from: SimTime,
     to: SimTime,
     busy: SimDuration,
-    /// The latest busy run `[start, end)`.
-    last: (SimTime, SimTime),
+    /// End of the latest recorded busy run (zero before the first).
+    last: SimTime,
 }
 
 impl Default for UtilizationMeter {
@@ -45,7 +43,7 @@ impl Default for UtilizationMeter {
             from: SimTime::ZERO,
             to: SimTime::MAX,
             busy: SimDuration::ZERO,
-            last: (SimTime::ZERO, SimTime::ZERO),
+            last: SimTime::ZERO,
         }
     }
 }
@@ -54,12 +52,6 @@ impl UtilizationMeter {
     /// Creates an empty meter measuring `[0, SimTime::MAX)`.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The part of `[start, end)` inside the window.
-    fn overlap(&self, start: SimTime, end: SimTime) -> SimDuration {
-        end.min(self.to)
-            .saturating_duration_since(start.max(self.from))
     }
 
     /// Records a busy interval `[start, end)`.
@@ -75,40 +67,34 @@ impl UtilizationMeter {
             return;
         }
         assert!(
-            start >= self.last.1,
+            start >= self.last,
             "busy intervals must be reported in order: {start} < {}",
-            self.last.1
+            self.last
         );
-        self.busy += self.overlap(start, end);
-        if start == self.last.1 {
-            self.last.1 = end;
-        } else {
-            self.last = (start, end);
-        }
+        self.busy += end
+            .min(self.to)
+            .saturating_duration_since(start.max(self.from));
+        self.last = end;
     }
 
-    /// Opens the measurement window `[from, to)`: from now on only busy
-    /// time inside it counts, and the latest run counts for its overlap.
+    /// Opens the measurement window `[from, to)`: only busy time inside
+    /// it counts.
     ///
     /// # Panics
     ///
-    /// Panics if `from > to`, or if the latest busy run began after
-    /// `from` — the runs before it, which may overlap the window, are no
-    /// longer kept. Opening at the simulated instant `from` (or earlier)
-    /// never trips this.
+    /// Panics if `from > to`, or if a busy run has already been recorded:
+    /// the window is opened before the resource does any work.
     pub fn open(&mut self, from: SimTime, to: SimTime) {
         assert!(
             from <= to,
             "measurement window runs backwards: {from} > {to}"
         );
         assert!(
-            self.last.0 <= from,
-            "measurement window [{from}, {to}) opened after a busy run began at {}",
-            self.last.0
+            self.last == SimTime::ZERO,
+            "measurement window [{from}, {to}) opened after a busy run was recorded"
         );
         self.from = from;
         self.to = to;
-        self.busy = self.overlap(self.last.0, self.last.1);
     }
 
     /// The measurement window `[from, to)`.
@@ -180,12 +166,6 @@ impl Resource {
         end
     }
 
-    /// Opens the meter's measurement window (see
-    /// [`UtilizationMeter::open`]).
-    pub fn open_window(&mut self, from: SimTime, to: SimTime) {
-        self.meter.open(from, to);
-    }
-
     /// Busy-time accounting for this resource.
     pub fn meter(&self) -> &UtilizationMeter {
         &self.meter
@@ -250,10 +230,11 @@ impl ResourcePool {
             .0
     }
 
-    /// Opens every member's measurement window `[from, to)`.
+    /// Opens every member's measurement window `[from, to)` (see
+    /// [`UtilizationMeter::open`]).
     pub fn open_window(&self, from: SimTime, to: SimTime) {
         for r in &self.members {
-            r.borrow_mut().open_window(from, to);
+            r.borrow_mut().meter.open(from, to);
         }
     }
 
@@ -316,22 +297,12 @@ mod tests {
     #[test]
     fn window_clips_runs_that_cross_its_edges() {
         let mut m = UtilizationMeter::new();
-        m.record(t(10), t(20));
-        // Opened while [10, 20) is the latest run: only its part past 15
-        // counts, then [30, 40) counts up to the window end.
         m.open(t(15), t(35));
+        // [10, 20) counts from 15 and [30, 40) up to the window end.
+        m.record(t(10), t(20));
         m.record(t(30), t(40));
         assert_eq!(m.busy(), SimDuration::from_nanos(10));
         assert_eq!(m.window(), (t(15), t(35)));
-    }
-
-    #[test]
-    fn adjacent_intervals_merge() {
-        let mut m = UtilizationMeter::new();
-        m.record(t(0), t(10));
-        m.record(t(10), t(20));
-        assert_eq!(m.last, (t(0), t(20)));
-        assert_eq!(m.busy(), SimDuration::from_nanos(20));
     }
 
     #[test]
@@ -343,11 +314,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "opened after a busy run began")]
-    fn opening_after_a_later_run_began_panics() {
+    #[should_panic(expected = "opened after a busy run was recorded")]
+    fn opening_after_a_recorded_run_panics() {
         let mut m = UtilizationMeter::new();
         m.record(t(0), t(10));
-        m.record(t(20), t(30));
         m.open(t(15), t(40));
     }
 

@@ -128,10 +128,9 @@ fn job_stream(rng: &mut SimRng) -> Vec<(SimTime, SimDuration)> {
     })
 }
 
-/// The windowed meter sums exactly what the interval log reports for the
-/// same window, wherever the window lies: opened before the first record,
-/// or at any instant up to `from` — including while a busy run crosses
-/// `from` and/or `to`.
+/// The windowed meter, opened before the first record, sums exactly what
+/// the interval log reports for the same window, wherever the window
+/// lies — including while a busy run crosses `from` and/or `to`.
 #[test]
 fn windowed_meter_matches_the_interval_log() {
     for seed in 0..CASES {
@@ -161,31 +160,16 @@ fn windowed_meter_matches_the_interval_log() {
         };
         let (a, b) = (edge(&mut rng), edge(&mut rng));
         let (from, to) = (SimTime::from_nanos(a.min(b)), SimTime::from_nanos(a.max(b)));
-        // Open before the first record, or at a random instant <= `from`;
-        // jobs submitted at that very instant land on either side.
-        let open_at = if rng.chance(0.25) {
-            None
-        } else {
-            Some(SimTime::from_nanos(rng.range(0, from.as_nanos() + 1)))
-        };
         let mut m = UtilizationMeter::new();
-        let mut opened = false;
-        for (&(at, _), &(start, end)) in jobs.iter().zip(&runs) {
-            let due = open_at.is_none_or(|o| at > o || (at == o && rng.chance(0.5)));
-            if due && !opened {
-                m.open(from, to);
-                opened = true;
-            }
+        m.open(from, to);
+        for &(start, end) in &runs {
             m.record(start, end);
-        }
-        if !opened {
-            m.open(from, to);
         }
         assert_eq!(m.window(), (from, to), "seed {seed}");
         assert_eq!(
             m.busy(),
             log.busy_between(from, to),
-            "seed {seed}: window [{from}, {to}), opened at {open_at:?}"
+            "seed {seed}: window [{from}, {to})"
         );
     }
 }

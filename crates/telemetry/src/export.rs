@@ -14,7 +14,7 @@ use std::io;
 use std::path::Path;
 
 /// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
