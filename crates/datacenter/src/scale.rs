@@ -26,7 +26,11 @@
 //!   [`Histogram`](ioat_simcore::Histogram) and a Welford
 //!   [`Summary`](ioat_simcore::Summary) (online mean/max), never a
 //!   per-request `Vec`;
-//! * throughput is a windowed [`Counter`](ioat_simcore::Counter).
+//! * throughput is a count of completions.
+//!
+//! Throughput and every latency statistic cover the same transactions:
+//! those that complete inside the measurement window. Warm-up
+//! completions count toward neither.
 
 use crate::costs::DataCenterCosts;
 use ioat_core::metrics::ExperimentWindow;
@@ -225,13 +229,15 @@ pub struct ScaleResult {
     pub tps: f64,
     /// Transactions completed inside the window.
     pub completed: u64,
-    /// Mean end-to-end client latency, µs.
+    /// Mean end-to-end client latency of the completions inside the
+    /// window, µs.
     pub latency_mean_us: f64,
-    /// Median latency, µs (log-scale histogram bucket upper bound).
+    /// Median latency of the completions inside the window, µs
+    /// (log-scale histogram bucket upper bound).
     pub latency_p50_us: u64,
-    /// 99th-percentile latency, µs.
+    /// 99th-percentile latency of the completions inside the window, µs.
     pub latency_p99_us: u64,
-    /// Worst observed latency, µs.
+    /// Worst latency among the completions inside the window, µs.
     pub latency_max_us: f64,
     /// Mean CPU utilization across the proxy tier in the window.
     pub proxy_cpu: f64,
