@@ -9,6 +9,9 @@
 //!
 //! The count lives in a `const`-initialised thread-local, so the test
 //! harness running other cases on parallel threads cannot disturb it.
+//! A per-thread high-water mark beside it pins the peak heap of one
+//! fabric run: the allocation sequence is deterministic, so the peak
+//! repeats to the byte.
 
 use ioat_core::microbench::bandwidth::{self, BandwidthConfig};
 use ioat_core::microbench::bidirectional::{self, BidirConfig};
@@ -27,11 +30,16 @@ use std::cell::Cell;
 
 thread_local! {
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has reached since the last `reset_peak`.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn add_live(delta: i64) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
-    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 struct Counting;
@@ -85,6 +93,17 @@ fn kept_by_second_call<R>(mut call: impl FnMut() -> R) -> i64 {
     let before = LIVE.with(Cell::get);
     drop(call());
     LIVE.with(Cell::get) - before
+}
+
+/// Most bytes live on this thread during a second call of `call`, above
+/// what was live before it; the first call warms up lazily initialised
+/// state.
+fn peak_of_second_call<R>(mut call: impl FnMut() -> R) -> i64 {
+    drop(call());
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    drop(call());
+    PEAK.with(Cell::get) - before
 }
 
 fn assert_frees<R>(what: &str, call: impl FnMut() -> R) {
@@ -179,4 +198,20 @@ fn partitioned_datacenter_frees_every_partition() {
     assert_frees("run_partitioned with faults, admission and hedging", || {
         run_partitioned(&faulted, 1)
     });
+}
+
+#[test]
+fn quick_fabric_run_peak_heap_is_pinned() {
+    // One fat-tree(4) call on the calling thread: 16 hosts, each with a
+    // paper-L2 model whose tag rows are allocated per 64-set chunk on
+    // first touch. It peaked at 1 321 208 bytes with every host's 64 KB
+    // of rows allocated up front, and at 955 784 bytes with chunks; the
+    // bound is about 5 % above that.
+    const BOUND: i64 = 1_000_000;
+    let cfg = ScaleConfig::quick_test(IoatConfig::disabled());
+    let peak = peak_of_second_call(|| run_partitioned(&cfg, 1));
+    assert!(
+        peak < BOUND,
+        "run_partitioned(quick_test, 1) peaked at {peak} heap bytes, over {BOUND}"
+    );
 }

@@ -24,12 +24,23 @@
 //! line: a search of the occupied prefix, then explicit shifts within the
 //! row.
 //!
+//! Rows are stored in chunks of 64 consecutive sets, each allocated the
+//! first time an access touches one of its sets. An invalidation skips a
+//! chunk that was never allocated, and a probe answers "not resident" for
+//! an empty set without reading any row (an occupied set always has its
+//! chunk). A cache whose lines fall in a few sets (the fabric runs hold
+//! hundreds of such L2 models) allocates only the chunks those sets lie
+//! in. A range walk steps through one run of sets at a time, up to the
+//! next chunk edge or the set-index wrap, and looks its chunk up once per
+//! run.
+//!
 //! A tag is the line number with its set index removed (`line >> log2(sets)`
 //! for a power-of-two set count, `line / sets` otherwise), stored in a
-//! `u16`. The paper L2's rows take 64 KB per host, not the 256 KB full
-//! `u64` lines would. A 16-bit tag reaches `65 536 × sets × line_size`
-//! bytes of address space ([`Cache::reach`]): 16 GiB for the paper L2.
-//! Accesses past the reach panic; probes there report not resident.
+//! `u16`. A paper-L2 chunk takes 1 KB and all 64 of them 64 KB per host,
+//! not the 256 KB full `u64` lines would. A 16-bit tag reaches
+//! `65 536 × sets × line_size` bytes of address space ([`Cache::reach`]):
+//! 16 GiB for the paper L2. Accesses past the reach panic; probes there
+//! report not resident.
 //!
 //! A range walk splits its first line into set and tag once, then steps:
 //! the set index by one per line, the tag by one each time the set index
@@ -44,6 +55,10 @@ const MAX_WAYS: u32 = 64;
 
 /// Distinct tags a set can tell apart: a tag is a `u16`.
 const TAGS_PER_SET: u64 = 1 << u16::BITS;
+
+/// Sets whose rows share one allocation. The last chunk of a set count
+/// that is not a multiple holds only the sets left.
+const CHUNK_SETS: usize = 64;
 
 /// Geometry of a simulated cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,11 +166,12 @@ pub struct Cache {
     config: CacheConfig,
     /// Resident line tags (set index removed), one fixed-width row of
     /// `width` words per set, most recently used last within each row's
-    /// occupied prefix. Words past the prefix are dead. One contiguous
-    /// allocation (sets × width): the per-line lookup reads one row — no
-    /// per-set pointer chase.
-    tags: Box<[u16]>,
-    /// Occupied ways per set.
+    /// occupied prefix. Words past the prefix are dead. Chunk `c` holds
+    /// the rows of sets `64c..64c + 64` in one allocation, made when an
+    /// access first touches one of them; `None` until then, when every
+    /// one of its sets is empty.
+    tags: Vec<Option<Box<[u16]>>>,
+    /// Occupied ways per set. An empty set's row is never read.
     lens: Box<[u8]>,
     /// Row width: `associativity` rounded up to a power of two (at most
     /// `MAX_WAYS`). Range walks dispatch on it once per call, so the
@@ -195,7 +211,7 @@ impl Cache {
         let width = (config.associativity as usize).next_power_of_two();
         Cache {
             config,
-            tags: vec![0u16; num_sets as usize * width].into_boxed_slice(),
+            tags: vec![None; (num_sets as usize).div_ceil(CHUNK_SETS)],
             lens: vec![0u8; num_sets as usize].into_boxed_slice(),
             width,
             stats: CacheStats::default(),
@@ -257,9 +273,15 @@ impl Cache {
             return false;
         }
         let (set_idx, tag) = self.split(line);
-        let base = set_idx * self.width;
         let len = self.lens[set_idx] as usize;
-        self.tags[base..base + len].contains(&tag)
+        if len == 0 {
+            return false;
+        }
+        let chunk = self.tags[set_idx / CHUNK_SETS]
+            .as_deref()
+            .expect("an occupied set's chunk is allocated");
+        let base = set_idx % CHUNK_SETS * self.width;
+        chunk[base..base + len].contains(&tag)
     }
 
     /// Accesses every line in `buf`, returning hit/miss counts.
@@ -328,6 +350,12 @@ impl Cache {
 
     /// The per-line body of every range walk, on rows of `W` words.
     ///
+    /// The range is walked one run of sets at a time: a run ends at a
+    /// chunk edge or at the set-index wrap, so it lies in one chunk and
+    /// shares one tag. An access allocates the run's chunk if it is
+    /// absent; an invalidation skips an absent chunk, whose sets are all
+    /// empty.
+    ///
     /// The matching way is found by a search of the occupied prefix.
     /// Moves within a row are explicit shifts: a hit slides the ways above
     /// it down one and re-inserts the line at MRU; a full-set miss slides
@@ -336,55 +364,71 @@ impl Cache {
     fn lines<const W: usize>(&mut self, walk: Walk, first: u64, last: u64) -> RangeOutcome {
         let ways = self.config.associativity as usize;
         debug_assert!(ways <= W && W == self.width);
+        let num_sets = self.lens.len();
         let (mut set_idx, mut tag) = self.split(first);
-        let (rows, _) = self.tags.as_chunks_mut::<W>();
-        let lens = &mut self.lens[..rows.len()];
+        let mut left = last - first + 1;
         let mut out = RangeOutcome::default();
         let mut evictions = 0;
         let mut invalidations = 0;
-        for _ in first..=last {
-            let row = &mut rows[set_idx];
-            let len = lens[set_idx] as usize;
-            // The early exit keeps a short prefix cheap: a lightly used
-            // cache (the fabric runs hold hundreds) is mostly sets with a
-            // few lines, and an empty set's row is not read at all.
-            let hit = row[..len].iter().position(|&t| t == tag);
-            match (walk, hit) {
-                (Walk::Access, Some(pos)) => {
-                    for i in pos..len - 1 {
-                        row[i] = row[i + 1];
-                    }
-                    row[len - 1] = tag;
-                    out.hit_lines += 1;
-                }
-                (Walk::Access, None) if len == ways => {
-                    // The whole row, for a constant trip count: words
-                    // past `ways` are dead.
-                    for i in 0..W - 1 {
-                        row[i] = row[i + 1];
-                    }
-                    row[ways - 1] = tag;
-                    evictions += 1;
-                    out.miss_lines += 1;
-                }
-                (Walk::Access, None) => {
-                    row[len] = tag;
-                    lens[set_idx] = (len + 1) as u8;
-                    out.miss_lines += 1;
-                }
-                (Walk::Invalidate, Some(pos)) => {
-                    for i in pos..len - 1 {
-                        row[i] = row[i + 1];
-                    }
-                    lens[set_idx] = (len - 1) as u8;
-                    invalidations += 1;
-                }
-                (Walk::Invalidate, None) => {}
+        while left > 0 {
+            let chunk_start = set_idx - set_idx % CHUNK_SETS;
+            let chunk_sets = CHUNK_SETS.min(num_sets - chunk_start);
+            // At most 64 sets, so the narrowing cannot truncate.
+            let run = ((chunk_start + chunk_sets - set_idx) as u64).min(left) as usize;
+            let slot = &mut self.tags[chunk_start / CHUNK_SETS];
+            if let Walk::Access = walk {
+                slot.get_or_insert_with(|| vec![0; chunk_sets * W].into_boxed_slice());
             }
-            // The next line is the next set; past the last set it wraps
-            // to set 0 with the next tag.
-            set_idx += 1;
-            if set_idx == rows.len() {
+            if let Some(chunk) = slot {
+                let (rows, _) = chunk.as_chunks_mut::<W>();
+                let rows = &mut rows[set_idx - chunk_start..][..run];
+                let lens = &mut self.lens[set_idx..set_idx + run];
+                for (row, set_len) in rows.iter_mut().zip(lens) {
+                    let len = *set_len as usize;
+                    // The early exit keeps a short prefix cheap: a lightly
+                    // used cache (the fabric runs hold hundreds) is mostly
+                    // sets with a few lines, and an empty set's row is not
+                    // read at all.
+                    let hit = row[..len].iter().position(|&t| t == tag);
+                    match (walk, hit) {
+                        (Walk::Access, Some(pos)) => {
+                            for i in pos..len - 1 {
+                                row[i] = row[i + 1];
+                            }
+                            row[len - 1] = tag;
+                            out.hit_lines += 1;
+                        }
+                        (Walk::Access, None) if len == ways => {
+                            // The whole row, for a constant trip count:
+                            // words past `ways` are dead.
+                            for i in 0..W - 1 {
+                                row[i] = row[i + 1];
+                            }
+                            row[ways - 1] = tag;
+                            evictions += 1;
+                            out.miss_lines += 1;
+                        }
+                        (Walk::Access, None) => {
+                            row[len] = tag;
+                            *set_len = (len + 1) as u8;
+                            out.miss_lines += 1;
+                        }
+                        (Walk::Invalidate, Some(pos)) => {
+                            for i in pos..len - 1 {
+                                row[i] = row[i + 1];
+                            }
+                            *set_len = (len - 1) as u8;
+                            invalidations += 1;
+                        }
+                        (Walk::Invalidate, None) => {}
+                    }
+                }
+            }
+            left -= run as u64;
+            // The next run starts at the next set; past the last set it
+            // wraps to set 0 with the next tag.
+            set_idx += run;
+            if set_idx == num_sets {
                 set_idx = 0;
                 tag = tag.wrapping_add(1);
             }
@@ -565,16 +609,72 @@ mod tests {
         assert_eq!(c.stats().invalidations, 127);
     }
 
-    #[test]
-    fn tag_rows_take_two_bytes_per_way() {
-        let bytes = |cfg| std::mem::size_of_val(&*Cache::new(cfg).tags);
-        assert_eq!(bytes(CacheConfig::paper_l2()), 64 * 1024);
-        let llc = CacheConfig {
+    /// Bytes of tag rows the cache holds.
+    fn tag_bytes(c: &Cache) -> usize {
+        c.tags
+            .iter()
+            .flatten()
+            .map(|chunk| size_of_val(&**chunk))
+            .sum()
+    }
+
+    fn modern_llc() -> CacheConfig {
+        CacheConfig {
             capacity: 32 * 1024 * 1024,
             associativity: 16,
             line_size: 64,
+        }
+    }
+
+    #[test]
+    fn fresh_cache_holds_no_tag_rows() {
+        for cfg in [CacheConfig::paper_l2(), modern_llc()] {
+            assert_eq!(tag_bytes(&Cache::new(cfg)), 0);
+        }
+    }
+
+    #[test]
+    fn queries_of_a_fresh_cache_allocate_no_rows() {
+        let mut c = Cache::new(CacheConfig::paper_l2());
+        let all = Buffer::new(0, 2 * c.config().capacity);
+        assert!(!c.probe_line(0));
+        assert!(!c.probe_line(c.reach() - 64));
+        assert_eq!(c.resident_lines(all), 0);
+        c.invalidate_range(all);
+        assert_eq!(c.stats(), CacheStats::default());
+        assert_eq!(tag_bytes(&c), 0);
+    }
+
+    #[test]
+    fn first_access_allocates_only_its_chunks() {
+        let mut c = Cache::new(CacheConfig::paper_l2());
+        // Sets 63 and 64: the last set of chunk 0 and the first of chunk 1.
+        c.access_range(Buffer::new(63 * 64, 128));
+        assert_eq!(tag_bytes(&c), 2 * 64 * 8 * 2);
+        // Invalidating them leaves both chunks allocated, now empty.
+        c.invalidate_range(Buffer::new(0, c.config().capacity));
+        assert_eq!(c.resident_line_count(), 0);
+        assert_eq!(tag_bytes(&c), 2 * 64 * 8 * 2);
+    }
+
+    #[test]
+    fn touching_every_set_takes_two_bytes_per_way() {
+        // One line per set touches every chunk.
+        let touched = |cfg: CacheConfig| {
+            let mut c = Cache::new(cfg);
+            c.access_range(Buffer::new(0, cfg.sets() * cfg.line_size));
+            tag_bytes(&c)
         };
-        assert_eq!(bytes(llc), 1024 * 1024);
+        assert_eq!(touched(CacheConfig::paper_l2()), 64 * 1024);
+        assert_eq!(touched(modern_llc()), 1024 * 1024);
+        // A set count that is not a multiple of 64: the last chunk holds
+        // only the 36 sets left.
+        let partial = CacheConfig {
+            capacity: 100 * 4 * 64,
+            associativity: 4,
+            line_size: 64,
+        };
+        assert_eq!(touched(partial), 100 * 4 * 2);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Differential test for the set-associative cache model.
 //!
 //! [`Cache`] stores each set as a fixed-width row of 16-bit set-relative
-//! tags and walks ranges by stepping set index and tag, with explicit
+//! tags, in chunks of 64 sets allocated on first touch, and walks ranges
+//! one run of sets at a time by stepping set index and tag, with explicit
 //! shifts within a row. The oracle below is the straightforward per-line
 //! model it replaced: one `associativity`-wide slice per set of full `u64`
 //! line numbers, a linear `position` search and `rotate_left` to move a
@@ -9,7 +10,8 @@
 //! [`SimRng`] scripts drive both through the same access and invalidate
 //! ranges — across associativities from direct-mapped to 64 ways, with
 //! power-of-two and other set counts, with ranges longer than the whole
-//! cache, and at the top of the 16-bit tag reach — and every call must
+//! cache, across chunk edges and partial last chunks, over chunks never
+//! touched, and at the top of the 16-bit tag reach — and every call must
 //! agree on its [`RangeOutcome`], the running [`CacheStats`] and
 //! residency.
 
@@ -308,4 +310,129 @@ fn addresses_past_the_reach_are_never_resident() {
     assert!(!cache.probe_line(u64::MAX));
     assert_eq!(cache.resident_lines(Buffer::new(reach, 4096)), 0);
     assert_eq!(cache.resident_lines(Buffer::new(reach - 4096, 8192)), 64);
+}
+
+/// Set counts that are not a multiple of 64, so the last chunk is
+/// partial: 100 sets hold chunks 0..64 and 64..100, 150 sets 0..64,
+/// 64..128 and 128..150.
+fn partial_chunk_geometries() -> [CacheConfig; 2] {
+    [100, 150].map(|sets| CacheConfig {
+        capacity: sets * 4 * 64,
+        associativity: 4,
+        line_size: 64,
+    })
+}
+
+#[test]
+fn ranges_across_chunk_edges_match_oracle() {
+    for cfg in partial_chunk_geometries() {
+        let sets = cfg.sets();
+        let tag_bytes = sets * cfg.line_size;
+        let mut rng = SimRng::seed_from(0xC4_0064 + sets);
+        let mut cache = Cache::new(cfg);
+        let mut oracle = Oracle::new(cfg);
+        // Sets on either side of each chunk edge and of the set-index
+        // wrap (the last set), and the first set.
+        let edges: Vec<u64> = [0, 63, 64, 127, 128, sets - 1]
+            .into_iter()
+            .filter(|&set| set < sets)
+            .collect();
+        for step in 0..600 {
+            // A range starting from 3 sets before an edge to 3 sets past
+            // it, so it ends on either side of the edge (or past the
+            // wrap, in the next tag); now and then one or two whole
+            // capacities, so every set is walked.
+            let edge = edges[rng.range(0, edges.len() as u64) as usize];
+            let tag = rng.range(0, 8);
+            let start = (tag * sets + edge + rng.range(0, 7)).saturating_sub(3);
+            let lines = match rng.range(0, 10) {
+                0 => rng.range(sets, 2 * sets + 1),
+                _ => rng.range(1, 8),
+            };
+            let buf = Buffer::new(start * cfg.line_size, lines * cfg.line_size);
+            if rng.range(0, 4) == 0 {
+                cache.invalidate_range(buf);
+                oracle.invalidate_range(buf);
+            } else {
+                assert_eq!(
+                    cache.access_range(buf),
+                    oracle.access_range(buf),
+                    "{sets} sets, step {step}: access_range(line {start}, {lines} lines)"
+                );
+            }
+            assert_eq!(cache.stats(), oracle.stats, "{sets} sets, step {step}");
+            let around = Buffer::new(
+                (start.saturating_sub(4)) * cfg.line_size,
+                (lines + 8) * cfg.line_size,
+            );
+            assert_eq!(
+                cache.resident_lines(around),
+                oracle.resident_lines(around),
+                "{sets} sets, step {step}: resident_lines"
+            );
+        }
+        // Ranges start below tag 8 and run at most two capacities on.
+        let all = Buffer::new(0, 11 * tag_bytes);
+        assert_eq!(cache.resident_lines(all), oracle.resident_lines(all));
+        assert_eq!(cache.resident_line_count(), oracle.resident_line_count());
+    }
+}
+
+#[test]
+fn untouched_chunks_report_nothing_resident() {
+    for cfg in partial_chunk_geometries() {
+        let sets = cfg.sets();
+        let line = cfg.line_size;
+        let mut cache = Cache::new(cfg);
+        let mut oracle = Oracle::new(cfg);
+        let check = |cache: &Cache, oracle: &Oracle, what: &str| {
+            for chunk_start in (0..sets).step_by(64) {
+                for set in [chunk_start, (chunk_start + 63).min(sets - 1)] {
+                    for tag in [0, 1, 5] {
+                        let addr = (tag * sets + set) * line;
+                        assert_eq!(
+                            cache.probe_line(addr),
+                            oracle.resident_lines(Buffer::new(addr, 1)) == 1,
+                            "{sets} sets, {what}: probe_line(set {set}, tag {tag})"
+                        );
+                    }
+                }
+                let chunk = Buffer::new(chunk_start * line, 64 * line);
+                assert_eq!(
+                    cache.resident_lines(chunk),
+                    oracle.resident_lines(chunk),
+                    "{sets} sets, {what}: resident_lines(chunk at set {chunk_start})"
+                );
+            }
+            assert_eq!(cache.stats(), oracle.stats, "{sets} sets, {what}: stats");
+            assert_eq!(cache.resident_line_count(), oracle.resident_line_count());
+        };
+        // Before any access: every chunk is absent.
+        check(&cache, &oracle, "fresh");
+        let everything = Buffer::new(0, 3 * sets * line);
+        cache.invalidate_range(everything);
+        oracle.invalidate_range(everything);
+        check(&cache, &oracle, "fresh, invalidated");
+        // Touch only chunk 0, twice over its first tags, then query and
+        // invalidate the chunks after it, which stay absent.
+        for tag in 0..2 {
+            let buf = Buffer::new((tag * sets + 10) * line, 20 * line);
+            assert_eq!(cache.access_range(buf), oracle.access_range(buf));
+        }
+        check(&cache, &oracle, "chunk 0 touched");
+        let rest = Buffer::new(64 * line, (sets - 64) * line);
+        cache.invalidate_range(rest);
+        oracle.invalidate_range(rest);
+        check(&cache, &oracle, "untouched chunks invalidated");
+        // An invalidation across the whole cache drops chunk 0's lines
+        // and skips the absent chunks; then the last chunk is accessed
+        // for the first time, and chunk 0 again.
+        cache.invalidate_range(everything);
+        oracle.invalidate_range(everything);
+        check(&cache, &oracle, "all invalidated");
+        let last = Buffer::new((sets - 5) * line, 10 * line);
+        assert_eq!(cache.access_range(last), oracle.access_range(last));
+        assert_eq!(cache.access_range(last), oracle.access_range(last));
+        check(&cache, &oracle, "wrap accessed");
+    }
 }
