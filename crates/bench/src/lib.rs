@@ -1395,7 +1395,8 @@ fn trace_non_and_full(
 
 /// Runs the Fig. 7 configuration with tracing on, prints the per-category
 /// CPU split-up over the measurement window for non-I/OAT and full I/OAT,
-/// and writes the full-I/OAT run's trace (see [`trace_non_and_full`]).
+/// and writes the full-I/OAT run's Chrome trace to `path` with the event
+/// CSV beside it.
 pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
     use ioat_telemetry::{cpu_splitup, Category};
     let cfg = splitup::SplitupConfig { ports: 2, window };
@@ -1440,7 +1441,8 @@ pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
 /// that diagnosed the PVFS throughput bug: the I/O-server node's daemons
 /// barely register while the compute node's process-context receive path
 /// saturates, so the binding constraint is CPU, not the wire — and writes
-/// the full-I/OAT run's trace (see [`trace_non_and_full`]).
+/// the full-I/OAT run's Chrome trace to `path` with the event CSV beside
+/// it.
 pub fn trace_fig10a(window: ExperimentWindow, path: &std::path::Path) {
     use ioat_pvfs::harness::concurrent_read_traced;
     use ioat_telemetry::{cpu_splitup, Category};

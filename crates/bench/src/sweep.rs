@@ -64,7 +64,7 @@ type JobResult<T> = Result<T, Box<dyn Any + Send>>;
 /// On an empty job list: a figure that sweeps zero points is a harness
 /// bug, and silently returning an empty table would let it masquerade
 /// as a completed run (the config-validation counterpart to the
-/// zero-bandwidth-link and zero-core-node constructor asserts).
+/// zero-bandwidth and zero-core-node constructor asserts).
 fn run_jobs_raw<T, F>(jobs: Vec<F>, workers: usize) -> Vec<JobResult<T>>
 where
     T: Send,
@@ -129,7 +129,8 @@ where
 ///
 /// # Panics
 ///
-/// * On an empty job list (harness bug — see [`run_jobs_raw`]).
+/// * On an empty job list: a figure that sweeps zero points is a harness
+///   bug, not a completed run.
 /// * A panic inside any job propagates to the caller after the pool
 ///   drains, with its original payload and in input order (job 3's
 ///   panic is re-raised even if job 7 also panicked earlier in wall

@@ -10,8 +10,9 @@
 //! The count lives in a `const`-initialised thread-local, so the test
 //! harness running other cases on parallel threads cannot disturb it.
 //! A per-thread high-water mark beside it pins the peak heap of one
-//! fabric run: the allocation sequence is deterministic, so the peak
-//! repeats to the byte.
+//! fabric run, and a per-thread count of allocator calls pins how many
+//! allocations a quick run makes: the allocation sequence is
+//! deterministic, so both repeat exactly.
 
 use ioat_core::microbench::bandwidth::{self, BandwidthConfig};
 use ioat_core::microbench::bidirectional::{self, BidirConfig};
@@ -32,6 +33,8 @@ thread_local! {
     static LIVE: Cell<i64> = const { Cell::new(0) };
     /// The most `LIVE` has reached since the last `reset_peak`.
     static PEAK: Cell<i64> = const { Cell::new(0) };
+    /// Allocator calls that hand out memory (alloc, alloc_zeroed, realloc).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn add_live(delta: i64) {
@@ -42,17 +45,22 @@ fn add_live(delta: i64) {
     });
 }
 
+fn add_call() {
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
 struct Counting;
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees carry over; the bookkeeping only
-// touches a `Cell<i64>` in a const-initialised thread-local, which never
-// allocates.
+// touches `Cell`s in const-initialised thread-locals, which never
+// allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
+            add_call();
             add_live(layout.size() as i64);
         }
         p
@@ -62,6 +70,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
+            add_call();
             add_live(layout.size() as i64);
         }
         p
@@ -77,6 +86,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
+            add_call();
             add_live(new_size as i64 - layout.size() as i64);
         }
         p
@@ -104,6 +114,15 @@ fn peak_of_second_call<R>(mut call: impl FnMut() -> R) -> i64 {
     PEAK.with(|peak| peak.set(before));
     drop(call());
     PEAK.with(Cell::get) - before
+}
+
+/// Allocator calls this thread makes during a second call of `call`; the
+/// first call warms up lazily initialised state.
+fn allocations_of_second_call<R>(mut call: impl FnMut() -> R) -> u64 {
+    drop(call());
+    let before = CALLS.with(Cell::get);
+    drop(call());
+    CALLS.with(Cell::get) - before
 }
 
 fn assert_frees<R>(what: &str, call: impl FnMut() -> R) {
@@ -213,5 +232,26 @@ fn quick_fabric_run_peak_heap_is_pinned() {
     assert!(
         peak < BOUND,
         "run_partitioned(quick_test, 1) peaked at {peak} heap bytes, over {BOUND}"
+    );
+}
+
+#[test]
+fn quick_run_allocation_counts_are_pinned() {
+    // The quick bandwidth run makes 9 198 allocator calls and the quick
+    // fat-tree(4) run 76 907. Each bound sits about 3 % above that and
+    // below the 9 890 and 79 074 calls they made while every core, DMA
+    // channel and link was a shared handle and each departing packet
+    // train was collected into a `Vec` first.
+    let bw = BandwidthConfig::quick_test();
+    let calls = allocations_of_second_call(|| bandwidth::run(&bw, IoatConfig::full()));
+    assert!(
+        calls < 9_450,
+        "bandwidth::run(quick_test) made {calls} allocator calls, over 9 450"
+    );
+    let cfg = ScaleConfig::quick_test(IoatConfig::disabled());
+    let calls = allocations_of_second_call(|| run_partitioned(&cfg, 1));
+    assert!(
+        calls < 79_000,
+        "run_partitioned(quick_test, 1) made {calls} allocator calls, over 79 000"
     );
 }

@@ -141,11 +141,7 @@ impl Cluster {
         attachment: usize,
         params: &FabricParams,
     ) -> usize {
-        let access = Link::new(
-            &format!("host{attachment}->router"),
-            params.host_bandwidth,
-            params.switch_latency,
-        );
+        let access = Link::new(params.host_bandwidth, params.switch_latency);
         stack::attach_router(&self.nodes[node.0], access, router, attachment)
     }
 
@@ -444,7 +440,7 @@ mod tests {
         for node in [a, b] {
             let stack = cluster.stack(node).borrow();
             for core in stack.cores().members() {
-                assert_eq!(core.borrow().meter().window(), (w.from(), w.to()));
+                assert_eq!(core.meter().window(), (w.from(), w.to()));
             }
             assert_eq!(stack.cpu_utilization(), 0.0);
         }

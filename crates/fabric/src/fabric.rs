@@ -189,15 +189,14 @@ impl Fabric {
                 let out = topo
                     .switch_ports(sw)
                     .into_iter()
-                    .enumerate()
-                    .map(|(pi, dest)| {
+                    .map(|dest| {
                         let bw = match dest {
                             Hop::Host(_) => params.host_bandwidth,
                             Hop::Switch(next) if topo.switch_tier(next) > tier => uplink_bw,
                             Hop::Switch(_) => params.link_bandwidth,
                         };
                         OutPort {
-                            link: Link::new(&format!("sw{sw}.p{pi}"), bw, params.switch_latency),
+                            link: Link::new(bw, params.switch_latency),
                             dest,
                         }
                     })
@@ -469,25 +468,22 @@ impl Fabric {
             self.stats.borrow_mut().route_blackholes += 1;
             return;
         };
-        let (link, dest) = {
-            let mut switches = self.switches.borrow_mut();
-            let s = &mut switches[sw];
-            if s.occupancy + wire > self.params.buffer_bytes {
-                s.tail_drops += 1;
-                self.stats.borrow_mut().tail_drops += 1;
-                return;
-            }
-            s.occupancy += wire;
-            s.peak = s.peak.max(s.occupancy);
-            s.forwarded += 1;
-            let out = &s.out[pick];
-            (out.link.clone(), out.dest)
-        };
+        let mut switches = self.switches.borrow_mut();
+        let s = &mut switches[sw];
+        if s.occupancy + wire > self.params.buffer_bytes {
+            s.tail_drops += 1;
+            self.stats.borrow_mut().tail_drops += 1;
+            return;
+        }
+        s.occupancy += wire;
+        s.peak = s.peak.max(s.occupancy);
+        s.forwarded += 1;
         self.stats.borrow_mut().forwarded += 1;
+        let out = &mut s.out[pick];
         let f2 = Rc::clone(self);
-        match dest {
+        match out.dest {
             Hop::Switch(next) => {
-                link.transmit(sim, wire, move |sim| {
+                out.link.transmit(sim, wire, move |sim| {
                     f2.switches.borrow_mut()[sw].occupancy -= wire;
                     f2.hop(sim, next, frame, src, dst);
                 });
@@ -497,7 +493,8 @@ impl Fabric {
             // stack, so stage it through the delivery hook and release the
             // buffer claim here at the arrival instant.
             Hop::Host(h) => {
-                let arrive = link.transmit_dropped(sim, wire);
+                let arrive = out.link.transmit_dropped(sim, wire);
+                drop(switches);
                 sim.schedule_at(arrive, move |_sim| {
                     f2.switches.borrow_mut()[sw].occupancy -= wire;
                 });

@@ -53,11 +53,7 @@ impl Loopback {
     /// access link cut from the fabric's parameters. Returns the port.
     pub fn attach(self: &Rc<Self>, stack: &StackRef, host: usize) -> usize {
         let params = self.fabric.params();
-        let access = Link::new(
-            &format!("host{host}->fabric"),
-            params.host_bandwidth,
-            params.switch_latency,
-        );
+        let access = Link::new(params.host_bandwidth, params.switch_latency);
         let port =
             stack::attach_router(stack, access, Rc::clone(self) as Rc<dyn FrameRouter>, host);
         let prev = self

@@ -15,7 +15,7 @@
 
 use crate::address::Buffer;
 use crate::cache::Cache;
-use ioat_simcore::{Resource, ResourceRef, Sim, SimDuration, SimTime};
+use ioat_simcore::{Resource, Sim, SimDuration, SimTime};
 use ioat_telemetry::{Category, Tracer, TrackId};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -166,7 +166,7 @@ pub struct DmaStats {
 #[derive(Debug)]
 pub struct DmaEngine {
     config: DmaConfig,
-    channel: ResourceRef,
+    channel: Resource,
     cache: Option<CacheRef>,
     stats: DmaStats,
     tracer: Tracer,
@@ -179,7 +179,7 @@ impl DmaEngine {
     pub fn new(config: DmaConfig, cache: Option<CacheRef>) -> Self {
         DmaEngine {
             config,
-            channel: Resource::new_ref(),
+            channel: Resource::new(),
             cache,
             stats: DmaStats::default(),
             tracer: Tracer::disabled(),
@@ -234,7 +234,7 @@ impl DmaEngine {
     }
 
     /// The engine channel's busy-time accounting (for utilization plots).
-    pub fn channel(&self) -> &ResourceRef {
+    pub fn channel(&self) -> &Resource {
         &self.channel
     }
 
@@ -299,42 +299,33 @@ impl DmaEngine {
     where
         F: FnOnce(&mut Sim) + 'static,
     {
-        let transfer = {
-            let mut eng = this.borrow_mut();
-            eng.stats.requests += 1;
-            eng.stats.bytes += req.len();
-            eng.stats.pages_pinned += req.pinned_pages();
-            eng.transfer_time(&req)
-        };
+        let mut eng = this.borrow_mut();
+        eng.stats.requests += 1;
+        eng.stats.bytes += req.len();
+        eng.stats.pages_pinned += req.pinned_pages();
+        let transfer = eng.transfer_time(&req);
         let this2 = Rc::clone(this);
-        let channel = Rc::clone(&this.borrow().channel);
         let len = req.len();
-        let done = {
-            let mut chan = channel.borrow_mut();
-            chan.run_job(sim, transfer, move |sim| {
-                {
-                    let mut eng = this2.borrow_mut();
-                    eng.stats.completed_requests += 1;
-                    eng.stats.completed_bytes += len;
-                }
-                if let Some(cache) = this2.borrow().cache.clone() {
+        let done = eng.channel.run_job(sim, transfer, move |sim| {
+            {
+                let mut eng = this2.borrow_mut();
+                eng.stats.completed_requests += 1;
+                eng.stats.completed_bytes += len;
+                if let Some(cache) = &eng.cache {
                     cache.borrow_mut().invalidate_range(req.dst);
                 }
-                on_complete(sim);
-            })
-        };
+            }
+            on_complete(sim);
+        });
         // `run_job` serializes on the channel, so the transfer occupied
         // exactly [done - transfer, done) — recorded retroactively.
-        {
-            let eng = this.borrow();
-            eng.tracer.span(
-                "dma_transfer",
-                Category::Dma,
-                eng.track,
-                done - transfer,
-                done,
-            );
-        }
+        eng.tracer.span(
+            "dma_transfer",
+            Category::Dma,
+            eng.track,
+            done - transfer,
+            done,
+        );
         done
     }
 }

@@ -118,9 +118,8 @@ fn dma_channel_busy_time_is_additive() {
         let end = sim.run();
         assert_eq!(end.as_nanos(), expected.as_nanos(), "seed {seed}");
         let eng = engine.borrow();
-        let chan = eng.channel().borrow();
         assert_eq!(
-            chan.meter().busy().as_nanos(),
+            eng.channel().meter().busy().as_nanos(),
             expected.as_nanos(),
             "seed {seed}"
         );

@@ -9,11 +9,10 @@
 
 use ioat_simcore::time::Bandwidth;
 use ioat_simcore::{Sim, SimDuration, SimTime};
-use std::cell::Cell;
-use std::rc::Rc;
 
-/// One direction of a link: a serializer and a delay. Clones share one
-/// serializer.
+/// One direction of a link: a serializer and a delay. A link has one
+/// owner — the sending port or switch output port — which transmits on
+/// it directly, so the serializer is a plain instant, not a shared cell.
 ///
 /// ```rust
 /// use ioat_netsim::Link;
@@ -21,31 +20,25 @@ use std::rc::Rc;
 /// use ioat_simcore::{Sim, SimDuration};
 ///
 /// let mut sim = Sim::new();
-/// let link = Link::new("up", Bandwidth::from_gbps(1), SimDuration::from_micros(20));
+/// let mut link = Link::new(Bandwidth::from_gbps(1), SimDuration::from_micros(20));
 /// link.transmit(&mut sim, 1_500, |sim| assert_eq!(sim.now().as_nanos(), 32_000));
 /// sim.run();
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Link {
     /// The instant the last queued frame finishes serializing.
-    busy_until: Rc<Cell<SimTime>>,
+    busy_until: SimTime,
     bandwidth: Bandwidth,
     latency: SimDuration,
 }
 
 impl Link {
-    /// Creates a link with the given line rate and one-way latency.
-    ///
-    /// # Panics
-    /// A zero line rate would make every transfer time infinite, so it is
-    /// rejected here instead of surfacing as a hang deep inside a run.
-    pub fn new(name: &str, bandwidth: Bandwidth, latency: SimDuration) -> Self {
-        assert!(
-            bandwidth.as_bps() > 0,
-            "link '{name}' configured with zero bandwidth — transfers would never complete"
-        );
+    /// Creates a link with the given line rate and one-way latency. (A
+    /// zero line rate cannot reach here: [`Bandwidth::from_bps`] rejects
+    /// it.)
+    pub fn new(bandwidth: Bandwidth, latency: SimDuration) -> Self {
         Link {
-            busy_until: Rc::new(Cell::new(SimTime::ZERO)),
+            busy_until: SimTime::ZERO,
             bandwidth,
             latency,
         }
@@ -72,7 +65,7 @@ impl Link {
     /// delivery at the serialize end, so same-instant ties resolve
     /// exactly as if the old relay event had scheduled it: execution
     /// order is bit-identical.
-    pub fn transmit<F>(&self, sim: &mut Sim, wire_bytes: u64, deliver: F) -> SimTime
+    pub fn transmit<F>(&mut self, sim: &mut Sim, wire_bytes: u64, deliver: F) -> SimTime
     where
         F: FnOnce(&mut Sim) + 'static,
     {
@@ -86,16 +79,16 @@ impl Link {
     /// arrive (fault injection): the wire is occupied exactly as by
     /// [`Link::transmit`], but no delivery event is scheduled. Returns
     /// the instant the frame would have arrived.
-    pub fn transmit_dropped(&self, sim: &mut Sim, wire_bytes: u64) -> SimTime {
+    pub fn transmit_dropped(&mut self, sim: &mut Sim, wire_bytes: u64) -> SimTime {
         self.serialize(sim, wire_bytes) + self.latency
     }
 
     /// Queues `wire_bytes` behind the frames already on the wire and
     /// returns the instant they finish serializing.
-    fn serialize(&self, sim: &mut Sim, wire_bytes: u64) -> SimTime {
-        let start = self.busy_until.get().max(sim.now());
+    fn serialize(&mut self, sim: &mut Sim, wire_bytes: u64) -> SimTime {
+        let start = self.busy_until.max(sim.now());
         let done = start + self.bandwidth.transfer_time(wire_bytes);
-        self.busy_until.set(done);
+        self.busy_until = done;
         done
     }
 }
@@ -104,16 +97,16 @@ impl Link {
 mod tests {
     use super::*;
     use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn frames_serialize_back_to_back() {
         let mut sim = Sim::new();
-        let link = Link::new("t", Bandwidth::from_gbps(1), SimDuration::from_micros(10));
+        let mut link = Link::new(Bandwidth::from_gbps(1), SimDuration::from_micros(10));
         let deliveries = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..3 {
             let d = Rc::clone(&deliveries);
-            // Each frame goes through its own clone: clones share the wire.
-            link.clone().transmit(&mut sim, 1_500, move |sim| {
+            link.transmit(&mut sim, 1_500, move |sim| {
                 d.borrow_mut().push(sim.now().as_nanos());
             });
         }
@@ -125,7 +118,7 @@ mod tests {
     #[test]
     fn transmit_returns_the_delivery_instant() {
         let mut sim = Sim::new();
-        let link = Link::new("p", Bandwidth::from_gbps(1), SimDuration::from_micros(25));
+        let mut link = Link::new(Bandwidth::from_gbps(1), SimDuration::from_micros(25));
         let observed = Rc::new(RefCell::new(Vec::new()));
         let mut predicted = Vec::new();
         for bytes in [64u64, 1_500, 9_000] {
@@ -143,7 +136,7 @@ mod tests {
     #[test]
     fn idle_gap_restarts_serialization_immediately() {
         let mut sim = Sim::new();
-        let link = Link::new("g", Bandwidth::from_gbps(1), SimDuration::from_micros(10));
+        let mut link = Link::new(Bandwidth::from_gbps(1), SimDuration::from_micros(10));
         let times = Rc::new(RefCell::new(Vec::new()));
         let t1 = Rc::clone(&times);
         link.transmit(&mut sim, 1_500, move |sim| {
@@ -151,10 +144,9 @@ mod tests {
         });
         // Submit the second frame 50 us later, long after the wire idles:
         // it must serialize from its submission time, not queue-extend.
-        let l2 = link.clone();
         let t2 = Rc::clone(&times);
         sim.schedule(SimDuration::from_micros(50), move |sim| {
-            l2.transmit(sim, 1_500, move |sim| {
+            link.transmit(sim, 1_500, move |sim| {
                 t2.borrow_mut().push(sim.now().as_nanos());
             });
         });
@@ -164,18 +156,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bandwidth must be positive")]
-    fn zero_bandwidth_link_is_rejected() {
-        // `Bandwidth::from_bps` already rejects zero at construction; the
-        // assert in `Link::new` is defense-in-depth for any future
-        // constructor that slips a zero rate through.
-        let _ = Link::new("z", Bandwidth::from_bps(0), SimDuration::ZERO);
-    }
-
-    #[test]
     fn sustained_rate_matches_line_rate() {
         let mut sim = Sim::new();
-        let link = Link::new("r", Bandwidth::from_gbps(1), SimDuration::from_micros(5));
+        let mut link = Link::new(Bandwidth::from_gbps(1), SimDuration::from_micros(5));
         let n = 1_000u64;
         for _ in 0..n {
             link.transmit(&mut sim, 1_250, |_| {});

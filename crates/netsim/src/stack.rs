@@ -72,9 +72,10 @@ pub type StackRef = Rc<RefCell<HostStack>>;
 pub trait FrameRouter {
     /// A frame from attachment `src` to attachment `dst` finished
     /// serializing at `arrive - access latency` and enters the fabric at
-    /// `arrive`. Called synchronously (no event is scheduled); the
-    /// implementation stages the frame for whichever simulation owns the
-    /// fabric.
+    /// `arrive`. Called synchronously (no event is scheduled) while the
+    /// sending stack is mutably borrowed, so an implementation may only
+    /// stage the frame or schedule an event for whichever simulation owns
+    /// the fabric; it must not reach back into the sending stack.
     fn frame_departed(&self, sim: &mut Sim, src: usize, dst: usize, frame: Frame, arrive: SimTime);
     /// How long an ACK takes from attachment point `from` to `to`.
     fn ack_delay(&self, from: usize, to: usize) -> SimDuration;
@@ -96,7 +97,6 @@ struct RxQueue {
 }
 
 /// What a port's access link leads to.
-#[derive(Clone)]
 enum Attachment {
     /// Port `.1` of stack `.0`, wired back to this one (see [`wire`]).
     Peer(StackRef, usize),
@@ -529,11 +529,7 @@ impl HostStack {
         let window = to - from;
         let mut busy = SimDuration::ZERO;
         for (core, &spin) in self.cores.members().iter().zip(&spinning) {
-            busy += if spin {
-                window
-            } else {
-                core.borrow().meter().busy()
-            };
+            busy += if spin { window } else { core.meter().busy() };
         }
         busy.as_secs_f64() / (window.as_secs_f64() * self.cores.len() as f64)
     }
@@ -687,18 +683,20 @@ pub fn wire(
     latency: SimDuration,
     coalescing: bool,
 ) -> (usize, usize) {
-    let name_a = a.borrow().name.clone();
-    let name_b = b.borrow().name.clone();
-    let link_ab = Link::new(&format!("{name_a}->{name_b}"), bandwidth, latency);
-    let link_ba = Link::new(&format!("{name_b}->{name_a}"), bandwidth, latency);
     // Each port names the other, so both indices are fixed before either
     // port exists; wiring a stack to itself puts b's port after a's.
     let ai = a.borrow().ports.len();
     let bi = b.borrow().ports.len() + usize::from(Rc::ptr_eq(a, b));
-    a.borrow_mut()
-        .add_port(link_ab, coalescing, Attachment::Peer(Rc::clone(b), bi));
-    b.borrow_mut()
-        .add_port(link_ba, coalescing, Attachment::Peer(Rc::clone(a), ai));
+    a.borrow_mut().add_port(
+        Link::new(bandwidth, latency),
+        coalescing,
+        Attachment::Peer(Rc::clone(b), bi),
+    );
+    b.borrow_mut().add_port(
+        Link::new(bandwidth, latency),
+        coalescing,
+        Attachment::Peer(Rc::clone(a), ai),
+    );
     (ai, bi)
 }
 
@@ -886,17 +884,16 @@ pub fn app_compute<F>(s: &StackRef, sim: &mut Sim, duration: SimDuration, then: 
 where
     F: FnOnce(&mut Sim) + 'static,
 {
-    let (core, tracer, track) = {
-        let st = s.borrow();
-        let idx = st.cores.least_loaded_index(sim.now());
-        (
-            Rc::clone(st.cores.member(idx)),
-            st.tracer.clone(),
-            st.track(idx),
-        )
-    };
-    let end = core.borrow_mut().run_job(sim, duration, then);
-    tracer.span("app_compute", Category::App, track, end - duration, end);
+    let mut st = s.borrow_mut();
+    let idx = st.cores.least_loaded_index(sim.now());
+    let end = st.cores.member(idx).run_job(sim, duration, then);
+    st.tracer.span(
+        "app_compute",
+        Category::App,
+        st.track(idx),
+        end - duration,
+        end,
+    );
 }
 
 fn emit(s: &StackRef, sim: &mut Sim, conn: ConnId, ev: SocketEvent) {
@@ -929,54 +926,41 @@ pub fn app_send(s: &StackRef, sim: &mut Sim, conn: ConnId, bytes: u64) {
 /// Processes one `send()`-sized chunk: charges the CPU costs, enqueues the
 /// bytes, pumps the window, then schedules the next chunk.
 fn send_chunk(s: &StackRef, sim: &mut Sim, conn: ConnId, remaining: u64) {
-    let (core, cost, chunk, copy_cost, tracer, track) = {
-        let st = s.borrow_mut();
-        let p = st.params;
-        let (opts, user_buf, kernel_buf, seq) = {
-            let c = st.conns.get(&conn).expect("unknown connection");
-            (
-                c.send.opts,
-                c.send.user_buf,
-                c.send.kernel_buf,
-                c.send.next_seq + c.send.pending,
-            )
-        };
-        let chunk = remaining.min(p.tso_chunk).min(opts.sndbuf);
-        let mut cost = p.syscall;
-        let mut copy_cost = SimDuration::ZERO;
-        if !opts.sendfile {
-            // User→kernel copy through this node's cache.
-            let off_u = RecvState::ring_offset(seq, user_buf.len(), chunk);
-            let off_k = RecvState::ring_offset(seq, kernel_buf.len(), chunk);
-            let copier = st.copier;
-            let cache = Rc::clone(&st.cache);
-            let out = copier.copy(
-                &mut cache.borrow_mut(),
-                user_buf.slice(off_u, chunk),
-                kernel_buf.slice(off_k, chunk),
-            );
-            copy_cost = out.duration;
-            cost += out.duration;
-        }
-        // Segmentation: per-MSS on the CPU, or one cheap call with TSO.
-        if opts.tso {
-            cost += p.tso_chunk_cost;
-        } else {
-            cost += p.segment_cost * chunk.div_ceil(opts.mss());
-        }
-        let core_idx = st.app_core_for(conn);
-        let core = Rc::clone(st.cores.member(core_idx));
+    let mut st = s.borrow_mut();
+    let p = st.params;
+    let (opts, user_buf, kernel_buf, seq) = {
+        let c = st.conns.get(&conn).expect("unknown connection");
         (
-            core,
-            cost,
-            chunk,
-            copy_cost,
-            st.tracer.clone(),
-            st.track(core_idx),
+            c.send.opts,
+            c.send.user_buf,
+            c.send.kernel_buf,
+            c.send.next_seq + c.send.pending,
         )
     };
+    let chunk = remaining.min(p.tso_chunk).min(opts.sndbuf);
+    let mut cost = p.syscall;
+    let mut copy_cost = SimDuration::ZERO;
+    if !opts.sendfile {
+        // User→kernel copy through this node's cache.
+        let off_u = RecvState::ring_offset(seq, user_buf.len(), chunk);
+        let off_k = RecvState::ring_offset(seq, kernel_buf.len(), chunk);
+        let out = st.copier.copy(
+            &mut st.cache.borrow_mut(),
+            user_buf.slice(off_u, chunk),
+            kernel_buf.slice(off_k, chunk),
+        );
+        copy_cost = out.duration;
+        cost += out.duration;
+    }
+    // Segmentation: per-MSS on the CPU, or one cheap call with TSO.
+    if opts.tso {
+        cost += p.tso_chunk_cost;
+    } else {
+        cost += p.segment_cost * chunk.div_ceil(opts.mss());
+    }
+    let core_idx = st.app_core_for(conn);
     let s2 = Rc::clone(s);
-    let end = core.borrow_mut().run_job(sim, cost, move |sim| {
+    let end = st.cores.member(core_idx).run_job(sim, cost, move |sim| {
         {
             let mut st = s2.borrow_mut();
             if let Some(c) = st.conns.get_mut(&conn) {
@@ -991,6 +975,7 @@ fn send_chunk(s: &StackRef, sim: &mut Sim, conn: ConnId, remaining: u64) {
     });
     // Retroactive attribution: the user→kernel copy, then syscall +
     // segmentation, on the sending application's core.
+    let (tracer, track) = (&st.tracer, st.track(core_idx));
     let start = end - cost;
     if !copy_cost.is_zero() {
         tracer.span("tx_copy", Category::Copy, track, start, start + copy_cost);
@@ -1011,73 +996,55 @@ fn pump(s: &StackRef, sim: &mut Sim, conn: ConnId) {
     arm_rto(s, sim, conn);
 }
 
-/// The window-pumping loop. The whole departing packet train is computed
-/// under a single stack borrow — the wire model never advances simulated
-/// time during `transmit`, so window arithmetic, the tx meter and the
-/// fault RNG observe exactly the order the old one-frame-per-pass loop
-/// produced, without per-frame `RefCell`/map traffic. Each frame consults
-/// the fault injector: a lost frame still serializes on the wire (the
-/// sender's NIC transmitted it) but never reaches the peer's
-/// `frame_arrived` — and schedules no event at all.
+/// The window-pumping loop. Each frame is cut, metered and transmitted
+/// under one stack borrow — the wire model never advances simulated time
+/// during `transmit` and never re-enters the stack (a router only stages
+/// or schedules), so window arithmetic, the tx meter and the fault RNG
+/// observe frames in departure order without per-frame `RefCell`/map
+/// traffic. Each frame consults the fault injector: a lost frame still
+/// serializes on the wire (the sender's NIC transmitted it) but never
+/// reaches the peer's `frame_arrived` — and schedules no event at all.
 fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
-    let (train, link, attachment, peer_attachment) = {
-        let mut st = s.borrow_mut();
-        let now = sim.now();
-        let Some(c) = st.conns.get_mut(&conn) else {
-            return;
-        };
-        let mss = c.send.opts.mss();
-        let port_idx = c.send.port;
-        let mut train: Vec<(Frame, bool)> = Vec::new();
-        loop {
-            let sendable = c.send.pending.min(c.send.usable_window());
-            if sendable == 0 {
-                break;
-            }
-            let payload = sendable.min(mss);
-            c.send.pending -= payload;
-            c.send.next_seq += payload;
-            train.push((
-                Frame {
-                    conn,
-                    payload,
-                    seq_end: c.send.next_seq,
-                },
-                false,
-            ));
-        }
-        if train.is_empty() {
-            return;
-        }
-        let peer_window = c.send.peer_window;
-        let peer_attachment = c.peer_attachment;
-        st.stats.peak_window = st.stats.peak_window.max(peer_window);
-        for (frame, lost) in &mut train {
-            st.tx_meter.record(now, frame.payload);
-            st.stats.frames_sent += 1;
-            *lost = st.faults.frame_lost(port_idx);
-            if *lost {
-                st.stats.frames_dropped += 1;
-                st.fault_instant("pkt_drop", now);
-            }
-        }
-        let port = &st.ports[port_idx];
-        (
-            train,
-            port.tx.clone(),
-            port.attachment.clone(),
-            peer_attachment,
-        )
+    let mut st = s.borrow_mut();
+    let st = &mut *st;
+    let now = sim.now();
+    let Some(c) = st.conns.get_mut(&conn) else {
+        return;
     };
-    for (frame, lost) in train {
-        if lost {
-            link.transmit_dropped(sim, frame.wire_bytes());
+    let mss = c.send.opts.mss();
+    let port_idx = c.send.port;
+    let port = &mut st.ports[port_idx];
+    loop {
+        let sendable = c.send.pending.min(c.send.usable_window());
+        if sendable == 0 {
+            break;
+        }
+        let payload = sendable.min(mss);
+        c.send.pending -= payload;
+        c.send.next_seq += payload;
+        let frame = Frame {
+            conn,
+            payload,
+            seq_end: c.send.next_seq,
+        };
+        st.stats.peak_window = st.stats.peak_window.max(c.send.peer_window);
+        st.tx_meter.record(now, payload);
+        st.stats.frames_sent += 1;
+        if st.faults.frame_lost(port_idx) {
+            st.stats.frames_dropped += 1;
+            st.tracer.instant(
+                "pkt_drop",
+                Category::Fault,
+                TrackId::new(st.node_id, 0),
+                now,
+            );
+            port.tx.transmit_dropped(sim, frame.wire_bytes());
             continue;
         }
-        match &attachment {
+        match &port.attachment {
             Attachment::Peer(peer, peer_port) => {
                 let (peer, peer_port) = (Rc::clone(peer), *peer_port);
-                link.transmit(sim, frame.wire_bytes(), move |sim| {
+                port.tx.transmit(sim, frame.wire_bytes(), move |sim| {
                     frame_arrived(&peer, sim, peer_port, frame);
                 });
             }
@@ -1085,9 +1052,10 @@ fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
                 // Identical serializer accounting to `transmit`, but no
                 // local arrival event: the router stages the frame for the
                 // simulation that owns the fabric.
-                let dst =
-                    peer_attachment.expect("router-attached connection without a peer attachment");
-                let arrive = link.transmit_dropped(sim, frame.wire_bytes());
+                let dst = c
+                    .peer_attachment
+                    .expect("router-attached connection without a peer attachment");
+                let arrive = port.tx.transmit_dropped(sim, frame.wire_bytes());
                 router.frame_departed(sim, *src, dst, frame, arrive);
             }
         }
@@ -1223,52 +1191,42 @@ pub fn frame_arrived(s: &StackRef, sim: &mut Sim, port: usize, frame: Frame) {
 /// already on-CPU), then per-frame protocol processing with
 /// cache-dependent state/header/payload accesses.
 fn raise_interrupt(s: &StackRef, sim: &mut Sim, port: usize, queue: usize) {
-    let (core, cost, frames, irq_part, tracer, track) = {
-        let mut st = s.borrow_mut();
-        let n = st.ports[port].queues[queue].coalescer.take_batch(sim.now());
-        if n == 0 {
-            return;
-        }
-        let frames: Vec<Frame> = st.ports[port].queues[queue].pending.drain(..).collect();
-        debug_assert_eq!(frames.len(), n as usize);
-        let p = st.params;
-        // Interrupt-handling part (per-event + per-frame) vs. the TCP/IP
-        // protocol part (per-frame base + cache-dependent accesses) — the
-        // paper's Fig. 7 decomposition. The polling modes never take the
-        // interrupt at all: the dedicated poller reaps descriptors from
-        // its own context. (The poller's spin cycles burn a core but are
-        // deliberately excluded from the utilization metric — see
-        // DESIGN.md §13 — so utilization keeps measuring *work*;
-        // `cpu_occupancy` reports the burned cores.)
-        let irq_part = if st.ioat.rx_mode.is_polling() {
-            SimDuration::ZERO
-        } else {
-            p.irq_cost + p.irq_per_frame * frames.len() as u64
-        };
-        let mut cost = irq_part;
-        for f in &frames {
-            let (state_buf, kernel_buf) = {
-                let c = st.conns.get(&f.conn).expect("frame for unknown conn");
-                (c.recv.state_buf, c.recv.kernel_buf)
-            };
-            cost += p.proto_base;
-            cost += st.state_access_cost(state_buf);
-            cost += st.header_access_cost(f, kernel_buf);
-        }
-        st.stats.interrupts += 1;
-        st.stats.frames_processed += frames.len() as u64;
-        let core_idx = st.rx_core_for(queue);
-        (
-            Rc::clone(st.cores.member(core_idx)),
-            cost,
-            frames,
-            irq_part,
-            st.tracer.clone(),
-            st.track(core_idx),
-        )
+    let mut st = s.borrow_mut();
+    let n = st.ports[port].queues[queue].coalescer.take_batch(sim.now());
+    if n == 0 {
+        return;
+    }
+    let frames: Vec<Frame> = st.ports[port].queues[queue].pending.drain(..).collect();
+    debug_assert_eq!(frames.len(), n as usize);
+    let p = st.params;
+    // Interrupt-handling part (per-event + per-frame) vs. the TCP/IP
+    // protocol part (per-frame base + cache-dependent accesses) — the
+    // paper's Fig. 7 decomposition. The polling modes never take the
+    // interrupt at all: the dedicated poller reaps descriptors from its
+    // own context. (The poller's spin cycles burn a core but are
+    // deliberately excluded from the utilization metric — see DESIGN.md
+    // §13 — so utilization keeps measuring *work*; `cpu_occupancy`
+    // reports the burned cores.)
+    let irq_part = if st.ioat.rx_mode.is_polling() {
+        SimDuration::ZERO
+    } else {
+        p.irq_cost + p.irq_per_frame * frames.len() as u64
     };
+    let mut cost = irq_part;
+    for f in &frames {
+        let (state_buf, kernel_buf) = {
+            let c = st.conns.get(&f.conn).expect("frame for unknown conn");
+            (c.recv.state_buf, c.recv.kernel_buf)
+        };
+        cost += p.proto_base;
+        cost += st.state_access_cost(state_buf);
+        cost += st.header_access_cost(f, kernel_buf);
+    }
+    st.stats.interrupts += 1;
+    st.stats.frames_processed += frames.len() as u64;
+    let core_idx = st.rx_core_for(queue);
     let s2 = Rc::clone(s);
-    let end = core.borrow_mut().run_job(sim, cost, move |sim| {
+    let end = st.cores.member(core_idx).run_job(sim, cost, move |sim| {
         // Protocol processing done: advance streams, ACK, deliver. Without
         // injected loss every frame classifies `InOrder` (FIFO link, one
         // stream per port), so the discard branches never run.
@@ -1329,6 +1287,7 @@ fn raise_interrupt(s: &StackRef, sim: &mut Sim, port: usize, queue: usize) {
             try_deliver(&s2, sim, conn);
         }
     });
+    let (tracer, track) = (&st.tracer, st.track(core_idx));
     let start = end - cost;
     if !irq_part.is_zero() {
         tracer.span("irq", Category::Interrupt, track, start, start + irq_part);
@@ -1357,25 +1316,18 @@ fn send_ack(s: &StackRef, sim: &mut Sim, conn: ConnId, seq: u64, window: u64, du
 /// window reopens and more frames go out. `dup > 0` reports duplicate
 /// ACKs from the receiver; three of them trigger fast retransmit.
 fn ack_received(s: &StackRef, sim: &mut Sim, conn: ConnId, seq: u64, window: u64, dup: u32) {
-    let (core, cost, tracer, track) = {
-        let mut st = s.borrow_mut();
-        if !st.conns.contains_key(&conn) {
-            return;
-        }
-        st.stats.acks += 1;
-        let port = st.conns[&conn].send.port;
-        // ACKs for a flow land on the same RSS queue (and hence core) as
-        // its data frames would — steering is per-flow, not per-direction.
-        let core_idx = st.rx_core_for(st.rx_queue_for(port, conn));
-        (
-            Rc::clone(st.cores.member(core_idx)),
-            st.params.ack_cost,
-            st.tracer.clone(),
-            st.track(core_idx),
-        )
-    };
+    let mut st = s.borrow_mut();
+    if !st.conns.contains_key(&conn) {
+        return;
+    }
+    st.stats.acks += 1;
+    let port = st.conns[&conn].send.port;
+    // ACKs for a flow land on the same RSS queue (and hence core) as its
+    // data frames would — steering is per-flow, not per-direction.
+    let core_idx = st.rx_core_for(st.rx_queue_for(port, conn));
+    let cost = st.params.ack_cost;
     let s2 = Rc::clone(s);
-    let end = core.borrow_mut().run_job(sim, cost, move |sim| {
+    let end = st.cores.member(core_idx).run_job(sim, cost, move |sim| {
         let drained = {
             let mut st = s2.borrow_mut();
             let now = sim.now();
@@ -1421,178 +1373,105 @@ fn ack_received(s: &StackRef, sim: &mut Sim, conn: ConnId, seq: u64, window: u64
             }
         }
     });
-    tracer.span("ack", Category::Protocol, track, end - cost, end);
+    st.tracer.span(
+        "ack",
+        Category::Protocol,
+        st.track(core_idx),
+        end - cost,
+        end,
+    );
 }
 
 /// Starts a kernel→user delivery for `conn` if bytes are queued and no
 /// copy is in progress.
 fn try_deliver(s: &StackRef, sim: &mut Sim, conn: ConnId) {
-    enum Plan {
-        Cpu {
-            core: ioat_simcore::ResourceRef,
-            cost: SimDuration,
-            wake: SimDuration,
-            bytes: u64,
-            track: TrackId,
-        },
-        Dma {
-            core: ioat_simcore::ResourceRef,
-            overhead: SimDuration,
-            wake: SimDuration,
-            req: DmaRequest,
-            engine: DmaEngineRef,
-            bytes: u64,
-            track: TrackId,
-        },
-        /// Kernel-bypass delivery: the payload is already sitting in the
-        /// user buffer (the NIC put it there at arrival), so handing it to
-        /// the application costs neither a wake, a syscall, a CPU copy nor
-        /// an engine transfer.
-        Bypass { bytes: u64 },
-    }
-
-    let tracer = s.borrow().tracer.clone();
-    let plan = {
-        let mut st = s.borrow_mut();
-        let Some(c) = st.conns.get_mut(&conn) else {
-            return;
-        };
-        let queued = c.recv.queued();
-        if c.recv.copying || queued == 0 {
-            return;
-        }
-        // The application must have a read posted; while it is busy
-        // processing, arriving data backs up in the kernel buffer.
-        match &mut c.recv.recv_credits {
-            None => {}
-            Some(0) => return,
-            Some(n) => *n -= 1,
-        }
-        let bytes = queued.min(c.recv.opts.read_size);
-        let was_active = HostStack::conn_rx_active(c);
-        c.recv.copying = true;
-        c.recv.copying_bytes = bytes;
-        let deactivated = was_active && !HostStack::conn_rx_active(c);
-        let src_off = RecvState::ring_offset(c.recv.delivered_seq, c.recv.kernel_buf.len(), bytes);
-        let dst_off = RecvState::ring_offset(c.recv.delivered_seq, c.recv.user_buf.len(), bytes);
-        let src = c.recv.kernel_buf.slice(src_off, bytes);
-        let dst = c.recv.user_buf.slice(dst_off, bytes);
-        if deactivated {
-            st.active_rx -= 1;
-        }
-        let p = st.params;
-        if st.ioat.rx_mode == RxMode::ZeroCopy {
-            // The copy-engine question is moot under kernel bypass: there
-            // is no kernel→user copy for either the CPU or the engine to
-            // perform (the payload landed in the user buffer at arrival).
-            Plan::Bypass { bytes }
-        } else {
-            // Busy-polling readers spin instead of blocking: delivery
-            // skips the scheduler wake entirely and pays only the syscall
-            // return into the spinning reader.
-            let wake = if st.ioat.rx_mode == RxMode::BusyPoll {
-                p.syscall
-            } else {
-                st.wake_cost() + p.syscall
-            };
-            if st.ioat.dma_engine && bytes >= p.dma_min_bytes {
-                let engine = Rc::clone(st.dma.as_ref().expect("dma enabled without engine"));
-                let req = DmaRequest::new(src, dst);
-                // Kernel receive path: the socket buffer is pinned kernel
-                // memory, only the user destination pages pay pinning.
-                let overhead = wake + engine.borrow().cpu_overhead_prepinned_src(&req);
-                st.stats.dma_deliveries += 1;
-                // The scheduler migrates runnable receive threads away from
-                // busy cores, so deliveries dispatch least-loaded.
-                let idx = st.cores.least_loaded_index(sim.now());
-                Plan::Dma {
-                    core: Rc::clone(st.cores.member(idx)),
-                    overhead,
-                    wake,
-                    req,
-                    engine,
-                    bytes,
-                    track: st.track(idx),
-                }
-            } else {
-                let copier = st.copier;
-                let cache = Rc::clone(&st.cache);
-                let out = copier.copy(&mut cache.borrow_mut(), src, dst);
-                let idx = st.cores.least_loaded_index(sim.now());
-                Plan::Cpu {
-                    core: Rc::clone(st.cores.member(idx)),
-                    cost: wake + out.duration,
-                    wake,
-                    bytes,
-                    track: st.track(idx),
-                }
-            }
-        }
+    let mut st = s.borrow_mut();
+    let Some(c) = st.conns.get_mut(&conn) else {
+        return;
     };
-
-    match plan {
-        Plan::Cpu {
-            core,
-            cost,
-            wake,
-            bytes,
-            track,
-        } => {
-            let s2 = Rc::clone(s);
-            let end = core.borrow_mut().run_job(sim, cost, move |sim| {
-                finish_delivery(&s2, sim, conn, bytes);
-            });
-            let start = end - cost;
-            tracer.span("rx_wake", Category::Protocol, track, start, start + wake);
-            tracer.span("rx_copy", Category::Copy, track, start + wake, end);
-        }
-        Plan::Dma {
-            core,
-            overhead,
-            wake,
-            req,
-            engine,
-            bytes,
-            track,
-        } => {
-            let s2 = Rc::clone(s);
-            let end = core.borrow_mut().run_job(sim, overhead, move |sim| {
-                let s3 = Rc::clone(&s2);
-                let engine2 = Rc::clone(&engine);
-                DmaEngine::issue(&engine2, sim, req, move |sim| {
-                    // Reap the completion on the thread's core, then
-                    // deliver.
-                    let (core, cost, tracer, track) = {
-                        let st = s3.borrow();
-                        let idx = st.cores.least_loaded_index(sim.now());
-                        (
-                            Rc::clone(st.cores.member(idx)),
-                            st.params.dma.completion_reap_cost(),
-                            st.tracer.clone(),
-                            st.track(idx),
-                        )
-                    };
-                    let s4 = Rc::clone(&s3);
-                    let end = core.borrow_mut().run_job(sim, cost, move |sim| {
-                        finish_delivery(&s4, sim, conn, bytes);
-                    });
-                    tracer.span("dma_reap", Category::Dma, track, end - cost, end);
-                });
-            });
-            let start = end - overhead;
-            tracer.span("rx_wake", Category::Protocol, track, start, start + wake);
-            tracer.span("dma_issue", Category::Dma, track, start + wake, end);
-        }
-        Plan::Bypass { bytes } => {
-            // Zero cost, but still an event: the poller observes the
-            // descriptor on its next spin, off the event queue rather than
-            // off a core so it never queues behind busy cores.
-            let s2 = Rc::clone(s);
-            sim.schedule(SimDuration::ZERO, move |sim| {
-                finish_delivery(&s2, sim, conn, bytes);
-            });
-        }
+    let queued = c.recv.queued();
+    if c.recv.copying || queued == 0 {
+        return;
     }
+    // The application must have a read posted; while it is busy
+    // processing, arriving data backs up in the kernel buffer.
+    match &mut c.recv.recv_credits {
+        None => {}
+        Some(0) => return,
+        Some(n) => *n -= 1,
+    }
+    let bytes = queued.min(c.recv.opts.read_size);
+    let was_active = HostStack::conn_rx_active(c);
+    c.recv.copying = true;
+    c.recv.copying_bytes = bytes;
+    let deactivated = was_active && !HostStack::conn_rx_active(c);
+    let src_off = RecvState::ring_offset(c.recv.delivered_seq, c.recv.kernel_buf.len(), bytes);
+    let dst_off = RecvState::ring_offset(c.recv.delivered_seq, c.recv.user_buf.len(), bytes);
+    let src = c.recv.kernel_buf.slice(src_off, bytes);
+    let dst = c.recv.user_buf.slice(dst_off, bytes);
+    if deactivated {
+        st.active_rx -= 1;
+    }
+    let p = st.params;
+    let s2 = Rc::clone(s);
+    if st.ioat.rx_mode == RxMode::ZeroCopy {
+        // Kernel-bypass delivery: the payload already sits in the user
+        // buffer (the NIC put it there at arrival), so there is no
+        // kernel→user copy for the CPU or the engine, no wake and no
+        // syscall. Zero cost, but still an event: the poller observes the
+        // descriptor on its next spin, off the event queue rather than off
+        // a core so it never queues behind busy cores.
+        sim.schedule(SimDuration::ZERO, move |sim| {
+            finish_delivery(&s2, sim, conn, bytes);
+        });
+        return;
+    }
+    // Busy-polling readers spin instead of blocking: delivery skips the
+    // scheduler wake entirely and pays only the syscall return into the
+    // spinning reader.
+    let wake = if st.ioat.rx_mode == RxMode::BusyPoll {
+        p.syscall
+    } else {
+        st.wake_cost() + p.syscall
+    };
+    // The scheduler migrates runnable receive threads away from busy
+    // cores, so deliveries dispatch least-loaded.
+    let (idx, end, cost, (name, cat)) = if st.ioat.dma_engine && bytes >= p.dma_min_bytes {
+        let engine = Rc::clone(st.dma.as_ref().expect("dma enabled without engine"));
+        let req = DmaRequest::new(src, dst);
+        // Kernel receive path: the socket buffer is pinned kernel memory,
+        // only the user destination pages pay pinning.
+        let overhead = wake + engine.borrow().cpu_overhead_prepinned_src(&req);
+        st.stats.dma_deliveries += 1;
+        let idx = st.cores.least_loaded_index(sim.now());
+        let end = st.cores.member(idx).run_job(sim, overhead, move |sim| {
+            DmaEngine::issue(&engine, sim, req, move |sim| {
+                // Reap the completion on the thread's core, then deliver.
+                let mut st = s2.borrow_mut();
+                let idx = st.cores.least_loaded_index(sim.now());
+                let cost = st.params.dma.completion_reap_cost();
+                let s3 = Rc::clone(&s2);
+                let end = st.cores.member(idx).run_job(sim, cost, move |sim| {
+                    finish_delivery(&s3, sim, conn, bytes);
+                });
+                st.tracer
+                    .span("dma_reap", Category::Dma, st.track(idx), end - cost, end);
+            });
+        });
+        (idx, end, overhead, ("dma_issue", Category::Dma))
+    } else {
+        let out = st.copier.copy(&mut st.cache.borrow_mut(), src, dst);
+        let idx = st.cores.least_loaded_index(sim.now());
+        let cost = wake + out.duration;
+        let end = st.cores.member(idx).run_job(sim, cost, move |sim| {
+            finish_delivery(&s2, sim, conn, bytes);
+        });
+        (idx, end, cost, ("rx_copy", Category::Copy))
+    };
+    let (tracer, track) = (&st.tracer, st.track(idx));
+    let start = end - cost;
+    tracer.span("rx_wake", Category::Protocol, track, start, start + wake);
+    tracer.span(name, cat, track, start + wake, end);
 }
 
 /// Completes a delivery: advances the stream, reopens the receive window
@@ -2214,7 +2093,7 @@ mod tests {
                 StackParams::default(),
                 IoatConfig::disabled().with_multi_queue(mq),
             );
-            let l = Link::new("x", Bandwidth::from_gbps(1), SimDuration::ZERO);
+            let l = Link::new(Bandwidth::from_gbps(1), SimDuration::ZERO);
             let peer = HostStack::new("p", 1, StackParams::default(), IoatConfig::disabled());
             s.borrow_mut().add_port(l, false, Attachment::Peer(peer, 0));
             s
@@ -2430,7 +2309,7 @@ mod tests {
                 StackParams::default(),
                 IoatConfig::disabled(),
             );
-            let tx = Link::new("tx", Bandwidth::from_gbps(1), SimDuration::from_micros(5));
+            let tx = Link::new(Bandwidth::from_gbps(1), SimDuration::from_micros(5));
             let port = attach_router(&s, tx, Rc::clone(&router) as Rc<dyn FrameRouter>, att);
             router.hosts.borrow_mut().insert(att, (Rc::clone(&s), port));
             (s, port)

@@ -43,7 +43,7 @@ pub mod time;
 
 pub use engine::{EventId, Sim};
 pub use hash::{stable_mix, FastHashMap, FastHashSet};
-pub use resource::{Resource, ResourceRef, UtilizationMeter};
+pub use resource::{Resource, UtilizationMeter};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, RateMeter, Summary};
 pub use time::{SimDuration, SimTime};

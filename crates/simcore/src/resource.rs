@@ -9,14 +9,6 @@
 
 use crate::engine::Sim;
 use crate::time::{SimDuration, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Shared handle to a [`Resource`].
-///
-/// Model components capture clones of this in event closures; the
-/// simulation is single-threaded, so `Rc<RefCell<_>>` is the right tool.
-pub type ResourceRef = Rc<RefCell<Resource>>;
 
 /// Sums the busy time that falls inside one measurement window
 /// `[from, to)`.
@@ -118,12 +110,10 @@ impl UtilizationMeter {
 /// use ioat_simcore::{Resource, Sim, SimDuration};
 ///
 /// let mut sim = Sim::new();
-/// let core = Resource::new_ref();
+/// let mut core = Resource::new();
 /// // Two 10us jobs submitted together finish at 10us and 20us.
-/// core.borrow_mut().run_job(&mut sim, SimDuration::from_micros(10), |_| {});
-/// let done = core
-///     .borrow_mut()
-///     .run_job(&mut sim, SimDuration::from_micros(10), |_| {});
+/// core.run_job(&mut sim, SimDuration::from_micros(10), |_| {});
+/// let done = core.run_job(&mut sim, SimDuration::from_micros(10), |_| {});
 /// assert_eq!(done.as_nanos(), 20_000);
 /// sim.run();
 /// ```
@@ -137,11 +127,6 @@ impl Resource {
     /// Creates a resource that is idle at time zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a shared handle to a new resource.
-    pub fn new_ref() -> ResourceRef {
-        Rc::new(RefCell::new(Resource::new()))
     }
 
     /// Queueing delay a job submitted now would experience before starting.
@@ -176,10 +161,12 @@ impl Resource {
 ///
 /// The pool dispatches to the member with the shortest backlog, which is
 /// how the simulated OS spreads application threads across cores while the
-/// receive path stays pinned to a designated interrupt core.
-#[derive(Debug, Clone)]
+/// receive path stays pinned to a designated interrupt core. The pool owns
+/// its members outright: whoever owns the pool charges a job through
+/// [`ResourcePool::member`] under the same borrow that computed its cost.
+#[derive(Debug)]
 pub struct ResourcePool {
-    members: Vec<ResourceRef>,
+    members: Vec<Resource>,
 }
 
 impl ResourcePool {
@@ -191,7 +178,7 @@ impl ResourcePool {
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "a resource pool needs at least one member");
         ResourcePool {
-            members: (0..n).map(|_| Resource::new_ref()).collect(),
+            members: (0..n).map(|_| Resource::new()).collect(),
         }
     }
 
@@ -205,17 +192,17 @@ impl ResourcePool {
         self.members.is_empty()
     }
 
-    /// Shared handle to member `idx`.
+    /// Member `idx`, to submit a job to.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn member(&self, idx: usize) -> &ResourceRef {
-        &self.members[idx]
+    pub fn member(&mut self, idx: usize) -> &mut Resource {
+        &mut self.members[idx]
     }
 
     /// All members.
-    pub fn members(&self) -> &[ResourceRef] {
+    pub fn members(&self) -> &[Resource] {
         &self.members
     }
 
@@ -225,29 +212,29 @@ impl ResourcePool {
         self.members
             .iter()
             .enumerate()
-            .min_by_key(|(_, r)| r.borrow().backlog_at(now))
+            .min_by_key(|(_, r)| r.backlog_at(now))
             .expect("pool is non-empty")
             .0
     }
 
     /// Opens every member's measurement window `[from, to)` (see
     /// [`UtilizationMeter::open`]).
-    pub fn open_window(&self, from: SimTime, to: SimTime) {
-        for r in &self.members {
-            r.borrow_mut().meter.open(from, to);
+    pub fn open_window(&mut self, from: SimTime, to: SimTime) {
+        for r in &mut self.members {
+            r.meter.open(from, to);
         }
     }
 
     /// Aggregate busy time across members inside their windows.
     pub fn busy(&self) -> SimDuration {
-        self.members.iter().map(|r| r.borrow().meter().busy()).sum()
+        self.members.iter().map(|r| r.meter().busy()).sum()
     }
 
     /// Mean utilization across all members over the window
     /// [`ResourcePool::open_window`] set — the paper's "overall CPU
     /// utilization" for a node.
     pub fn utilization(&self) -> f64 {
-        let (from, to) = self.members[0].borrow().meter().window();
+        let (from, to) = self.members[0].meter().window();
         if to <= from {
             return 0.0;
         }
@@ -259,6 +246,8 @@ impl ResourcePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -267,20 +256,21 @@ mod tests {
     #[test]
     fn jobs_serialize_fifo() {
         let mut sim = Sim::new();
-        let r = Resource::new_ref();
+        let mut r = Resource::new();
         let d = SimDuration::from_micros(10);
-        let t1 = r.borrow_mut().run_job(&mut sim, d, |_| {});
-        let t2 = r.borrow_mut().run_job(&mut sim, d, |_| {});
+        let t1 = r.run_job(&mut sim, d, |_| {});
+        let t2 = r.run_job(&mut sim, d, |_| {});
         assert_eq!(t1, SimTime::from_micros(10));
         assert_eq!(t2, SimTime::from_micros(20));
         sim.run();
-        assert_eq!(r.borrow().meter().busy(), d * 2);
+        assert_eq!(r.meter().busy(), d * 2);
     }
 
     #[test]
     fn idle_gaps_do_not_count_as_busy() {
         let mut sim = Sim::new();
-        let r = Resource::new_ref();
+        // The completion resubmits, so the test shares the resource with it.
+        let r = Rc::new(RefCell::new(Resource::new()));
         let rr = Rc::clone(&r);
         r.borrow_mut()
             .run_job(&mut sim, SimDuration::from_micros(1), move |sim| {
@@ -324,15 +314,13 @@ mod tests {
     #[test]
     fn pool_dispatches_to_least_loaded() {
         let mut sim = Sim::new();
-        let pool = ResourcePool::new(2);
+        let mut pool = ResourcePool::new(2);
         pool.open_window(SimTime::ZERO, SimTime::from_micros(100));
         pool.member(0)
-            .borrow_mut()
             .run_job(&mut sim, SimDuration::from_micros(100), |_| {});
         let pick = pool.least_loaded_index(sim.now());
         assert_eq!(pick, 1);
         pool.member(pick)
-            .borrow_mut()
             .run_job(&mut sim, SimDuration::from_micros(10), |_| {});
         sim.run();
         // Overall utilization over 100us on 2 cores: (100 + 10) / 200.
@@ -343,16 +331,9 @@ mod tests {
     #[test]
     fn backlog_reflects_queued_work() {
         let mut sim = Sim::new();
-        let r = Resource::new_ref();
-        r.borrow_mut()
-            .run_job(&mut sim, SimDuration::from_micros(3), |_| {});
-        assert_eq!(
-            r.borrow().backlog_at(SimTime::ZERO),
-            SimDuration::from_micros(3)
-        );
-        assert_eq!(
-            r.borrow().backlog_at(SimTime::from_micros(3)),
-            SimDuration::ZERO
-        );
+        let mut r = Resource::new();
+        r.run_job(&mut sim, SimDuration::from_micros(3), |_| {});
+        assert_eq!(r.backlog_at(SimTime::ZERO), SimDuration::from_micros(3));
+        assert_eq!(r.backlog_at(SimTime::from_micros(3)), SimDuration::ZERO);
     }
 }

@@ -465,6 +465,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "bandwidth must be positive")]
+    fn zero_bandwidth_is_rejected() {
+        // A zero rate would make every transfer time infinite, so no link
+        // can be built on one.
+        let _ = Bandwidth::from_bps(0);
+    }
+
+    #[test]
     fn display_formats() {
         assert_eq!(SimDuration::from_nanos(5).to_string(), "5ns");
         assert_eq!(SimDuration::from_micros(5).to_string(), "5.000us");
