@@ -237,11 +237,13 @@ fn quick_fabric_run_peak_heap_is_pinned() {
 
 #[test]
 fn quick_run_allocation_counts_are_pinned() {
-    // The quick bandwidth run makes 9 198 allocator calls and the quick
-    // fat-tree(4) run 76 907. Each bound sits about 3 % above that and
-    // below the 9 890 and 79 074 calls they made while every core, DMA
-    // channel and link was a shared handle and each departing packet
-    // train was collected into a `Vec` first.
+    // The quick bandwidth run makes 9 198 allocator calls, the quick
+    // fat-tree(4) run 76 907 and the same run with 2 flaps per link and
+    // 1 crashed switch 54 901. Each bound sits about 3 % above that and
+    // below the 9 890, 79 074 and 73 786 calls they made while every
+    // core, DMA channel and link was a shared handle, each departing
+    // packet train was collected into a `Vec` first, and every faulted
+    // hop collected its surviving ECMP ports into a `Vec`.
     let bw = BandwidthConfig::quick_test();
     let calls = allocations_of_second_call(|| bandwidth::run(&bw, IoatConfig::full()));
     assert!(
@@ -253,5 +255,16 @@ fn quick_run_allocation_counts_are_pinned() {
     assert!(
         calls < 79_000,
         "run_partitioned(quick_test, 1) made {calls} allocator calls, over 79 000"
+    );
+    let mut faulted = cfg;
+    faulted.faults = FabricFaultSpec {
+        flaps_per_link: 2,
+        crashed_switches: 1,
+        ..FabricFaultSpec::none()
+    };
+    let calls = allocations_of_second_call(|| run_partitioned(&faulted, 1));
+    assert!(
+        calls < 56_500,
+        "faulted run_partitioned(quick_test, 1) made {calls} allocator calls, over 56 500"
     );
 }

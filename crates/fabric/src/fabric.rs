@@ -348,9 +348,11 @@ impl Fabric {
     /// port survives when its link is not flapped down and its downstream
     /// switch is not crashed. `None` when the forwarding switch itself is
     /// crashed or no candidate survives: the frame has no live path (a
-    /// route blackhole). With no fault state installed, or every
-    /// candidate alive, the choice is bit-identical to `route_port`:
-    /// `survivors[hash % n]` is then `first + hash % n`.
+    /// route blackhole). The survivors are counted, then walked to the
+    /// `hash % count`-th, so a hop allocates nothing. With no fault state
+    /// installed, or every candidate alive, the choice is bit-identical
+    /// to `route_port`: the `hash % n`-th survivor is then
+    /// `first + hash % n`.
     fn route_port_at(
         &self,
         sw: usize,
@@ -375,10 +377,10 @@ impl Fabric {
                     Hop::Switch(next) => fs.switch_up(next, now),
                 }
         };
-        let survivors: Vec<usize> = (first..first + n).filter(|&p| alive(p)).collect();
-        match survivors.len() {
+        let mut survivors = (first..first + n).filter(|&p| alive(p));
+        match survivors.clone().count() {
             0 => None,
-            s => Some(survivors[(self.ecmp_hash(sw, src, dst, conn) % s as u64) as usize]),
+            s => survivors.nth((self.ecmp_hash(sw, src, dst, conn) % s as u64) as usize),
         }
     }
 

@@ -21,16 +21,20 @@
 //! nothing). A `u8` per set counts the occupied ways; the occupied prefix
 //! is kept in LRU-to-MRU order. A range access or invalidation picks the
 //! row width once per call and then runs one compile-time-sized body per
-//! line: a search of the occupied prefix, then explicit shifts within the
-//! row.
+//! line: a branch-free search, then explicit shifts within the row. The
+//! search compares all of the row's words against the tag, with no early
+//! exit, folds the matches into a `u64` bitmask and masks it to the
+//! occupied ways; the lowest set bit is the way. Words past the prefix are
+//! dead but hold zeros or stale tags, which would match without the mask.
 //!
 //! Rows are stored in chunks of 64 consecutive sets, each allocated the
-//! first time an access touches one of its sets. An invalidation skips a
-//! chunk that was never allocated, and a probe answers "not resident" for
-//! an empty set without reading any row (an occupied set always has its
-//! chunk). A cache whose lines fall in a few sets (the fabric runs hold
-//! hundreds of such L2 models) allocates only the chunks those sets lie
-//! in. A range walk steps through one run of sets at a time, up to the
+//! first time an access touches one of its sets. A walk reads an empty
+//! set's row too (within an allocated chunk), and the mask turns every
+//! word of it away. An invalidation skips a chunk that was never
+//! allocated, and a probe answers "not resident" for an empty set without
+//! reading any row (an occupied set always has its chunk). A cache whose
+//! lines fall in a few sets (the fabric runs hold hundreds of such L2
+//! models) allocates only the chunks those sets lie in. A range walk steps through one run of sets at a time, up to the
 //! next chunk edge or the set-index wrap, and looks its chunk up once per
 //! run.
 //!
@@ -171,7 +175,7 @@ pub struct Cache {
     /// access first touches one of them; `None` until then, when every
     /// one of its sets is empty.
     tags: Vec<Option<Box<[u16]>>>,
-    /// Occupied ways per set. An empty set's row is never read.
+    /// Occupied ways per set; words of a row past it are dead.
     lens: Box<[u8]>,
     /// Row width: `associativity` rounded up to a power of two (at most
     /// `MAX_WAYS`). Range walks dispatch on it once per call, so the
@@ -356,11 +360,11 @@ impl Cache {
     /// absent; an invalidation skips an absent chunk, whose sets are all
     /// empty.
     ///
-    /// The matching way is found by a search of the occupied prefix.
-    /// Moves within a row are explicit shifts: a hit slides the ways above
-    /// it down one and re-inserts the line at MRU; a full-set miss slides
-    /// every way down, dropping the LRU front; an invalidation slides the
-    /// ways above it down and shortens the prefix.
+    /// The matching way is found by `find`'s masked compare of the whole
+    /// row. Moves within a row are explicit shifts: a hit slides the ways
+    /// above it down one and re-inserts the line at MRU; a full-set miss
+    /// slides every way down, dropping the LRU front; an invalidation
+    /// slides the ways above it down and shortens the prefix.
     fn lines<const W: usize>(&mut self, walk: Walk, first: u64, last: u64) -> RangeOutcome {
         let ways = self.config.associativity as usize;
         debug_assert!(ways <= W && W == self.width);
@@ -385,11 +389,7 @@ impl Cache {
                 let lens = &mut self.lens[set_idx..set_idx + run];
                 for (row, set_len) in rows.iter_mut().zip(lens) {
                     let len = *set_len as usize;
-                    // The early exit keeps a short prefix cheap: a lightly
-                    // used cache (the fabric runs hold hundreds) is mostly
-                    // sets with a few lines, and an empty set's row is not
-                    // read at all.
-                    let hit = row[..len].iter().position(|&t| t == tag);
+                    let hit = find(row, len, tag);
                     match (walk, hit) {
                         (Walk::Access, Some(pos)) => {
                             for i in pos..len - 1 {
@@ -449,6 +449,24 @@ impl Cache {
     pub fn resident_bytes(&self) -> u64 {
         self.resident_line_count() * self.config.line_size
     }
+}
+
+/// The way of `row`'s occupied prefix `row[..len]` that holds `tag`.
+///
+/// All `W` words are compared, with no early exit, and the matches are
+/// folded into a bitmask: no data-dependent branch. Tags are unique within a set, so the lowest set bit is the
+/// only match. Words past `len` are dead but still hold zeros or stale
+/// tags (a slide leaves its last word behind, and an invalidated MRU line
+/// keeps its word), so the mask must drop them before the pick.
+#[inline]
+fn find<const W: usize>(row: &[u16; W], len: usize, tag: u16) -> Option<usize> {
+    let matches = row
+        .iter()
+        .enumerate()
+        .fold(0u64, |m, (i, &t)| m | u64::from(t == tag) << i);
+    // The low `len` bits; `len` may be 64, so the shift is done wide.
+    let live = matches & ((1u128 << len) - 1) as u64;
+    (live != 0).then(|| live.trailing_zeros() as usize)
 }
 
 #[cfg(test)]

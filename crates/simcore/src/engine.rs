@@ -81,9 +81,11 @@ struct HeapEntry {
 }
 
 impl HeapEntry {
+    /// `(at, seq)` packed into one word, instant high and seq low: the
+    /// same lexicographic order, compared in one go.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
+    fn key(&self) -> u128 {
+        u128::from(self.at.as_nanos()) << 64 | u128::from(self.seq)
     }
 }
 
@@ -167,18 +169,23 @@ impl EventHeap {
         let key = e.key();
         loop {
             let first = ARITY * i + 1;
-            if first >= n {
-                break;
-            }
-            let mut min = first;
-            let mut min_key = self.entries[first].key();
-            for c in first + 1..(first + ARITY).min(n) {
-                let k = self.entries[c].key();
-                if k < min_key {
-                    min = c;
-                    min_key = k;
+            let (min, min_key) = if first + ARITY <= n {
+                self.least_of_four(first)
+            } else if first < n {
+                // The last parent's partial family.
+                let mut min = first;
+                let mut min_key = self.entries[first].key();
+                for c in first + 1..n {
+                    let k = self.entries[c].key();
+                    if k < min_key {
+                        min = c;
+                        min_key = k;
+                    }
                 }
-            }
+                (min, min_key)
+            } else {
+                break;
+            };
             if min_key < key {
                 self.entries[i] = self.entries[min];
                 i = min;
@@ -187,6 +194,19 @@ impl EventHeap {
             }
         }
         self.entries[i] = e;
+    }
+
+    /// The least of the four children starting at `first`, and its key:
+    /// two pairs, then their winners, each picked by a select rather than
+    /// a branch (keys are unique, so no tie needs breaking).
+    #[inline]
+    fn least_of_four(&self, first: usize) -> (usize, u128) {
+        let kids = &self.entries[first..first + ARITY];
+        let pick = |a: (usize, u128), b: (usize, u128)| if b.1 < a.1 { b } else { a };
+        let low = pick((0, kids[0].key()), (1, kids[1].key()));
+        let high = pick((2, kids[2].key()), (3, kids[3].key()));
+        let (c, k) = pick(low, high);
+        (first + c, k)
     }
 
     /// Drops every entry failing `keep`, then re-heapifies in place.
@@ -970,7 +990,11 @@ mod tests {
     fn heap_pops_in_key_order_through_replace_top_and_rebuild() {
         // Every size from empty to a few full 4-ary levels, with heavy
         // instant ties: pops come out in (at, seq) order after pushes,
-        // replace_top sinks, and a retain-and-rebuild.
+        // replace_top sinks, and a retain-and-rebuild. The order is
+        // checked on the fields, not on the packed key, at small
+        // instants and seqs and again at instants near `u64::MAX` with
+        // seqs past 2^32, where a key packing that lets the seq overlap
+        // the instant would misorder them.
         let mut x = 0x2545_F491_4F6C_DD1Du64;
         let mut next = || {
             x ^= x << 13;
@@ -978,33 +1002,35 @@ mod tests {
             x ^= x << 17;
             x
         };
-        for n in 0..90u64 {
-            let mut heap = EventHeap::default();
-            let mut seq = 0;
-            let mut entry = |at: u64| {
-                seq += 1;
-                HeapEntry {
-                    at: SimTime::from_nanos(at),
-                    seq,
-                    slot: seq as u32,
-                    gen: 0,
+        for (base_at, base_seq) in [(0, 0), (u64::MAX - 15, 3 << 32)] {
+            for n in 0..90u64 {
+                let mut heap = EventHeap::default();
+                let mut seq = base_seq;
+                let mut entry = |at: u64| {
+                    seq += 1;
+                    HeapEntry {
+                        at: SimTime::from_nanos(at),
+                        seq,
+                        slot: seq as u32,
+                        gen: 0,
+                    }
+                };
+                for _ in 0..n {
+                    heap.push(entry(base_at + next() % 8));
                 }
-            };
-            for _ in 0..n {
-                heap.push(entry(next() % 8));
+                for _ in 0..n / 2 {
+                    let top = *heap.peek().expect("non-empty");
+                    let later = entry(top.at.as_nanos() + next() % 8);
+                    assert_eq!(heap.replace_top(later).key(), top.key());
+                }
+                heap.retain_rebuild(|e| e.slot % 3 != 0);
+                let mut popped = Vec::new();
+                while let Some(e) = heap.pop() {
+                    popped.push((e.at, e.seq));
+                }
+                assert!(popped.windows(2).all(|w| w[0] < w[1]), "n = {n}");
+                assert_eq!(heap.len(), 0);
             }
-            for _ in 0..n / 2 {
-                let top = *heap.peek().expect("non-empty");
-                let later = entry(top.at.as_nanos() + next() % 8);
-                assert_eq!(heap.replace_top(later).key(), top.key());
-            }
-            heap.retain_rebuild(|e| e.slot % 3 != 0);
-            let mut popped = Vec::new();
-            while let Some(e) = heap.pop() {
-                popped.push(e.key());
-            }
-            assert!(popped.windows(2).all(|w| w[0] < w[1]), "n = {n}");
-            assert_eq!(heap.len(), 0);
         }
     }
 }
