@@ -1,9 +1,12 @@
-//! Every simulation entry point frees its whole model when it returns.
+//! Every simulation entry point frees its whole model when it returns,
+//! and when the event-budget watchdog stops it mid-run.
 //!
-//! Stacks, sockets and application closures hold each other through `Rc`,
-//! so a reference cycle that survives a call keeps that call's entire
-//! simulation alive. A counting global allocator tracks the bytes live on
-//! each thread; each case calls its entry point once to warm up lazily
+//! Each host stack has one strong owner (its `Cluster`); wired peers,
+//! connection peers and sockets point back at it weakly, and pending
+//! events live in the `Sim`. A single strong edge added in the wrong
+//! direction would close a reference cycle that keeps a call's entire
+//! simulation alive. A counting global allocator tracks the bytes live
+//! on each thread; each case calls its entry point once to warm up lazily
 //! initialised state, then asserts that a second call leaves exactly zero
 //! bytes live on the calling thread.
 //!
@@ -28,6 +31,7 @@ use ioat_pvfs::{concurrent_read, concurrent_write, mixed_streams, multi_stream_r
 use ioat_simcore::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Once;
 
 thread_local! {
     static LIVE: Cell<i64> = const { Cell::new(0) };
@@ -35,6 +39,8 @@ thread_local! {
     static PEAK: Cell<i64> = const { Cell::new(0) };
     /// Allocator calls that hand out memory (alloc, alloc_zeroed, realloc).
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Set while `assert_frees_when_wedged` runs its measured call.
+    static EXPECT_WEDGED: Cell<bool> = const { Cell::new(false) };
 }
 
 fn add_live(delta: i64) {
@@ -216,6 +222,57 @@ fn partitioned_datacenter_frees_every_partition() {
     });
     assert_frees("run_partitioned with faults, admission and hedging", || {
         run_partitioned(&faulted, 1)
+    });
+}
+
+/// Runs `call` under a watchdog budget far below what it needs, as
+/// `repro --audit` does for a wedged job, and asserts that the caught
+/// `wedged` panic leaves nothing live.
+///
+/// The default panic hook would print each expected watchdog panic into
+/// the test harness's captured output, whose buffer grows on this thread
+/// and would be counted. The hook is process-wide, so the one installed
+/// here stays silent only for a `wedged` panic on a thread inside the
+/// measured call (`EXPECT_WEDGED`); every other panic in this binary
+/// still reaches the default hook.
+fn assert_frees_when_wedged<R>(what: &str, mut call: impl FnMut() -> R) {
+    const BUDGET: u64 = 3_000;
+    static QUIET_WATCHDOG: Once = Once::new();
+    QUIET_WATCHDOG.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let expected = EXPECT_WEDGED.with(Cell::get)
+                && ioat_guard::failure_reason(info.payload()).starts_with("wedged:");
+            if !expected {
+                default(info);
+            }
+        }));
+    });
+    assert_frees(what, || {
+        EXPECT_WEDGED.with(|flag| flag.set(true));
+        let (result, _) = ioat_guard::with_audit_budget(Some(BUDGET), &mut call);
+        EXPECT_WEDGED.with(|flag| flag.set(false));
+        let payload = result
+            .err()
+            .unwrap_or_else(|| panic!("{what} finished inside {BUDGET} events"));
+        let reason = ioat_guard::failure_reason(payload.as_ref());
+        assert!(reason.starts_with("wedged:"), "{what}: {reason}");
+    });
+}
+
+#[test]
+fn runs_stopped_by_the_watchdog_free_their_models() {
+    assert_frees_when_wedged("bandwidth::run", || {
+        bandwidth::run(&BandwidthConfig::quick_test(), IoatConfig::full())
+    });
+    // Stopped mid-run, client and daemon threads still have jobs queued.
+    let pvfs = PvfsConfig::quick_test(2, 2, IoatConfig::full());
+    assert_frees_when_wedged("concurrent_read", || concurrent_read(&pvfs));
+    assert_frees_when_wedged("tiers::run_single_file", || {
+        tiers::run_single_file(&DataCenterConfig::quick_test(IoatConfig::full()), 4 * 1024)
+    });
+    assert_frees_when_wedged("run_partitioned", || {
+        run_partitioned(&ScaleConfig::quick_test(IoatConfig::disabled()), 1)
     });
 }
 

@@ -3,6 +3,12 @@
 //! A [`Cluster`] owns the simulator and the nodes; experiments build one,
 //! wire ports, open connections and run. Nodes are [`HostStack`]s under
 //! the hood — this module only adds the testbed-shaped conveniences.
+//!
+//! The cluster is the only strong owner of its stacks: wired peers,
+//! connection peers and [`Socket`]s point back at a stack through `Weak`
+//! references, and the events that capture a stack live in the cluster's
+//! own `Sim`. Dropping the cluster therefore frees the whole model, even
+//! during a panic unwind. Copy results off the cluster before it goes.
 
 use crate::calibration;
 use crate::metrics::ExperimentWindow;
@@ -161,8 +167,8 @@ impl Cluster {
     ) -> (Socket, Socket) {
         stack::open_connection(&self.nodes[a.0], &self.nodes[b.0], port_a, port_b, opts, id);
         (
-            Socket::new(Rc::clone(&self.nodes[a.0]), id),
-            Socket::new(Rc::clone(&self.nodes[b.0]), id),
+            Socket::new(&self.nodes[a.0], id),
+            Socket::new(&self.nodes[b.0], id),
         )
     }
 
@@ -290,8 +296,8 @@ impl Cluster {
             id,
         );
         (
-            Socket::new(Rc::clone(&self.nodes[a.0]), id),
-            Socket::new(Rc::clone(&self.nodes[b.0]), id),
+            Socket::new(&self.nodes[a.0], id),
+            Socket::new(&self.nodes[b.0], id),
         )
     }
 
@@ -350,18 +356,6 @@ impl Cluster {
     /// identity, as plain data safe to move across threads.
     pub fn frame_totals(&self) -> stack::ClusterFrameTotals {
         stack::frame_totals(&self.nodes)
-    }
-}
-
-/// Tearing a cluster down frees its whole model: stacks, sockets and
-/// application handlers point at each other through `Rc`, so every node
-/// is [`stack::detach`]ed before the fields drop. Copy results off the
-/// cluster before it goes.
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        for node in &self.nodes {
-            stack::detach(node);
-        }
     }
 }
 

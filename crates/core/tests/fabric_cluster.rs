@@ -25,12 +25,12 @@ fn fabric_backed_cluster_transfers_and_audits() {
     let id = lb.open(0, 15, SocketOpts::tuned(), ConnId(1));
     let got = Rc::new(RefCell::new(0u64));
     let g = Rc::clone(&got);
-    Socket::new(Rc::clone(cluster.stack(b)), id).set_handler(move |_s, ev| {
+    Socket::new(cluster.stack(b), id).set_handler(move |_s, ev| {
         if let SocketEvent::Delivered(n) = ev {
             *g.borrow_mut() += n;
         }
     });
-    Socket::new(Rc::clone(cluster.stack(a)), id).send(cluster.sim_mut(), 300_000);
+    Socket::new(cluster.stack(a), id).send(cluster.sim_mut(), 300_000);
     cluster.run();
     assert_eq!(*got.borrow(), 300_000);
     assert!(fabric.forwarded() > 0);

@@ -59,7 +59,7 @@ use ioat_core::cluster::{Cluster, NodeConfig, NodeHandle};
 use ioat_fabric::{Fabric, FabricRef, Topology};
 use ioat_faults::RetryPolicy;
 use ioat_netsim::msg::{self, MsgSender};
-use ioat_netsim::stack::{self, ClusterFrameTotals, FrameRouter, StackRef};
+use ioat_netsim::stack::{self, ClusterFrameTotals, FrameRouter};
 use ioat_netsim::{ConnId, Frame, Socket};
 use ioat_parsim::{Outbox, ParsimReport, Partition};
 use ioat_simcore::{Histogram, Sim, SimDuration, SimRng, SimTime, Summary};
@@ -308,9 +308,9 @@ struct FabricOut {
 struct GroupPart {
     cluster: Cluster,
     shared: Rc<GroupShared>,
-    /// (topology host, stack, port) of the group's 2f hosts, searched by
+    /// (topology host, node, port) of the group's 2f hosts, searched by
     /// topology host for frames delivered off the fabric.
-    host_ports: Vec<(usize, StackRef, usize)>,
+    host_ports: Vec<(usize, NodeHandle, usize)>,
     proxies: Vec<NodeHandle>,
     webs: Vec<NodeHandle>,
 }
@@ -340,7 +340,7 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
                 p,
                 &cfg.fabric,
             );
-            host_ports.push((p, Rc::clone(cluster.stack(h)), port));
+            host_ports.push((p, h, port));
             (p, h, port)
         })
         .collect();
@@ -358,7 +358,7 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
                 lay.n_proxies + w,
                 &cfg.fabric,
             );
-            host_ports.push((lay.n_proxies + w, Rc::clone(cluster.stack(h)), port));
+            host_ports.push((lay.n_proxies + w, h, port));
             (w, h, port)
         })
         .collect();
@@ -553,12 +553,12 @@ impl Partition for DcPartition {
                 });
             }
             (DcPartition::Group(p), NetMsg::Deliver { host, frame }) => {
-                let (_, stack, port) = p
+                let &(_, node, port) = p
                     .host_ports
                     .iter()
                     .find(|(h, ..)| *h == host)
                     .expect("frame delivered to a host outside this partition");
-                let (stack, port) = (Rc::clone(stack), *port);
+                let stack = Rc::clone(p.cluster.stack(node));
                 p.cluster.sim_mut().schedule_at(fire_at, move |sim| {
                     stack::frame_arrived(&stack, sim, port, frame);
                 });

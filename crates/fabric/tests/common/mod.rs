@@ -10,10 +10,14 @@
 //!   ACK straight onto the other endpoint's;
 //! * the fabric's delivery hook schedules `frame_arrived` on the
 //!   destination host's port at the final hop's arrival instant.
+//!
+//! The host table holds its stacks weakly: each stack's router port
+//! already owns the loopback, so the test that built the stacks stays
+//! their only strong owner.
 
 use ioat_fabric::FabricRef;
 use ioat_netsim::link::Link;
-use ioat_netsim::stack::{self, FrameRouter, StackRef};
+use ioat_netsim::stack::{self, FrameRouter, StackRef, WeakStackRef};
 use ioat_netsim::{ConnId, Frame, SocketOpts};
 use ioat_simcore::{Sim, SimDuration, SimTime};
 use std::cell::RefCell;
@@ -21,7 +25,14 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Topology host → the stack attached there and its router port.
-type Hosts = Rc<RefCell<HashMap<usize, (StackRef, usize)>>>;
+type Hosts = Rc<RefCell<HashMap<usize, (WeakStackRef, usize)>>>;
+
+/// The stack attached at topology host `host` and its router port.
+fn host(hosts: &Hosts, host: usize) -> (StackRef, usize) {
+    let hosts = hosts.borrow();
+    let (stack, port) = hosts.get(&host).expect("unattached host");
+    (stack.upgrade().expect("attached stack dropped"), *port)
+}
 
 pub struct Loopback {
     fabric: FabricRef,
@@ -33,12 +44,8 @@ impl Loopback {
     pub fn new(fabric: &FabricRef) -> Rc<Self> {
         let hosts: Hosts = Rc::default();
         let table = Rc::clone(&hosts);
-        fabric.set_delivery(move |sim, host, frame, arrive| {
-            let (stack, port) = table
-                .borrow()
-                .get(&host)
-                .cloned()
-                .expect("frame for an unattached host");
+        fabric.set_delivery(move |sim, h, frame, arrive| {
+            let (stack, port) = host(&table, h);
             sim.schedule_at(arrive, move |sim| {
                 stack::frame_arrived(&stack, sim, port, frame);
             });
@@ -59,7 +66,7 @@ impl Loopback {
         let prev = self
             .hosts
             .borrow_mut()
-            .insert(host, (Rc::clone(stack), port));
+            .insert(host, (Rc::downgrade(stack), port));
         assert!(prev.is_none(), "host {host} attached twice");
         port
     }
@@ -67,10 +74,9 @@ impl Loopback {
     /// Opens connection `id` between the stacks attached at hosts `a` and
     /// `b`.
     pub fn open(&self, a: usize, b: usize, opts: SocketOpts, id: ConnId) -> ConnId {
-        let hosts = self.hosts.borrow();
-        let (sa, pa) = &hosts[&a];
-        let (sb, pb) = &hosts[&b];
-        stack::open_connection(sa, sb, *pa, *pb, opts, id)
+        let (sa, pa) = host(&self.hosts, a);
+        let (sb, pb) = host(&self.hosts, b);
+        stack::open_connection(&sa, &sb, pa, pb, opts, id)
     }
 }
 

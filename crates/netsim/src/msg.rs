@@ -98,12 +98,14 @@ mod tests {
     use super::*;
     use crate::config::{IoatConfig, SocketOpts, StackParams};
     use crate::socket::socket_pair;
-    use crate::stack::HostStack;
+    use crate::stack::{HostStack, StackRef};
     use crate::tcp::ConnId;
     use ioat_simcore::time::Bandwidth;
     use ioat_simcore::SimDuration;
 
-    fn setup() -> (Sim, Socket, Socket) {
+    /// A wired socket pair; the caller keeps the stacks, because the
+    /// sockets do not.
+    fn setup() -> (Sim, [StackRef; 2], Socket, Socket) {
         let sim = Sim::new();
         let a = HostStack::new("a", 2, StackParams::default(), IoatConfig::disabled());
         let b = HostStack::new("b", 2, StackParams::default(), IoatConfig::disabled());
@@ -115,12 +117,12 @@ mod tests {
             SocketOpts::tuned(),
             ConnId(1),
         );
-        (sim, sa, sb)
+        (sim, [a, b], sa, sb)
     }
 
     #[test]
     fn messages_arrive_in_order_with_metadata() {
-        let (mut sim, sa, sb) = setup();
+        let (mut sim, _stacks, sa, sb) = setup();
         let got: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
         let g = Rc::clone(&got);
         let sender = channel(sa, sb, move |_sim, meta: u32| g.borrow_mut().push(meta));
@@ -133,7 +135,7 @@ mod tests {
 
     #[test]
     fn small_messages_batched_in_one_delivery_all_pop() {
-        let (mut sim, sa, sb) = setup();
+        let (mut sim, _stacks, sa, sb) = setup();
         let got: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
         let g = Rc::clone(&got);
         let sender = channel(sa, sb, move |_sim, meta: u32| g.borrow_mut().push(meta));
@@ -148,7 +150,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "wire size")]
     fn zero_byte_messages_are_rejected() {
-        let (mut sim, sa, sb) = setup();
+        let (mut sim, _stacks, sa, sb) = setup();
         let sender = channel(sa, sb, move |_sim, _meta: ()| {});
         sender.send(&mut sim, 0, ());
     }

@@ -5,8 +5,13 @@
 //! and call [`Socket::send`]; the stack calls back with
 //! [`SocketEvent::Delivered`] as bytes arrive and
 //! [`SocketEvent::SendReady`] when the send queue drains.
+//!
+//! A socket does not keep its stack alive: it holds a [`WeakStackRef`],
+//! so application handlers that capture sockets form no cycle with the
+//! stack that owns them. Whoever built the stacks (usually a `Cluster`)
+//! must keep them for as long as the sockets are used.
 
-use crate::stack::{self, StackRef};
+use crate::stack::{self, StackRef, WeakStackRef};
 use crate::tcp::ConnId;
 use ioat_simcore::Sim;
 use std::rc::Rc;
@@ -22,7 +27,8 @@ pub enum SocketEvent {
     SendReady,
 }
 
-/// One endpoint of a connection.
+/// One endpoint of a connection: a weak handle to its stack plus the
+/// connection id.
 ///
 /// ```rust,no_run
 /// use ioat_netsim::{Socket, SocketEvent};
@@ -38,23 +44,30 @@ pub enum SocketEvent {
 /// ```
 #[derive(Clone)]
 pub struct Socket {
-    stack: StackRef,
+    stack: WeakStackRef,
     conn: ConnId,
 }
 
 impl std::fmt::Debug for Socket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Socket")
-            .field("node", &self.stack.borrow().name().to_string())
+            .field(
+                "node",
+                &self.stack.upgrade().map(|s| s.borrow().name().to_string()),
+            )
             .field("conn", &self.conn)
             .finish()
     }
 }
 
 impl Socket {
-    /// Wraps an existing connection endpoint.
-    pub fn new(stack: StackRef, conn: ConnId) -> Self {
-        Socket { stack, conn }
+    /// Wraps an existing connection endpoint on `stack`, without taking
+    /// a strong reference to it.
+    pub fn new(stack: &StackRef, conn: ConnId) -> Self {
+        Socket {
+            stack: Rc::downgrade(stack),
+            conn,
+        }
     }
 
     /// The connection id.
@@ -62,9 +75,12 @@ impl Socket {
         self.conn
     }
 
-    /// The stack this endpoint lives on.
-    pub fn stack(&self) -> &StackRef {
-        &self.stack
+    /// The stack this endpoint lives on. Panics if it was dropped: a
+    /// socket outliving its stack is a harness bug, not a network event.
+    fn upgrade(&self) -> StackRef {
+        self.stack
+            .upgrade()
+            .expect("socket used after its stack was dropped")
     }
 
     /// Installs the application event handler (replacing any previous
@@ -73,25 +89,25 @@ impl Socket {
     where
         F: FnMut(&mut Sim, SocketEvent) + 'static,
     {
-        stack::set_handler(&self.stack, self.conn, handler);
+        stack::set_handler(&self.upgrade(), self.conn, handler);
     }
 
     /// Queues `bytes` for transmission. Zero-byte sends are ignored.
     pub fn send(&self, sim: &mut Sim, bytes: u64) {
-        stack::app_send(&self.stack, sim, self.conn, bytes);
+        stack::app_send(&self.upgrade(), sim, self.conn, bytes);
     }
 
     /// Switches this endpoint to explicit read posting with `credits`
     /// outstanding reads (the default is a tight receive loop). While no
     /// read is posted, arriving data backs up in the kernel buffer.
     pub fn set_recv_credits(&self, credits: u64) {
-        stack::set_recv_credits(&self.stack, self.conn, credits);
+        stack::set_recv_credits(&self.upgrade(), self.conn, credits);
     }
 
     /// Posts one more read (call after the application finishes
     /// processing a delivery).
     pub fn post_recv(&self, sim: &mut Sim) {
-        stack::add_recv_credit(&self.stack, sim, self.conn);
+        stack::add_recv_credit(&self.upgrade(), sim, self.conn);
     }
 
     /// Charges application compute time to this connection's thread, then
@@ -100,12 +116,13 @@ impl Socket {
     where
         F: FnOnce(&mut Sim) + 'static,
     {
-        stack::app_compute(&self.stack, sim, duration, then);
+        stack::app_compute(&self.upgrade(), sim, duration, then);
     }
 }
 
 /// Creates a wired, connected socket pair between two stacks over a new
-/// dedicated link — the common setup step for tests and examples.
+/// dedicated link — the common setup step for tests and examples. The
+/// caller keeps `a` and `b`: the sockets do not.
 pub fn socket_pair(
     a: &StackRef,
     b: &StackRef,
@@ -116,7 +133,7 @@ pub fn socket_pair(
 ) -> (Socket, Socket) {
     let (pa, pb) = stack::wire(a, b, bandwidth, latency, opts.coalescing);
     stack::open_connection(a, b, pa, pb, opts, id);
-    (Socket::new(Rc::clone(a), id), Socket::new(Rc::clone(b), id))
+    (Socket::new(a, id), Socket::new(b, id))
 }
 
 #[cfg(test)]

@@ -48,10 +48,19 @@ use ioat_simcore::resource::ResourcePool;
 use ioat_simcore::{stable_mix, FastHashMap, RateMeter, Sim, SimDuration, SimTime};
 use ioat_telemetry::{Category, Tracer, TrackId};
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
-/// Shared handle to a [`HostStack`].
+/// Shared handle to a [`HostStack`]. Its one long-lived strong owner is
+/// whoever built it (a `Cluster` or a test); scheduled events hold clones
+/// until the `Sim` drops them. Every edge back to a stack from inside the
+/// model (a wired peer port, a connection's far end, a
+/// [`Socket`](crate::Socket)) is a [`WeakStackRef`], so the model graph
+/// has no cycle and a finished or panicking run frees itself by `Drop`.
 pub type StackRef = Rc<RefCell<HostStack>>;
+
+/// A back-edge to a [`HostStack`]: names the stack without keeping it
+/// alive.
+pub type WeakStackRef = Weak<RefCell<HostStack>>;
 
 /// A routed alternative to direct port-to-port wiring: a switch fabric (or
 /// any other forwarding element) that takes frames and ACKs at an
@@ -99,7 +108,7 @@ struct RxQueue {
 /// What a port's access link leads to.
 enum Attachment {
     /// Port `.1` of stack `.0`, wired back to this one (see [`wire`]).
-    Peer(StackRef, usize),
+    Peer(WeakStackRef, usize),
     /// A router that knows this port by attachment index `.1` (see
     /// [`attach_router`]).
     Router(Rc<dyn FrameRouter>, usize),
@@ -122,7 +131,7 @@ struct Conn {
     recv: RecvState,
     handler: Option<Handler>,
     /// The stack at the connection's other end, where this end's ACKs go.
-    peer: StackRef,
+    peer: WeakStackRef,
     /// How long an ACK takes to reach `peer`.
     ack_delay: SimDuration,
     /// The router attachment index of `peer`'s port, where this end's
@@ -690,12 +699,12 @@ pub fn wire(
     a.borrow_mut().add_port(
         Link::new(bandwidth, latency),
         coalescing,
-        Attachment::Peer(Rc::clone(b), bi),
+        Attachment::Peer(Rc::downgrade(b), bi),
     );
     b.borrow_mut().add_port(
         Link::new(bandwidth, latency),
         coalescing,
-        Attachment::Peer(Rc::clone(a), ai),
+        Attachment::Peer(Rc::downgrade(a), ai),
     );
     (ai, bi)
 }
@@ -750,7 +759,7 @@ pub fn open_connection(
                 (rb.ack_delay(*att_b, *att_a), Some(*att_a)),
             ),
             (Attachment::Peer(peer, peer_port), _)
-                if Rc::ptr_eq(peer, b) && *peer_port == port_b =>
+                if std::ptr::eq(peer.as_ptr(), Rc::as_ptr(b)) && *peer_port == port_b =>
             {
                 ((pa.tx.latency(), None), (pb.tx.latency(), None))
             }
@@ -816,32 +825,11 @@ fn install_endpoint(
                 recv_credits: None,
             },
             handler: None,
-            peer: Rc::clone(peer),
+            peer: Rc::downgrade(peer),
             ack_delay,
             peer_attachment,
         },
     );
-}
-
-/// Breaks the reference cycles that run through `s`: its ports (peer
-/// stacks and routers point back at it) and its connections (application
-/// handlers capture sockets on it). The taken state is dropped after the
-/// `RefCell` borrow is released, so drop code that reaches back into this
-/// stack finds it unborrowed. A stack that is still borrowed is skipped
-/// rather than panicking, because a panic inside `Drop` during an unwind
-/// aborts the process.
-///
-/// The stack stays usable for read-only queries (stats, meters, core
-/// utilization) but can no longer send or receive.
-pub fn detach(s: &StackRef) {
-    let Ok(mut st) = s.try_borrow_mut() else {
-        return;
-    };
-    let ports = std::mem::take(&mut st.ports);
-    let conns = std::mem::take(&mut st.conns);
-    drop(st);
-    drop(ports);
-    drop(conns);
 }
 
 /// Installs the application event handler for `conn` on stack `s`.
@@ -1043,7 +1031,8 @@ fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
         }
         match &port.attachment {
             Attachment::Peer(peer, peer_port) => {
-                let (peer, peer_port) = (Rc::clone(peer), *peer_port);
+                let peer = peer.upgrade().expect("wired peer stack dropped mid-run");
+                let peer_port = *peer_port;
                 port.tx.transmit(sim, frame.wire_bytes(), move |sim| {
                     frame_arrived(&peer, sim, peer_port, frame);
                 });
@@ -1305,7 +1294,8 @@ fn send_ack(s: &StackRef, sim: &mut Sim, conn: ConnId, seq: u64, window: u64, du
     let (peer, delay) = {
         let st = s.borrow();
         let Some(c) = st.conns.get(&conn) else { return };
-        (Rc::clone(&c.peer), c.ack_delay)
+        let peer = c.peer.upgrade().expect("peer stack dropped mid-run");
+        (peer, c.ack_delay)
     };
     sim.schedule(delay, move |sim| {
         ack_received(&peer, sim, conn, seq, window, dup);
@@ -1844,31 +1834,22 @@ mod tests {
     }
 
     #[test]
-    fn detach_releases_peers_and_skips_a_borrowed_stack() {
+    fn stacks_have_one_strong_owner_once_the_sim_drops() {
         let (mut sim, a, b, conn) = pair(IoatConfig::full(), SocketOpts::tuned());
-        let a2 = Rc::clone(&a);
+        // b's handler keeps a socket on a, as application code does.
+        let on_a = crate::Socket::new(&a, conn);
         set_handler(&b, conn, move |_sim, _ev| {
-            let _ = &a2;
+            let _ = &on_a;
         });
         app_send(&a, &mut sim, conn, 200_000);
-        sim.run();
-        // Port a→b, port b→a, each connection endpoint (where its ACKs
-        // go) and b's handler each hold the other stack.
-        assert_eq!(Rc::strong_count(&a), 4);
-        assert_eq!(Rc::strong_count(&b), 3);
-        {
-            // Still borrowed: left alone instead of panicking.
-            let held = b.borrow();
-            detach(&b);
-            assert_eq!(held.port_count(), 1);
-        }
-        detach(&a);
-        detach(&b);
+        // Stop mid-transfer: queued events still hold both stacks.
+        sim.run_until(SimTime::from_micros(500));
+        assert!(sim.events_pending() > 0);
+        drop(sim);
+        // Wired ports, connection peers and the handler's socket are all
+        // back-edges; none of them keeps a stack alive.
         assert_eq!(Rc::strong_count(&a), 1);
         assert_eq!(Rc::strong_count(&b), 1);
-        let st = b.borrow();
-        assert_eq!(st.port_count(), 0);
-        assert_eq!(st.rx_meter().total_bytes(), 200_000, "stats survive");
     }
 
     #[test]
@@ -2094,8 +2075,8 @@ mod tests {
                 IoatConfig::disabled().with_multi_queue(mq),
             );
             let l = Link::new(Bandwidth::from_gbps(1), SimDuration::ZERO);
-            let peer = HostStack::new("p", 1, StackParams::default(), IoatConfig::disabled());
-            s.borrow_mut().add_port(l, false, Attachment::Peer(peer, 0));
+            s.borrow_mut()
+                .add_port(l, false, Attachment::Peer(Weak::new(), 0));
             s
         };
         let a = mk(true);
@@ -2274,7 +2255,7 @@ mod tests {
     /// straight to the stack attached at the destination it names.
     #[derive(Default)]
     struct RecordingRouter {
-        hosts: RefCell<FastHashMap<usize, (StackRef, usize)>>,
+        hosts: RefCell<FastHashMap<usize, (WeakStackRef, usize)>>,
         handoffs: RefCell<Vec<(usize, usize, ConnId)>>,
     }
 
@@ -2288,7 +2269,8 @@ mod tests {
             arrive: SimTime,
         ) {
             self.handoffs.borrow_mut().push((src, dst, frame.conn));
-            let (stack, port) = self.hosts.borrow()[&dst].clone();
+            let (stack, port) = &self.hosts.borrow()[&dst];
+            let (stack, port) = (stack.upgrade().expect("host dropped"), *port);
             sim.schedule_at(arrive, move |sim| frame_arrived(&stack, sim, port, frame));
         }
 
@@ -2311,7 +2293,10 @@ mod tests {
             );
             let tx = Link::new(Bandwidth::from_gbps(1), SimDuration::from_micros(5));
             let port = attach_router(&s, tx, Rc::clone(&router) as Rc<dyn FrameRouter>, att);
-            router.hosts.borrow_mut().insert(att, (Rc::clone(&s), port));
+            router
+                .hosts
+                .borrow_mut()
+                .insert(att, (Rc::downgrade(&s), port));
             (s, port)
         };
         let (h3, p3) = attach(3);

@@ -121,9 +121,7 @@ struct State {
     stats: ClientFaultStats,
     /// Ops whose reply arrived in time (lifecycle audit bookkeeping).
     completed_ops: u64,
-    /// The client's serial process thread: reply processing runs through
-    /// it with the rx-copy term at `rx_ps`.
-    proc: ProcessCpu,
+    /// Per-byte rx-copy cost of reply processing.
     rx_ps: u64,
 }
 
@@ -131,6 +129,10 @@ struct State {
 pub struct ClientProcess {
     state: Rc<RefCell<State>>,
     senders: Rc<RefCell<Vec<MsgSender<IodRequest>>>>,
+    /// The client's serial process thread: reply processing runs through
+    /// it. It lives beside `state`, not in it: a job waiting in its queue
+    /// captures `state`, so `state` must not own the thread.
+    proc: ProcessCpu,
 }
 
 impl std::fmt::Debug for ClientProcess {
@@ -176,10 +178,10 @@ impl ClientProcess {
                 retry: RetryPolicy::default(),
                 stats: ClientFaultStats::default(),
                 completed_ops: 0,
-                proc,
                 rx_ps: rx_ps_per_byte,
             })),
             senders: Rc::new(RefCell::new(Vec::new())),
+            proc,
         }
     }
 
@@ -286,8 +288,9 @@ impl ClientProcess {
     pub fn reply_handler(&self, conn_sock: Socket) -> impl FnMut(&mut Sim, IodReply) + 'static {
         let state = Rc::clone(&self.state);
         let senders = Rc::clone(&self.senders);
+        let proc = self.proc.clone();
         move |sim, reply| {
-            let (cost, proc) = {
+            let cost = {
                 let mut st = state.borrow_mut();
                 let Some(opst) = st.ops.remove(&reply.op()) else {
                     // The op was already retried or abandoned; discard the
@@ -308,10 +311,7 @@ impl ClientProcess {
                     IodReply::Data { len, .. } => len,
                     IodReply::Ack { .. } => WRITE_ACK_BYTES,
                 };
-                (
-                    st.params.consume_cost(len, rx_bytes, st.rx_ps),
-                    st.proc.clone(),
-                )
+                st.params.consume_cost(len, rx_bytes, st.rx_ps)
             };
             let state2 = Rc::clone(&state);
             let senders2 = Rc::clone(&senders);

@@ -201,7 +201,6 @@ fn run_traced_modes(
     // is charged on the receiving side.
     let rx_iod = cfg.iod.rx_ps_per_byte(cfg.ioat.dma_engine);
     let rx_client = cfg.client.rx_ps_per_byte(cfg.ioat.dma_engine);
-    let mut client_cpus: Vec<ProcessCpu> = Vec::new();
     let mut daemon_cpus: Vec<ProcessCpu> = Vec::new();
     let mut manager_cpu: Option<ProcessCpu> = None;
 
@@ -214,17 +213,15 @@ fn run_traced_modes(
             client_socks.push(cs);
             server_socks.push(ss);
         }
-        let client_cpu = ProcessCpu::new(client_socks[0].clone());
         let process = Rc::new(ClientProcess::new(
             layout,
             region,
             mode_of(c),
             cfg.client,
             Rc::clone(&done),
-            client_cpu.clone(),
+            ProcessCpu::new(client_socks[0].clone()),
             rx_client,
         ));
-        client_cpus.push(client_cpu);
         process.set_faults(client_faults.clone(), cfg.retry);
         processes.push(Rc::clone(&process));
         let lane = TrackId::new(IO_LANES_NODE, c as u32);
@@ -317,11 +314,6 @@ fn run_traced_modes(
             last_open_us: (*last_open.borrow() - SimTime::ZERO).as_micros_f64(),
         }
     };
-    // Jobs still queued at the horizon capture the processes that own
-    // these threads; drop them so the whole model is freed on return.
-    for cpu in client_cpus.iter().chain(&daemon_cpus).chain(&manager_cpu) {
-        cpu.clear();
-    }
     result
 }
 

@@ -89,15 +89,6 @@ impl ProcessCpu {
         self.dispatch(sim, cost, Box::new(then));
     }
 
-    /// Drops every job still waiting when the run stops. A waiting job
-    /// usually captures state that owns this very thread (a client's
-    /// reply continuation holds the client), so a queue left populated
-    /// keeps itself alive after the simulation is gone.
-    pub fn clear(&self) {
-        let waiting = std::mem::take(&mut *self.inner.queue.borrow_mut());
-        drop(waiting);
-    }
-
     fn dispatch(&self, sim: &mut Sim, cost: SimDuration, then: Box<dyn FnOnce(&mut Sim)>) {
         let this = self.clone();
         self.inner.sock.compute(sim, cost, move |sim| {
@@ -119,12 +110,14 @@ mod tests {
     use super::*;
     use ioat_netsim::config::{IoatConfig, SocketOpts, StackParams};
     use ioat_netsim::socket::socket_pair;
-    use ioat_netsim::stack::HostStack;
+    use ioat_netsim::stack::{HostStack, StackRef};
     use ioat_netsim::ConnId;
     use ioat_simcore::time::Bandwidth;
     use ioat_simcore::SimTime;
 
-    fn sock_on_4core_node() -> (Sim, Socket) {
+    /// A socket on a 4-core node; the caller keeps the stacks, because
+    /// the socket does not.
+    fn sock_on_4core_node() -> (Sim, [StackRef; 2], Socket) {
         let sim = Sim::new();
         let a = HostStack::new("a", 4, StackParams::default(), IoatConfig::disabled());
         let b = HostStack::new("b", 4, StackParams::default(), IoatConfig::disabled());
@@ -136,14 +129,14 @@ mod tests {
             SocketOpts::tuned(),
             ConnId(1),
         );
-        (sim, sa)
+        (sim, [a, b], sa)
     }
 
     #[test]
     fn jobs_serialize_even_with_idle_cores() {
         // Four 100 µs jobs on a 4-core node: unserialized they would all
         // finish at ~100 µs; through one process they take ~400 µs.
-        let (mut sim, sock) = sock_on_4core_node();
+        let (mut sim, _stacks, sock) = sock_on_4core_node();
         let cpu = ProcessCpu::new(sock);
         let ends: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..4 {
@@ -164,7 +157,7 @@ mod tests {
 
     #[test]
     fn completion_order_is_submission_order() {
-        let (mut sim, sock) = sock_on_4core_node();
+        let (mut sim, _stacks, sock) = sock_on_4core_node();
         let cpu = ProcessCpu::new(sock);
         let order: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
         // Decreasing costs: a parallel pool would finish them reversed.
@@ -182,7 +175,7 @@ mod tests {
 
     #[test]
     fn reentrant_submission_from_a_job_keeps_fifo() {
-        let (mut sim, sock) = sock_on_4core_node();
+        let (mut sim, _stacks, sock) = sock_on_4core_node();
         let cpu = ProcessCpu::new(sock);
         let order: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
         let o1 = Rc::clone(&order);
