@@ -44,60 +44,6 @@ use ioat_bench as figs;
 use ioat_bench::report::{self, RunMeta};
 use ioat_core::metrics::ExperimentWindow;
 
-/// Every runnable target, with the one-line description `--list` prints.
-const TARGETS: &[(&str, &str)] = &[
-    ("fig3a", "Bandwidth (Mbps) vs 1-6 ports, I/OAT on/off"),
-    ("fig3b", "Bi-directional bandwidth vs 1-6 ports"),
-    ("fig4", "Multi-stream bandwidth vs thread count"),
-    ("fig5a", "Bandwidth under socket-optimization Cases 1-5"),
-    ("fig5b", "Bi-directional bandwidth under Cases 1-5"),
-    ("fig6", "CPU-based copy vs DMA-based copy latency table"),
-    ("fig7", "I/OAT feature split-up across message sizes"),
-    ("fig8a", "Data-center TPS, single-file traces"),
-    ("fig8b", "Data-center TPS, Zipf traces with proxy cache"),
-    ("fig9", "Emulated clients inside the data-center, 16K file"),
-    ("fig10a", "PVFS concurrent read, 6 I/O servers"),
-    ("fig10b", "PVFS concurrent read, 5 I/O servers"),
-    ("fig11a", "PVFS concurrent write, 6 I/O servers"),
-    ("fig11b", "PVFS concurrent write, 5 I/O servers"),
-    ("fig12", "PVFS multi-stream read, 1-64 emulated clients"),
-    (
-        "ext-pvfs-stripe",
-        "Ext: PVFS read vs striping factor, 2-12 servers",
-    ),
-    (
-        "ext-pvfs-clients",
-        "Ext: PVFS read vs client count, 2-16 clients",
-    ),
-    (
-        "ext-pvfs-stripesize",
-        "Ext: PVFS read vs stripe size, 16-256 KB",
-    ),
-    ("ext-pvfs-mixed", "Ext: PVFS mixed read/write streams"),
-    ("ext-pvfs-meta", "Ext: PVFS metadata-manager contention"),
-    ("abl-mq", "Ablation A1: multi-queue receive interrupts"),
-    (
-        "abl-copy",
-        "Ablation A2: async memcpy pinning-cost sensitivity",
-    ),
-    (
-        "abl-faults",
-        "Ablation A3: frame-loss sweep + PVFS daemon crash/failover",
-    ),
-    (
-        "abl-modern",
-        "Ablation A4: modern grid, rx mode x link rate x I/OAT",
-    ),
-    (
-        "abl-fabric-faults",
-        "Ablation A5: fabric faults, flaps x crashed switches",
-    ),
-    (
-        "fig_fabric",
-        "Fabric: fat-tree datacenter TPS, hosts x oversubscription",
-    ),
-];
-
 /// Every flag the parser accepts, for "did you mean" on unknown flags.
 const FLAGS: &[&str] = &[
     "--list",
@@ -135,8 +81,8 @@ fn closest<'a>(name: &str, candidates: impl Iterator<Item = &'a str>) -> &'a str
 
 fn print_list() {
     println!("repro targets ('all' or no target runs everything):");
-    for (name, desc) in TARGETS {
-        println!("  {name:<12} {desc}");
+    for fig in figs::FIGURES {
+        println!("  {:<12} {}", fig.name, fig.about);
     }
 }
 
@@ -259,12 +205,13 @@ fn main() {
 
     // Validate every requested target (and --fail's) before running
     // anything.
-    let known = |name: &str| TARGETS.iter().any(|(t, _)| *t == name);
+    let names = || figs::FIGURES.iter().map(|f| f.name);
+    let known = |name: &str| names().any(|n| n == name);
     for name in &cli.targets {
         if name != "all" && !known(name) {
             eprintln!(
                 "error: unknown target '{name}' — did you mean '{}'?",
-                closest(name, TARGETS.iter().map(|(t, _)| *t))
+                closest(name, names())
             );
             eprintln!("use --list to see all targets");
             std::process::exit(2);
@@ -274,7 +221,7 @@ fn main() {
         if !known(name) {
             eprintln!(
                 "error: --fail wants a known target, '{name}' is not one — did you mean '{}'?",
-                closest(name, TARGETS.iter().map(|(t, _)| *t))
+                closest(name, names())
             );
             std::process::exit(2);
         }
@@ -306,14 +253,14 @@ fn main() {
         sim_threads: cli.sim_threads,
     };
     let mut results = Vec::new();
-    for (name, _) in TARGETS {
+    for name in names() {
         if all || cli.targets.iter().any(|t| t == name) {
             // Figures run one at a time, so a reset here makes each
             // reading that figure's own peak; without it the reading would
             // be a process-lifetime mark, so it is dropped.
             let own_peak = figs::reset_peak_rss();
             let mut fig = figs::run_figure_supervised(name, window, cli.jobs, &opts)
-                .expect("TARGETS only lists known figures");
+                .expect("FIGURES only lists known figures");
             if !own_peak {
                 fig.peak_rss_bytes = None;
             }

@@ -1,13 +1,14 @@
 //! Figure runners behind the `repro` binary.
 //!
-//! One public builder per table/figure of the paper's evaluation section;
-//! each is a *pure* function returning a [`FigureResult`] — no printing.
-//! Every builder fans its independent configuration points across the
-//! [`sweep`] thread pool (`jobs` workers), and [`render`] turns the result
-//! into the table the paper reports. [`report::render_json`] serializes a
-//! whole run for machine consumption (`repro --json`). See `DESIGN.md` §4
-//! for the experiment index and `EXPERIMENTS.md` for paper-vs-measured
-//! records.
+//! [`FIGURES`] lists every table and figure of the paper's evaluation
+//! section, plus the ablations and extensions, each with its builder.
+//! A builder is a *pure* function returning a [`FigureResult`] — no
+//! printing. Every builder fans its independent configuration points
+//! across the [`sweep`] thread pool (`jobs` workers), and [`render`] turns
+//! the result into the table the paper reports. [`report::render_json`]
+//! serializes a whole run for machine consumption (`repro --json`). See
+//! `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for
+//! paper-vs-measured records.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,6 +27,7 @@ use ioat_datacenter::tiers::{self, DataCenterConfig};
 use ioat_pvfs::harness::{
     concurrent_read, concurrent_write, mixed_streams, multi_stream_read, PvfsConfig,
 };
+use ioat_simcore::stats::{relative_benefit, relative_improvement};
 
 /// A generic labelled comparison row printed by every figure runner.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,20 +47,12 @@ pub struct Row {
 impl Row {
     /// Relative throughput improvement of I/OAT.
     pub fn improvement(&self) -> f64 {
-        if self.non_ioat == 0.0 {
-            0.0
-        } else {
-            (self.ioat - self.non_ioat) / self.non_ioat
-        }
+        relative_improvement(self.ioat, self.non_ioat)
     }
 
     /// The paper's relative CPU benefit.
     pub fn cpu_benefit(&self) -> f64 {
-        if self.non_cpu == 0.0 {
-            0.0
-        } else {
-            (self.non_cpu - self.ioat_cpu) / self.non_cpu
-        }
+        relative_benefit(self.ioat_cpu, self.non_cpu)
     }
 }
 
@@ -127,7 +121,9 @@ impl FigureRows {
 /// The complete, machine-readable result of one figure run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigureResult {
-    /// Target id (`fig3a`, `abl-faults`, ...).
+    /// Target id (`fig3a`, `abl-faults`, ...): the [`Figure::name`]
+    /// [`run_figure`] built it from. Empty when a `*_points` builder is
+    /// called directly.
     pub name: String,
     /// Human title, printed as the table heading.
     pub title: String,
@@ -165,9 +161,9 @@ pub struct FigureResult {
 }
 
 impl FigureResult {
-    fn new(name: &str, title: &str, unit: &str, rows: FigureRows) -> Self {
+    fn new(title: &str, unit: &str, rows: FigureRows) -> Self {
         FigureResult {
-            name: name.to_string(),
+            name: String::new(),
             title: title.to_string(),
             unit: unit.to_string(),
             rows,
@@ -283,10 +279,598 @@ pub fn render(fig: &FigureResult) {
     }
 }
 
-/// Builds the standard ports/threads/clients comparison figure by
-/// fanning one job per point across `jobs` workers.
-fn compare_figure<P, F>(
-    name: &str,
+/// One `repro` target.
+pub struct Figure {
+    /// Target id (`fig3a`, `abl-faults`, ...): the name `repro` takes on
+    /// its command line and the report's `name` field.
+    pub name: &'static str,
+    /// The one-line description `repro --list` prints.
+    pub about: &'static str,
+    /// Builds the figure from the measurement window, the sweep worker
+    /// count and the partitioned-engine worker count.
+    build: fn(ExperimentWindow, usize, usize) -> FigureResult,
+}
+
+/// Every `repro` target, in the order `repro all` runs them — the order
+/// the committed baseline's figure list pins. Names are unique:
+/// [`run_figure`]'s lookup and `repro`'s did-you-mean both rely on it.
+pub static FIGURES: &[Figure] = &[
+    Figure {
+        name: "fig3a",
+        about: "Bandwidth (Mbps) vs 1-6 ports, I/OAT on/off",
+        build: |window, jobs, _| {
+            compare_figure(
+                "Fig 3a: Bandwidth (Mbps) vs ports",
+                "Mbps",
+                (1..=6).collect(),
+                jobs,
+                move |ports| {
+                    let mut cfg = bandwidth::BandwidthConfig::paper(ports);
+                    cfg.window = window;
+                    pair_row(
+                        format!("{ports} ports"),
+                        paper_pair(),
+                        |io| bandwidth::run(&cfg, io),
+                        |r| (r.mbps, r.rx_cpu),
+                    )
+                    .0
+                },
+            )
+        },
+    },
+    Figure {
+        name: "fig3b",
+        about: "Bi-directional bandwidth vs 1-6 ports",
+        build: |window, jobs, _| {
+            compare_figure(
+                "Fig 3b: Bi-directional bandwidth (Mbps) vs ports",
+                "Mbps",
+                (1..=6).collect(),
+                jobs,
+                move |ports| {
+                    let mut cfg = bidirectional::BidirConfig::paper(ports);
+                    cfg.window = window;
+                    pair_row(
+                        format!("{ports} ports"),
+                        paper_pair(),
+                        |io| bidirectional::run(&cfg, io),
+                        |r| (r.mbps, r.rx_cpu),
+                    )
+                    .0
+                },
+            )
+        },
+    },
+    Figure {
+        name: "fig4",
+        about: "Multi-stream bandwidth vs thread count",
+        build: |window, jobs, _| {
+            compare_figure(
+                "Fig 4: Multi-stream bandwidth (Mbps) vs threads",
+                "Mbps",
+                vec![1usize, 2, 4, 6, 8, 10, 12],
+                jobs,
+                move |threads| {
+                    let mut cfg = multistream::MultiStreamConfig::paper(threads);
+                    cfg.window = window;
+                    pair_row(
+                        format!("{threads} threads"),
+                        paper_pair(),
+                        |io| multistream::run(&cfg, io),
+                        |r| (r.mbps, r.rx_cpu),
+                    )
+                    .0
+                },
+            )
+        },
+    },
+    Figure {
+        name: "fig5a",
+        about: "Bandwidth under socket-optimization Cases 1-5",
+        build: |window, jobs, _| {
+            sockopt_fig(
+                "Fig 5a: Bandwidth under optimizations (Mbps)",
+                window,
+                jobs,
+                false,
+            )
+        },
+    },
+    Figure {
+        name: "fig5b",
+        about: "Bi-directional bandwidth under Cases 1-5",
+        build: |window, jobs, _| {
+            sockopt_fig(
+                "Fig 5b: Bi-dir bandwidth under optimizations (Mbps)",
+                window,
+                jobs,
+                true,
+            )
+        },
+    },
+    Figure {
+        name: "fig6",
+        about: "CPU-based copy vs DMA-based copy latency table",
+        build: |_, jobs, _| {
+            let rows = sweep::run_jobs(
+                copybench::paper_sizes()
+                    .into_iter()
+                    .map(|size| move || copybench::row(size))
+                    .collect::<Vec<_>>(),
+                jobs,
+            );
+            FigureResult::new(
+                "Fig 6: CPU-based copy vs DMA-based copy",
+                "us",
+                FigureRows::Copy(rows),
+            )
+        },
+    },
+    Figure {
+        name: "fig7",
+        about: "I/OAT feature split-up across message sizes",
+        build: |window, jobs, _| {
+            let cfg = splitup::SplitupConfig { ports: 4, window };
+            let rows = sweep::run_jobs(
+                splitup::small_sizes()
+                    .into_iter()
+                    .chain(splitup::large_sizes())
+                    .map(|size| move || splitup::row(&cfg, size))
+                    .collect::<Vec<_>>(),
+                jobs,
+            );
+            FigureResult::new(
+                "Fig 7: I/OAT split-up (4 ports)",
+                "Mbps",
+                FigureRows::Splitup(rows),
+            )
+        },
+    },
+    Figure {
+        name: "fig8a",
+        about: "Data-center TPS, single-file traces",
+        build: |window, jobs, _| {
+            compare_figure(
+                "Fig 8a: Data-center TPS, single-file traces",
+                "TPS",
+                [2u64, 4, 6, 8, 10].into_iter().enumerate().collect(),
+                jobs,
+                move |(i, kb)| {
+                    pair_row(
+                        format!("Trace {} ({kb}K)", i + 1),
+                        paper_pair(),
+                        |io| {
+                            let mut cfg = DataCenterConfig::paper(io);
+                            cfg.window = window;
+                            tiers::run_single_file(&cfg, kb * 1024)
+                        },
+                        |r| (r.tps, r.proxy_cpu),
+                    )
+                    .0
+                },
+            )
+        },
+    },
+    Figure {
+        name: "fig8b",
+        about: "Data-center TPS, Zipf traces with proxy cache",
+        build: |window, jobs, _| {
+            compare_figure(
+                "Fig 8b: Data-center TPS, Zipf traces",
+                "TPS",
+                vec![0.95, 0.90, 0.75, 0.50],
+                jobs,
+                move |alpha| {
+                    pair_row(
+                        format!("alpha={alpha}"),
+                        paper_pair(),
+                        |io| {
+                            let cfg = DataCenterConfig {
+                                window,
+                                proxy_cache_bytes: 512 << 20,
+                                client_ports: 4,
+                                tier_ports: 2,
+                                ..DataCenterConfig::paper(io)
+                            };
+                            tiers::run_zipf(&cfg, alpha, 10_000, 2 * 1024)
+                        },
+                        |r| (r.tps, r.proxy_cpu),
+                    )
+                    .0
+                },
+            )
+        },
+    },
+    Figure {
+        name: "fig9",
+        about: "Emulated clients inside the data-center, 16K file",
+        build: |window, jobs, _| {
+            compare_figure(
+                "Fig 9: Emulated clients, 16K file (TPS, client CPU)",
+                "TPS",
+                emulated::paper_thread_counts(),
+                jobs,
+                move |threads| {
+                    pair_row(
+                        format!("{threads} clients"),
+                        paper_pair(),
+                        |io| {
+                            let mut cfg = EmulatedConfig::paper(threads, io);
+                            cfg.window = window;
+                            emulated::run(&cfg)
+                        },
+                        |r| (r.tps, r.client_cpu),
+                    )
+                    .0
+                },
+            )
+        },
+    },
+    Figure {
+        name: "fig10a",
+        about: "PVFS concurrent read, 6 I/O servers",
+        build: |window, jobs, _| {
+            pvfs_fig(
+                "Fig 10a: PVFS concurrent read, 6 I/O servers",
+                6,
+                false,
+                window,
+                jobs,
+            )
+        },
+    },
+    Figure {
+        name: "fig10b",
+        about: "PVFS concurrent read, 5 I/O servers",
+        build: |window, jobs, _| {
+            pvfs_fig(
+                "Fig 10b: PVFS concurrent read, 5 I/O servers",
+                5,
+                false,
+                window,
+                jobs,
+            )
+        },
+    },
+    Figure {
+        name: "fig11a",
+        about: "PVFS concurrent write, 6 I/O servers",
+        build: |window, jobs, _| {
+            pvfs_fig(
+                "Fig 11a: PVFS concurrent write, 6 I/O servers",
+                6,
+                true,
+                window,
+                jobs,
+            )
+        },
+    },
+    Figure {
+        name: "fig11b",
+        about: "PVFS concurrent write, 5 I/O servers",
+        build: |window, jobs, _| {
+            pvfs_fig(
+                "Fig 11b: PVFS concurrent write, 5 I/O servers",
+                5,
+                true,
+                window,
+                jobs,
+            )
+        },
+    },
+    Figure {
+        name: "fig12",
+        about: "PVFS multi-stream read, 1-64 emulated clients",
+        build: |window, jobs, _| {
+            compare_figure(
+                "Fig 12: PVFS multi-stream read (client CPU)",
+                "MB/s",
+                vec![1usize, 2, 4, 8, 16, 32, 64],
+                jobs,
+                move |threads| {
+                    pair_row(
+                        format!("{threads} clients"),
+                        paper_pair(),
+                        |io| {
+                            let mut cfg = PvfsConfig::paper(6, 1, io);
+                            cfg.window = window;
+                            multi_stream_read(&cfg, threads)
+                        },
+                        |r| (r.mbytes_per_sec, r.client_cpu),
+                    )
+                    .0
+                },
+            )
+        },
+    },
+    // --- The `fig_pvfs_extended` family (`repro ext-pvfs-*`) -----------
+    //
+    // PVFS scenarios beyond the paper's figures, on the corrected
+    // single-threaded cost model. Row labels are stable dotted IDs
+    // (`group/case`, the nereid convention): the group names the swept
+    // dimension, the case its point — refactors rewire the builders
+    // without renaming a row, so reports stay diffable across time.
+    //
+    // The striping-factor sweep goes past the paper's 6 servers: each
+    // extra I/O daemon brings its own GigE port, so the wire ceiling keeps
+    // climbing while the shared 4-core client node's receive path (where
+    // the reads land) saturates — the I/OAT gap is widest exactly where
+    // the node, not the wire, is the constraint.
+    Figure {
+        name: "ext-pvfs-stripe",
+        about: "Ext: PVFS read vs striping factor, 2-12 servers",
+        build: |window, jobs, _| {
+            compare_figure(
+                "Ext: PVFS read vs striping factor (6 clients)",
+                "MB/s",
+                vec![2usize, 4, 6, 8, 10, 12],
+                jobs,
+                move |servers| {
+                    pair_row(
+                        format!("pvfs.stripe/s{servers}"),
+                        paper_pair(),
+                        |io| {
+                            let mut cfg = PvfsConfig::paper(servers, 6, io);
+                            cfg.window = window;
+                            concurrent_read(&cfg)
+                        },
+                        |r| (r.mbytes_per_sec, r.client_cpu),
+                    )
+                    .0
+                },
+            )
+        },
+    },
+    // Concurrent-client scaling beyond the paper's 6 compute processes,
+    // at the paper's 6 servers.
+    Figure {
+        name: "ext-pvfs-clients",
+        about: "Ext: PVFS read vs client count, 2-16 clients",
+        build: |window, jobs, _| {
+            compare_figure(
+                "Ext: PVFS read vs client count (6 servers)",
+                "MB/s",
+                vec![2usize, 4, 6, 8, 12, 16],
+                jobs,
+                move |clients| {
+                    pair_row(
+                        format!("pvfs.clients/c{clients}"),
+                        paper_pair(),
+                        |io| {
+                            let mut cfg = PvfsConfig::paper(6, clients, io);
+                            cfg.window = window;
+                            concurrent_read(&cfg)
+                        },
+                        |r| (r.mbytes_per_sec, r.client_cpu),
+                    )
+                    .0
+                },
+            )
+        },
+    },
+    // Stripe-unit sensitivity around the PVFS 1.x 64 KB default (6 servers
+    // × 6 clients, reads): small stripes pay the per-piece
+    // request/bookkeeping overhead more often, large stripes lump the
+    // serial per-piece work into coarser grains.
+    Figure {
+        name: "ext-pvfs-stripesize",
+        about: "Ext: PVFS read vs stripe size, 16-256 KB",
+        build: |window, jobs, _| {
+            compare_figure(
+                "Ext: PVFS read vs stripe size (6x6)",
+                "MB/s",
+                vec![16u64, 32, 64, 128, 256],
+                jobs,
+                move |stripe_kb| {
+                    pair_row(
+                        format!("pvfs.stripe_size/{stripe_kb}k"),
+                        paper_pair(),
+                        |io| {
+                            concurrent_read(&PvfsConfig {
+                                window,
+                                stripe: stripe_kb * 1024,
+                                ..PvfsConfig::paper(6, 6, io)
+                            })
+                        },
+                        |r| (r.mbytes_per_sec, r.client_cpu),
+                    )
+                    .0
+                },
+            )
+        },
+    },
+    // Mixed read/write streams over the same daemons (6 servers, 6
+    // clients, r readers + w writers). The CPU columns report the
+    // I/O-server node: it receives every write and serves every read, so
+    // it is the shared resource the mix contends on.
+    Figure {
+        name: "ext-pvfs-mixed",
+        about: "Ext: PVFS mixed read/write streams",
+        build: |window, jobs, _| {
+            compare_figure(
+                "Ext: PVFS mixed read/write streams (6x6)",
+                "MB/s",
+                vec![6usize, 4, 3, 2, 0],
+                jobs,
+                move |readers| {
+                    pair_row(
+                        format!("pvfs.mixed/r{readers}w{}", 6 - readers),
+                        paper_pair(),
+                        |io| {
+                            let mut cfg = PvfsConfig::paper(6, 6, io);
+                            cfg.window = window;
+                            mixed_streams(&cfg, readers)
+                        },
+                        |r| (r.mbytes_per_sec, r.server_cpu),
+                    )
+                    .0
+                },
+            )
+        },
+    },
+    // Metadata-manager contention: every open queues behind the single
+    // serial manager daemon (§3.2 — one process), so the time until the
+    // *last* client's open completes grows superlinearly with the client
+    // count. The primary metric is that completion time in µs, not
+    // bandwidth; I/OAT barely moves it (metadata messages are far below
+    // the copy-offload threshold), which is itself the result.
+    Figure {
+        name: "ext-pvfs-meta",
+        about: "Ext: PVFS metadata-manager contention",
+        build: |window, jobs, _| {
+            let mut fig = compare_figure(
+                "Ext: PVFS metadata-manager contention (2 servers)",
+                "us",
+                vec![4usize, 8, 16, 32],
+                jobs,
+                move |clients| {
+                    pair_row(
+                        format!("pvfs.meta/c{clients}"),
+                        paper_pair(),
+                        |io| {
+                            let mut cfg = PvfsConfig::paper(2, clients, io);
+                            cfg.window = window;
+                            concurrent_read(&cfg)
+                        },
+                        |r| (r.last_open_us, r.server_cpu),
+                    )
+                    .0
+                },
+            );
+            fig.notes.push(
+                "  metric: time until the last client's open completes (us); \
+                 opens serialize on the single manager daemon"
+                    .to_string(),
+            );
+            fig
+        },
+    },
+    // The multi-queue feature the paper could not measure (§2.2.3):
+    // multi-stream bandwidth with interrupts spread across cores.
+    Figure {
+        name: "abl-mq",
+        about: "Ablation A1: multi-queue receive interrupts",
+        build: |window, jobs, _| {
+            compare_figure(
+                "Ablation A1: I/OAT vs I/OAT+multi-queue (Mbps)",
+                "Mbps",
+                vec![4usize, 8, 12],
+                jobs,
+                move |threads| {
+                    let mut cfg = multistream::MultiStreamConfig::paper(threads);
+                    cfg.window = window;
+                    pair_row(
+                        format!("{threads} threads"),
+                        [IoatConfig::full(), IoatConfig::full_with_multi_queue()],
+                        |io| multistream::run(&cfg, io),
+                        |r| (r.mbps, r.rx_cpu),
+                    )
+                    .0
+                },
+            )
+        },
+    },
+    Figure {
+        name: "abl-copy",
+        about: "Ablation A2: async memcpy pinning-cost sensitivity",
+        build: |_, jobs, _| ablation_async_memcpy(jobs),
+    },
+    Figure {
+        name: "abl-faults",
+        about: "Ablation A3: frame-loss sweep + PVFS daemon crash/failover",
+        build: |window, jobs, _| ablation_faults(window, jobs),
+    },
+    Figure {
+        name: "abl-modern",
+        about: "Ablation A4: modern grid, rx mode x link rate x I/OAT",
+        build: modern::ablation_modern,
+    },
+    Figure {
+        name: "abl-fabric-faults",
+        about: "Ablation A5: fabric faults, flaps x crashed switches",
+        build: |window, jobs, sim_threads| {
+            let clients = if is_quick(window) { 10_240 } else { 102_400 };
+            let grid = vec![(0, 0), (2, 0), (8, 0), (0, 2), (2, 2), (8, 2)];
+            abl_fabric_faults_points(16, clients, grid, window, jobs, sim_threads)
+        },
+    },
+    Figure {
+        name: "fig_fabric",
+        about: "Fabric: fat-tree datacenter TPS, hosts x oversubscription",
+        build: |window, jobs, sim_threads| {
+            let points = if is_quick(window) {
+                vec![(16, 1.0, 10_240), (16, 4.0, 10_240)]
+            } else {
+                vec![
+                    (16, 1.0, 102_400),
+                    (16, 2.0, 102_400),
+                    (16, 4.0, 102_400),
+                    (24, 4.0, 1_000_512),
+                ]
+            };
+            fig_fabric_points(points, window, jobs, sim_threads)
+        },
+    },
+];
+
+/// True for windows no longer than [`ExperimentWindow::quick`]: the
+/// figures whose full-window points are too large for a smoke run swap in
+/// smaller ones there.
+fn is_quick(window: ExperimentWindow) -> bool {
+    window.measure <= ExperimentWindow::quick().measure
+}
+
+/// The paper's I/OAT pair: traditional communication, then DMA engine +
+/// split headers.
+fn paper_pair() -> [IoatConfig; 2] {
+    [IoatConfig::disabled(), IoatConfig::full()]
+}
+
+/// Runs one comparison point under each configuration of `pair`,
+/// non-I/OAT first, and builds its row from the (metric, CPU) reading
+/// `read` takes of each result. The two results come back beside the row
+/// for points whose notes need more than the row holds.
+fn pair_row<R>(
+    label: String,
+    pair: [IoatConfig; 2],
+    run: impl Fn(IoatConfig) -> R,
+    read: impl Fn(&R) -> (f64, f64),
+) -> (Row, [R; 2]) {
+    let results = pair.map(run);
+    let [(non_ioat, non_cpu), (ioat, ioat_cpu)] = results.each_ref().map(read);
+    let row = Row {
+        label,
+        non_ioat,
+        ioat,
+        non_cpu,
+        ioat_cpu,
+    };
+    (row, results)
+}
+
+/// One point of a comparison figure: its row, plus the note lines,
+/// simulator events and parallel-engine telemetry it adds to the figure.
+struct Cell {
+    row: Row,
+    notes: Vec<String>,
+    sim_events: u64,
+    parsim: Vec<ParsimStats>,
+}
+
+impl From<Row> for Cell {
+    fn from(row: Row) -> Self {
+        Cell {
+            row,
+            notes: Vec::new(),
+            sim_events: 0,
+            parsim: Vec::new(),
+        }
+    }
+}
+
+/// Builds a comparison figure by fanning one job per point across `jobs`
+/// workers and folding the cells into it in point order.
+fn compare_figure<P, C, F>(
     title: &str,
     unit: &str,
     points: Vec<P>,
@@ -295,147 +879,69 @@ fn compare_figure<P, F>(
 ) -> FigureResult
 where
     P: Send,
-    F: Fn(P) -> Row + Send + Sync,
+    C: Into<Cell> + Send,
+    F: Fn(P) -> C + Send + Sync,
 {
     let point_fn = &point_fn;
-    let rows = sweep::run_jobs(
+    let cells = sweep::run_jobs(
         points
             .into_iter()
             .map(|p| move || point_fn(p))
             .collect::<Vec<_>>(),
         jobs,
     );
-    FigureResult::new(name, title, unit, FigureRows::Compare(rows))
-}
-
-/// One sweep cell of a comparison figure: its row, notes, simulator
-/// events and parallel-engine telemetry.
-type Cell = (Row, Vec<String>, u64, Vec<ParsimStats>);
-
-/// Folds sweep cells, in order, into a comparison figure.
-fn cells_figure(name: &str, title: &str, unit: &str, cells: Vec<Cell>) -> FigureResult {
-    let mut fig = FigureResult::new(name, title, unit, FigureRows::Compare(Vec::new()));
+    let mut fig = FigureResult::new(title, unit, FigureRows::Compare(Vec::new()));
     let mut rows = Vec::with_capacity(cells.len());
-    for (row, notes, events, parsim) in cells {
-        rows.push(row);
-        fig.notes.extend(notes);
-        fig.sim_events += events;
-        fig.parsim.extend(parsim);
+    for cell in cells {
+        let cell: Cell = cell.into();
+        rows.push(cell.row);
+        fig.notes.extend(cell.notes);
+        fig.sim_events += cell.sim_events;
+        fig.parsim.extend(cell.parsim);
     }
     fig.rows = FigureRows::Compare(rows);
     fig
 }
 
-/// One partitioned I/OAT-pair cell: runs `non_cfg` then `ioat_cfg` on
-/// the parallel engine and compares TPS and proxy-tier CPU under
-/// `label`. `notes` renders the cell's note lines from the two results;
-/// the pair's [`ParsimStats`] are labelled `"{label} non"` and
-/// `"{label} ioat"`.
+/// One partitioned I/OAT-pair cell: runs the configuration `cfg` builds
+/// for each side of `pair` on the parallel engine and compares TPS and
+/// proxy-tier CPU under `label`. `notes` renders the cell's note lines
+/// from the two results; the pair's [`ParsimStats`] are labelled
+/// `"{label} non"` and `"{label} ioat"`.
 fn dc_pair_cell(
     label: String,
-    non_cfg: &ScaleConfig,
-    ioat_cfg: &ScaleConfig,
+    pair: [IoatConfig; 2],
+    cfg: impl Fn(IoatConfig) -> ScaleConfig,
     sim_threads: usize,
     notes: impl FnOnce(&ScaleResult, &ScaleResult) -> Vec<String>,
 ) -> Cell {
-    let (non, non_rep) = run_partitioned(non_cfg, sim_threads);
-    let (ioat, ioat_rep) = run_partitioned(ioat_cfg, sim_threads);
-    let parsim = [("non", &non_rep), ("ioat", &ioat_rep)]
+    let (row, [(non, non_rep), (ioat, ioat_rep)]) = pair_row(
+        label,
+        pair,
+        |io| run_partitioned(&cfg(io), sim_threads),
+        |(r, _)| (r.tps, r.proxy_cpu),
+    );
+    let parsim = [("non", non_rep), ("ioat", ioat_rep)]
         .into_iter()
         .map(|(suffix, rep)| ParsimStats {
-            label: format!("{label} {suffix}"),
+            label: format!("{} {suffix}", row.label),
             partitions: rep.partitions,
             rounds: rep.rounds,
             mean_window_ns: rep.mean_window_ns(),
-            events: rep.events.clone(),
+            events: rep.events,
         })
         .collect();
-    let row = Row {
-        label,
-        non_ioat: non.tps,
-        ioat: ioat.tps,
-        non_cpu: non.proxy_cpu,
-        ioat_cpu: ioat.proxy_cpu,
-    };
-    (
+    Cell {
         row,
-        notes(&non, &ioat),
-        non.sim_events + ioat.sim_events,
+        notes: notes(&non, &ioat),
+        sim_events: non.sim_events + ioat.sim_events,
         parsim,
-    )
+    }
 }
 
-/// Fig. 3a — bandwidth vs number of ports.
-pub fn fig3a(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    compare_figure(
-        "fig3a",
-        "Fig 3a: Bandwidth (Mbps) vs ports",
-        "Mbps",
-        (1..=6).collect(),
-        jobs,
-        move |ports| {
-            let mut cfg = bandwidth::BandwidthConfig::paper(ports);
-            cfg.window = window;
-            let c = bandwidth::compare(&cfg);
-            Row {
-                label: format!("{ports} ports"),
-                non_ioat: c.non_ioat.mbps,
-                ioat: c.ioat.mbps,
-                non_cpu: c.non_ioat.rx_cpu,
-                ioat_cpu: c.ioat.rx_cpu,
-            }
-        },
-    )
-}
-
-/// Fig. 3b — bi-directional bandwidth vs number of ports.
-pub fn fig3b(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    compare_figure(
-        "fig3b",
-        "Fig 3b: Bi-directional bandwidth (Mbps) vs ports",
-        "Mbps",
-        (1..=6).collect(),
-        jobs,
-        move |ports| {
-            let mut cfg = bidirectional::BidirConfig::paper(ports);
-            cfg.window = window;
-            let c = bidirectional::compare(&cfg);
-            Row {
-                label: format!("{ports} ports"),
-                non_ioat: c.non_ioat.mbps,
-                ioat: c.ioat.mbps,
-                non_cpu: c.non_ioat.rx_cpu,
-                ioat_cpu: c.ioat.rx_cpu,
-            }
-        },
-    )
-}
-
-/// Fig. 4 — multi-stream bandwidth vs thread count.
-pub fn fig4(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    compare_figure(
-        "fig4",
-        "Fig 4: Multi-stream bandwidth (Mbps) vs threads",
-        "Mbps",
-        vec![1usize, 2, 4, 6, 8, 10, 12],
-        jobs,
-        move |threads| {
-            let mut cfg = multistream::MultiStreamConfig::paper(threads);
-            cfg.window = window;
-            let c = multistream::compare(&cfg);
-            Row {
-                label: format!("{threads} threads"),
-                non_ioat: c.non_ioat.mbps,
-                ioat: c.ioat.mbps,
-                non_cpu: c.non_ioat.rx_cpu,
-                ioat_cpu: c.ioat.rx_cpu,
-            }
-        },
-    )
-}
-
+/// Fig. 5a/5b — (bi-directional) bandwidth at 6 ports under the
+/// socket-optimization Cases 1–5.
 fn sockopt_fig(
-    name: &str,
     title: &str,
     window: ExperimentWindow,
     jobs: usize,
@@ -443,480 +949,73 @@ fn sockopt_fig(
 ) -> FigureResult {
     let ports = 6;
     compare_figure(
-        name,
         title,
         "Mbps",
         SocketOpts::all_cases().to_vec(),
         jobs,
         move |(label, opts)| {
-            let c = if bidirectional {
-                bidirectional::compare(&bidirectional::BidirConfig {
-                    ports,
-                    opts,
-                    window,
-                })
-            } else {
-                bandwidth::compare(&bandwidth::BandwidthConfig {
-                    ports,
-                    opts,
-                    window,
-                })
-            };
-            Row {
-                label: label.to_string(),
-                non_ioat: c.non_ioat.mbps,
-                ioat: c.ioat.mbps,
-                non_cpu: c.non_ioat.rx_cpu,
-                ioat_cpu: c.ioat.rx_cpu,
-            }
+            pair_row(
+                label.to_string(),
+                paper_pair(),
+                |io| {
+                    if bidirectional {
+                        let cfg = bidirectional::BidirConfig {
+                            ports,
+                            opts,
+                            window,
+                        };
+                        bidirectional::run(&cfg, io)
+                    } else {
+                        let cfg = bandwidth::BandwidthConfig {
+                            ports,
+                            opts,
+                            window,
+                        };
+                        bandwidth::run(&cfg, io)
+                    }
+                },
+                |r| (r.mbps, r.rx_cpu),
+            )
+            .0
         },
     )
 }
 
-/// Fig. 5a — bandwidth under socket-optimization Cases 1–5.
-pub fn fig5a(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    sockopt_fig(
-        "fig5a",
-        "Fig 5a: Bandwidth under optimizations (Mbps)",
-        window,
-        jobs,
-        false,
-    )
-}
-
-/// Fig. 5b — bi-directional bandwidth under Cases 1–5.
-pub fn fig5b(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    sockopt_fig(
-        "fig5b",
-        "Fig 5b: Bi-dir bandwidth under optimizations (Mbps)",
-        window,
-        jobs,
-        true,
-    )
-}
-
-/// Fig. 6 — CPU copy vs DMA copy (µs, plus overlap).
-pub fn fig6(jobs: usize) -> FigureResult {
-    let rows = sweep::run_jobs(
-        copybench::paper_sizes()
-            .into_iter()
-            .map(|size| move || copybench::row(size))
-            .collect::<Vec<_>>(),
-        jobs,
-    );
-    FigureResult::new(
-        "fig6",
-        "Fig 6: CPU-based copy vs DMA-based copy",
-        "us",
-        FigureRows::Copy(rows),
-    )
-}
-
-/// Fig. 7a/7b — feature split-up across message sizes.
-pub fn fig7(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    let cfg = splitup::SplitupConfig { ports: 4, window };
-    let rows = sweep::run_jobs(
-        splitup::small_sizes()
-            .into_iter()
-            .chain(splitup::large_sizes())
-            .map(|size| move || splitup::row(&cfg, size))
-            .collect::<Vec<_>>(),
-        jobs,
-    );
-    FigureResult::new(
-        "fig7",
-        "Fig 7: I/OAT split-up (4 ports)",
-        "Mbps",
-        FigureRows::Splitup(rows),
-    )
-}
-
-/// Fig. 8a — data-center TPS with single-file traces.
-pub fn fig8a(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    compare_figure(
-        "fig8a",
-        "Fig 8a: Data-center TPS, single-file traces",
-        "TPS",
-        [2u64, 4, 6, 8, 10].into_iter().enumerate().collect(),
-        jobs,
-        move |(i, kb)| {
-            let mut non_cfg = DataCenterConfig::paper(IoatConfig::disabled());
-            non_cfg.window = window;
-            let mut ioat_cfg = non_cfg.clone();
-            ioat_cfg.ioat = IoatConfig::full();
-            let non = tiers::run_single_file(&non_cfg, kb * 1024);
-            let ioat = tiers::run_single_file(&ioat_cfg, kb * 1024);
-            Row {
-                label: format!("Trace {} ({kb}K)", i + 1),
-                non_ioat: non.tps,
-                ioat: ioat.tps,
-                non_cpu: non.proxy_cpu,
-                ioat_cpu: ioat.proxy_cpu,
-            }
-        },
-    )
-}
-
-/// Fig. 8b — data-center TPS with Zipf traces.
-pub fn fig8b(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    compare_figure(
-        "fig8b",
-        "Fig 8b: Data-center TPS, Zipf traces",
-        "TPS",
-        vec![0.95, 0.90, 0.75, 0.50],
-        jobs,
-        move |alpha| {
-            let mut non_cfg = DataCenterConfig::paper(IoatConfig::disabled());
-            non_cfg.window = window;
-            non_cfg.proxy_cache_bytes = 512 << 20;
-            non_cfg.client_ports = 4;
-            non_cfg.tier_ports = 2;
-            let mut ioat_cfg = non_cfg.clone();
-            ioat_cfg.ioat = IoatConfig::full();
-            let non = tiers::run_zipf(&non_cfg, alpha, 10_000, 2 * 1024);
-            let ioat = tiers::run_zipf(&ioat_cfg, alpha, 10_000, 2 * 1024);
-            Row {
-                label: format!("alpha={alpha}"),
-                non_ioat: non.tps,
-                ioat: ioat.tps,
-                non_cpu: non.proxy_cpu,
-                ioat_cpu: ioat.proxy_cpu,
-            }
-        },
-    )
-}
-
-/// Fig. 9 — emulated clients inside the data-center (16 K file).
-pub fn fig9(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    compare_figure(
-        "fig9",
-        "Fig 9: Emulated clients, 16K file (TPS, client CPU)",
-        "TPS",
-        emulated::paper_thread_counts(),
-        jobs,
-        move |threads| {
-            let mut non_cfg = EmulatedConfig::paper(threads, IoatConfig::disabled());
-            non_cfg.window = window;
-            let mut ioat_cfg = non_cfg;
-            ioat_cfg.ioat = IoatConfig::full();
-            let non = emulated::run(&non_cfg);
-            let ioat = emulated::run(&ioat_cfg);
-            Row {
-                label: format!("{threads} clients"),
-                non_ioat: non.tps,
-                ioat: ioat.tps,
-                non_cpu: non.client_cpu,
-                ioat_cpu: ioat.client_cpu,
-            }
-        },
-    )
-}
-
+/// Fig. 10/11 — PVFS concurrent read or write over 1–6 clients.
 fn pvfs_fig(
-    name: &str,
     title: &str,
     io_servers: usize,
     write: bool,
     window: ExperimentWindow,
     jobs: usize,
 ) -> FigureResult {
-    compare_figure(
-        name,
-        title,
-        "MB/s",
-        (1..=6).collect(),
-        jobs,
-        move |clients| {
-            let mut non_cfg = PvfsConfig::paper(io_servers, clients, IoatConfig::disabled());
-            non_cfg.window = window;
-            let mut ioat_cfg = non_cfg.clone();
-            ioat_cfg.ioat = IoatConfig::full();
-            let (non, ioat) = if write {
-                (concurrent_write(&non_cfg), concurrent_write(&ioat_cfg))
-            } else {
-                (concurrent_read(&non_cfg), concurrent_read(&ioat_cfg))
-            };
+    compare_figure(title, "MB/s", (1..=6).collect(), jobs, move |clients| {
+        pair_row(
+            format!("{clients} clients"),
+            paper_pair(),
+            |io| {
+                let mut cfg = PvfsConfig::paper(io_servers, clients, io);
+                cfg.window = window;
+                if write {
+                    concurrent_write(&cfg)
+                } else {
+                    concurrent_read(&cfg)
+                }
+            },
             // The paper reports client CPU for reads, server CPU for
             // writes (receiver side).
-            let (ncpu, icpu) = if write {
-                (non.server_cpu, ioat.server_cpu)
-            } else {
-                (non.client_cpu, ioat.client_cpu)
-            };
-            Row {
-                label: format!("{clients} clients"),
-                non_ioat: non.mbytes_per_sec,
-                ioat: ioat.mbytes_per_sec,
-                non_cpu: ncpu,
-                ioat_cpu: icpu,
-            }
-        },
-    )
-}
-
-/// Fig. 10a — PVFS concurrent read, 6 I/O servers.
-pub fn fig10a(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    pvfs_fig(
-        "fig10a",
-        "Fig 10a: PVFS concurrent read, 6 I/O servers",
-        6,
-        false,
-        window,
-        jobs,
-    )
-}
-
-/// Fig. 10b — PVFS concurrent read, 5 I/O servers.
-pub fn fig10b(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    pvfs_fig(
-        "fig10b",
-        "Fig 10b: PVFS concurrent read, 5 I/O servers",
-        5,
-        false,
-        window,
-        jobs,
-    )
-}
-
-/// Fig. 11a — PVFS concurrent write, 6 I/O servers.
-pub fn fig11a(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    pvfs_fig(
-        "fig11a",
-        "Fig 11a: PVFS concurrent write, 6 I/O servers",
-        6,
-        true,
-        window,
-        jobs,
-    )
-}
-
-/// Fig. 11b — PVFS concurrent write, 5 I/O servers.
-pub fn fig11b(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    pvfs_fig(
-        "fig11b",
-        "Fig 11b: PVFS concurrent write, 5 I/O servers",
-        5,
-        true,
-        window,
-        jobs,
-    )
-}
-
-/// Fig. 12 — PVFS multi-stream read, 1–64 emulated clients.
-pub fn fig12(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    compare_figure(
-        "fig12",
-        "Fig 12: PVFS multi-stream read (client CPU)",
-        "MB/s",
-        vec![1usize, 2, 4, 8, 16, 32, 64],
-        jobs,
-        move |threads| {
-            let mut non_cfg = PvfsConfig::paper(6, 1, IoatConfig::disabled());
-            non_cfg.window = window;
-            let mut ioat_cfg = non_cfg.clone();
-            ioat_cfg.ioat = IoatConfig::full();
-            let non = multi_stream_read(&non_cfg, threads);
-            let ioat = multi_stream_read(&ioat_cfg, threads);
-            Row {
-                label: format!("{threads} clients"),
-                non_ioat: non.mbytes_per_sec,
-                ioat: ioat.mbytes_per_sec,
-                non_cpu: non.client_cpu,
-                ioat_cpu: ioat.client_cpu,
-            }
-        },
-    )
-}
-
-// --- The `fig_pvfs_extended` family (`repro ext-pvfs-*`) ---------------
-//
-// PVFS scenarios beyond the paper's figures, on the corrected
-// single-threaded cost model. Row labels are stable dotted IDs
-// (`group/case`, the nereid convention): the group names the swept
-// dimension, the case its point — refactors rewire the builders without
-// renaming a row, so reports stay diffable across time.
-
-/// ext-pvfs-stripe — striping-factor sweep past the paper's 6 servers:
-/// each extra I/O daemon brings its own GigE port, so the wire ceiling
-/// keeps climbing while the shared 4-core client node's receive path
-/// (where the reads land) saturates — the I/OAT gap is widest exactly
-/// where the node, not the wire, is the constraint.
-pub fn ext_pvfs_stripe(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    compare_figure(
-        "ext-pvfs-stripe",
-        "Ext: PVFS read vs striping factor (6 clients)",
-        "MB/s",
-        vec![2usize, 4, 6, 8, 10, 12],
-        jobs,
-        move |servers| {
-            let mut non_cfg = PvfsConfig::paper(servers, 6, IoatConfig::disabled());
-            non_cfg.window = window;
-            let mut ioat_cfg = non_cfg.clone();
-            ioat_cfg.ioat = IoatConfig::full();
-            let non = concurrent_read(&non_cfg);
-            let ioat = concurrent_read(&ioat_cfg);
-            Row {
-                label: format!("pvfs.stripe/s{servers}"),
-                non_ioat: non.mbytes_per_sec,
-                ioat: ioat.mbytes_per_sec,
-                non_cpu: non.client_cpu,
-                ioat_cpu: ioat.client_cpu,
-            }
-        },
-    )
-}
-
-/// ext-pvfs-clients — concurrent-client scaling beyond the paper's 6
-/// compute processes, at the paper's 6 servers.
-pub fn ext_pvfs_clients(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    compare_figure(
-        "ext-pvfs-clients",
-        "Ext: PVFS read vs client count (6 servers)",
-        "MB/s",
-        vec![2usize, 4, 6, 8, 12, 16],
-        jobs,
-        move |clients| {
-            let mut non_cfg = PvfsConfig::paper(6, clients, IoatConfig::disabled());
-            non_cfg.window = window;
-            let mut ioat_cfg = non_cfg.clone();
-            ioat_cfg.ioat = IoatConfig::full();
-            let non = concurrent_read(&non_cfg);
-            let ioat = concurrent_read(&ioat_cfg);
-            Row {
-                label: format!("pvfs.clients/c{clients}"),
-                non_ioat: non.mbytes_per_sec,
-                ioat: ioat.mbytes_per_sec,
-                non_cpu: non.client_cpu,
-                ioat_cpu: ioat.client_cpu,
-            }
-        },
-    )
-}
-
-/// ext-pvfs-stripesize — stripe-unit sensitivity around the PVFS 1.x
-/// 64 KB default (6 servers × 6 clients, reads): small stripes pay the
-/// per-piece request/bookkeeping overhead more often, large stripes
-/// lump the serial per-piece work into coarser grains.
-pub fn ext_pvfs_stripesize(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    compare_figure(
-        "ext-pvfs-stripesize",
-        "Ext: PVFS read vs stripe size (6x6)",
-        "MB/s",
-        vec![16u64, 32, 64, 128, 256],
-        jobs,
-        move |stripe_kb| {
-            let mut non_cfg = PvfsConfig::paper(6, 6, IoatConfig::disabled());
-            non_cfg.window = window;
-            non_cfg.stripe = stripe_kb * 1024;
-            let mut ioat_cfg = non_cfg.clone();
-            ioat_cfg.ioat = IoatConfig::full();
-            let non = concurrent_read(&non_cfg);
-            let ioat = concurrent_read(&ioat_cfg);
-            Row {
-                label: format!("pvfs.stripe_size/{stripe_kb}k"),
-                non_ioat: non.mbytes_per_sec,
-                ioat: ioat.mbytes_per_sec,
-                non_cpu: non.client_cpu,
-                ioat_cpu: ioat.client_cpu,
-            }
-        },
-    )
-}
-
-/// ext-pvfs-mixed — mixed read/write streams over the same daemons
-/// (6 servers, 6 clients, r readers + w writers). The CPU columns
-/// report the I/O-server node: it receives every write and serves every
-/// read, so it is the shared resource the mix contends on.
-pub fn ext_pvfs_mixed(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    compare_figure(
-        "ext-pvfs-mixed",
-        "Ext: PVFS mixed read/write streams (6x6)",
-        "MB/s",
-        vec![6usize, 4, 3, 2, 0],
-        jobs,
-        move |readers| {
-            let mut non_cfg = PvfsConfig::paper(6, 6, IoatConfig::disabled());
-            non_cfg.window = window;
-            let mut ioat_cfg = non_cfg.clone();
-            ioat_cfg.ioat = IoatConfig::full();
-            let non = mixed_streams(&non_cfg, readers);
-            let ioat = mixed_streams(&ioat_cfg, readers);
-            Row {
-                label: format!("pvfs.mixed/r{readers}w{}", 6 - readers),
-                non_ioat: non.mbytes_per_sec,
-                ioat: ioat.mbytes_per_sec,
-                non_cpu: non.server_cpu,
-                ioat_cpu: ioat.server_cpu,
-            }
-        },
-    )
-}
-
-/// ext-pvfs-meta — metadata-manager contention: every open queues behind
-/// the single serial manager daemon (§3.2 — one process), so the time
-/// until the *last* client's open completes grows superlinearly with the
-/// client count. The primary metric is that completion time in µs, not
-/// bandwidth; I/OAT barely moves it (metadata messages are far below the
-/// copy-offload threshold), which is itself the result.
-pub fn ext_pvfs_meta(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    let mut fig = compare_figure(
-        "ext-pvfs-meta",
-        "Ext: PVFS metadata-manager contention (2 servers)",
-        "us",
-        vec![4usize, 8, 16, 32],
-        jobs,
-        move |clients| {
-            let mut non_cfg = PvfsConfig::paper(2, clients, IoatConfig::disabled());
-            non_cfg.window = window;
-            let mut ioat_cfg = non_cfg.clone();
-            ioat_cfg.ioat = IoatConfig::full();
-            let non = concurrent_read(&non_cfg);
-            let ioat = concurrent_read(&ioat_cfg);
-            Row {
-                label: format!("pvfs.meta/c{clients}"),
-                non_ioat: non.last_open_us,
-                ioat: ioat.last_open_us,
-                non_cpu: non.server_cpu,
-                ioat_cpu: ioat.server_cpu,
-            }
-        },
-    );
-    fig.notes.push(
-        "  metric: time until the last client's open completes (us); \
-         opens serialize on the single manager daemon"
-            .to_string(),
-    );
-    fig
-}
-
-/// Ablation A1 — the multi-queue feature the paper could not measure
-/// (§2.2.3): multi-stream bandwidth with interrupts spread across cores.
-pub fn ablation_multiqueue(window: ExperimentWindow, jobs: usize) -> FigureResult {
-    compare_figure(
-        "abl-mq",
-        "Ablation A1: I/OAT vs I/OAT+multi-queue (Mbps)",
-        "Mbps",
-        vec![4usize, 8, 12],
-        jobs,
-        move |threads| {
-            let mut cfg = multistream::MultiStreamConfig::paper(threads);
-            cfg.window = window;
-            let base = multistream::run(&cfg, IoatConfig::full());
-            let mq = multistream::run(&cfg, IoatConfig::full_with_multi_queue());
-            Row {
-                label: format!("{threads} threads"),
-                non_ioat: base.mbps,
-                ioat: mq.mbps,
-                non_cpu: base.rx_cpu,
-                ioat_cpu: mq.rx_cpu,
-            }
-        },
-    )
+            |r| {
+                let cpu = if write { r.server_cpu } else { r.client_cpu };
+                (r.mbytes_per_sec, cpu)
+            },
+        )
+        .0
+    })
 }
 
 /// Ablation A2 — user-level asynchronous memcpy (§7/§8 future work):
 /// where the pinning cost makes the copy engine unattractive.
-pub fn ablation_async_memcpy(jobs: usize) -> FigureResult {
+fn ablation_async_memcpy(jobs: usize) -> FigureResult {
     use ioat_memsim::{AddressAllocator, DmaConfig, DmaEngine, DmaRequest};
     let rows = sweep::run_jobs(
         copybench::paper_sizes()
@@ -941,7 +1040,6 @@ pub fn ablation_async_memcpy(jobs: usize) -> FigureResult {
         jobs,
     );
     FigureResult::new(
-        "abl-copy",
         "Ablation A2: user-level async memcpy, pinning-cost sensitivity",
         "us",
         FigureRows::Pinning(rows),
@@ -958,38 +1056,37 @@ pub fn ablation_async_memcpy(jobs: usize) -> FigureResult {
 /// crashes one of two PVFS I/O daemons for a third of the run and shows
 /// the client deadline/failover machinery keeping data flowing; its
 /// summary lands in [`FigureResult::notes`].
-pub fn ablation_faults(window: ExperimentWindow, jobs: usize) -> FigureResult {
+fn ablation_faults(window: ExperimentWindow, jobs: usize) -> FigureResult {
     use ioat_faults::{CrashWindow, FaultPlan, TimeWindow};
     use ioat_simcore::{SimDuration, SimTime};
 
-    let point_jobs: Vec<_> = [0.0, 1e-5, 1e-4, 1e-3]
-        .into_iter()
-        .map(|p| {
-            move || {
-                let mut cfg = bandwidth::BandwidthConfig::paper(2);
-                cfg.window = window;
-                let plan = FaultPlan::bernoulli_loss(0xFA017, p);
-                let non = bandwidth::run_with_faults(&cfg, IoatConfig::disabled(), &plan);
-                let ioat = bandwidth::run_with_faults(&cfg, IoatConfig::full(), &plan);
-                let row = Row {
-                    label: format!("loss={p:.0e}"),
-                    non_ioat: non.throughput.mbps,
-                    ioat: ioat.throughput.mbps,
-                    non_cpu: non.throughput.rx_cpu,
-                    ioat_cpu: ioat.throughput.rx_cpu,
-                };
-                let note = format!(
-                    "  loss={p:<7.0e} drops {:>6}  retx {:>6}  rto {:>4}",
-                    non.frames_dropped + ioat.frames_dropped,
-                    non.retransmits + ioat.retransmits,
-                    non.rto_timeouts + ioat.rto_timeouts,
-                );
-                (row, note)
+    let mut fig = compare_figure(
+        "Ablation A3a: frame loss vs throughput/CPU (2 ports)",
+        "Mbps",
+        vec![0.0, 1e-5, 1e-4, 1e-3],
+        jobs,
+        move |p: f64| {
+            let mut cfg = bandwidth::BandwidthConfig::paper(2);
+            cfg.window = window;
+            let plan = FaultPlan::bernoulli_loss(0xFA017, p);
+            let (row, [non, ioat]) = pair_row(
+                format!("loss={p:.0e}"),
+                paper_pair(),
+                |io| bandwidth::run_with_faults(&cfg, io, &plan),
+                |r| (r.throughput.mbps, r.throughput.rx_cpu),
+            );
+            let note = format!(
+                "  loss={p:<7.0e} drops {:>6}  retx {:>6}  rto {:>4}",
+                non.frames_dropped + ioat.frames_dropped,
+                non.retransmits + ioat.retransmits,
+                non.rto_timeouts + ioat.rto_timeouts,
+            );
+            Cell {
+                notes: vec![note],
+                ..row.into()
             }
-        })
-        .collect();
-    let (rows, mut notes): (Vec<Row>, Vec<String>) =
-        sweep::run_jobs(point_jobs, jobs).into_iter().unzip();
+        },
+    );
 
     // Part 2: PVFS I/O-daemon crash + failover, clean vs crashed run.
     let to = window.to();
@@ -1014,55 +1111,33 @@ pub fn ablation_faults(window: ExperimentWindow, jobs: usize) -> FigureResult {
     );
     let f = failover.pop().expect("two failover jobs");
     let c = failover.pop().expect("two failover jobs");
-    notes.push("--- A3b: PVFS I/O-daemon crash + failover (2 servers) ---".to_string());
-    notes.push(format!("  clean   {:>8.0} MB/s", c.mbytes_per_sec));
-    notes.push(format!(
+    fig.notes
+        .push("--- A3b: PVFS I/O-daemon crash + failover (2 servers) ---".to_string());
+    fig.notes
+        .push(format!("  clean   {:>8.0} MB/s", c.mbytes_per_sec));
+    fig.notes.push(format!(
         "  crashed {:>8.0} MB/s  (drops {}, timeouts {}, retries {}, failovers {}, stale {}, failed {})",
         f.mbytes_per_sec, f.daemon_drops, f.timeouts, f.retries, f.failovers, f.stale_replies,
         f.failed_ops
     ));
-
-    let mut fig = FigureResult::new(
-        "abl-faults",
-        "Ablation A3a: frame loss vs throughput/CPU (2 ports)",
-        "Mbps",
-        FigureRows::Compare(rows),
-    );
-    fig.notes = notes;
     fig
 }
 
 /// The fabric family — the datacenter behind a fat-tree Clos fabric,
-/// swept over host count × oversubscription with I/OAT on/off. Quick
-/// windows run a two-point smoke on a 1024-host fat-tree(16) with
-/// ~10 K emulated clients; full windows add the oversubscription sweep
-/// at ~100 K clients and the fat-tree(24) headline point fronting
-/// ~10⁶ clients. Every point runs on the conservative parallel engine
-/// (`ioat_datacenter::run_partitioned`) with `sim_threads` workers —
-/// results are bit-identical at any worker count, so `sim_threads` only
-/// buys wall-clock. Unlike the paper figures this family also reports
-/// simulator scale: total events executed (and thus events/sec in the
-/// JSON report), per-partition event counts and achieved window sizes
-/// ([`ParsimStats`]), plus per-point tail-latency and switch-drop notes.
-pub fn fig_fabric(window: ExperimentWindow, jobs: usize, sim_threads: usize) -> FigureResult {
-    let quick = window.measure <= ExperimentWindow::quick().measure;
-    let points: Vec<(usize, f64, usize)> = if quick {
-        vec![(16, 1.0, 10_240), (16, 4.0, 10_240)]
-    } else {
-        vec![
-            (16, 1.0, 102_400),
-            (16, 2.0, 102_400),
-            (16, 4.0, 102_400),
-            (24, 4.0, 1_000_512),
-        ]
-    };
-    fig_fabric_points(points, window, jobs, sim_threads)
-}
-
-/// The `fig_fabric` sweep over an explicit `(k, oversubscription,
-/// clients)` point list. The determinism suite drives this with a
-/// miniature point set (debug builds cannot afford 1024-host sweeps);
-/// [`fig_fabric`] is exactly this with the standard points.
+/// swept over an explicit `(k, oversubscription, clients)` point list
+/// with I/OAT on/off. The `fig_fabric` target's quick windows run a
+/// two-point smoke on a 1024-host fat-tree(16) with ~10 K emulated
+/// clients; its full windows add the oversubscription sweep at ~100 K
+/// clients and the fat-tree(24) headline point fronting ~10⁶ clients.
+/// The determinism suite drives this with a miniature point set (debug
+/// builds cannot afford 1024-host sweeps). Every point runs on the
+/// conservative parallel engine (`ioat_datacenter::run_partitioned`) with
+/// `sim_threads` workers — results are bit-identical at any worker count,
+/// so `sim_threads` only buys wall-clock. Unlike the paper figures this
+/// family also reports simulator scale: total events executed (and thus
+/// events/sec in the JSON report), per-partition event counts and
+/// achieved window sizes ([`ParsimStats`]), plus per-point tail-latency
+/// and switch-drop notes.
 pub fn fig_fabric_points(
     points: Vec<(usize, f64, usize)>,
     window: ExperimentWindow,
@@ -1070,66 +1145,48 @@ pub fn fig_fabric_points(
     sim_threads: usize,
 ) -> FigureResult {
     let sim_threads = sim_threads.max(1);
-    let results = sweep::run_jobs(
-        points
-            .into_iter()
-            .map(|(k, oversub, clients)| {
-                move || {
-                    let mut non_cfg =
-                        ScaleConfig::fat_tree(k, oversub, clients, IoatConfig::disabled());
-                    non_cfg.window = window;
-                    let mut ioat_cfg = non_cfg;
-                    ioat_cfg.ioat = IoatConfig::full();
-                    let label = format!("k={k} o={oversub:.0} {}K", clients / 1000);
-                    dc_pair_cell(label, &non_cfg, &ioat_cfg, sim_threads, |non, ioat| {
-                        vec![format!(
-                            "  k={k:<2} o={oversub:.0} {:>5} hosts {clients:>9} clients: \
-                             p50 {:>6} us  p99 {:>7} us  drops {:>7}  web-cpu {:>5.1}%",
-                            k * k * k / 4,
-                            ioat.latency_p50_us,
-                            ioat.latency_p99_us,
-                            non.tail_drops + ioat.tail_drops,
-                            ioat.web_cpu * 100.0
-                        )]
-                    })
-                }
-            })
-            .collect::<Vec<_>>(),
-        jobs,
-    );
-    cells_figure(
-        "fig_fabric",
+    compare_figure(
         "Fabric: fat-tree datacenter TPS, hosts x oversubscription",
         "TPS",
-        results,
+        points,
+        jobs,
+        move |(k, oversub, clients)| {
+            dc_pair_cell(
+                format!("k={k} o={oversub:.0} {}K", clients / 1000),
+                paper_pair(),
+                |io| ScaleConfig {
+                    window,
+                    ..ScaleConfig::fat_tree(k, oversub, clients, io)
+                },
+                sim_threads,
+                |non, ioat| {
+                    vec![format!(
+                        "  k={k:<2} o={oversub:.0} {:>5} hosts {clients:>9} clients: \
+                         p50 {:>6} us  p99 {:>7} us  drops {:>7}  web-cpu {:>5.1}%",
+                        k * k * k / 4,
+                        ioat.latency_p50_us,
+                        ioat.latency_p99_us,
+                        non.tail_drops + ioat.tail_drops,
+                        ioat.web_cpu * 100.0
+                    )]
+                },
+            )
+        },
     )
 }
 
 /// Ablation A5 — the fabric fault domain at datacenter scale.
 ///
-/// Sweeps link-flap count × crashed-switch count over the `fig_fabric`
-/// fat-tree(16) with I/OAT off/on. Every cell runs with the overload
-/// protections armed — a proxy admission budget and hedged retries — so
-/// the table reports not just degradation (TPS/p99 under faults) but the
-/// recovery machinery at work: ECMP failover, shed load, hedge wins.
-/// The flap schedules are prefix-supersets (f2's windows are a prefix of
-/// f8's), so blackhole counts are structurally monotone in flap count.
-pub fn abl_fabric_faults(
-    window: ExperimentWindow,
-    jobs: usize,
-    sim_threads: usize,
-) -> FigureResult {
-    let quick = window.measure <= ExperimentWindow::quick().measure;
-    let clients = if quick { 10_240 } else { 102_400 };
-    let grid: Vec<(u32, u32)> = vec![(0, 0), (2, 0), (8, 0), (0, 2), (2, 2), (8, 2)];
-    abl_fabric_faults_points(16, clients, grid, window, jobs, sim_threads)
-}
-
-/// The `abl-fabric-faults` sweep over an explicit topology size and
-/// `(flaps_per_link, crashed_switches)` grid. The determinism suite
-/// drives this with a miniature fat-tree (debug builds cannot afford
-/// 1024-host sweeps); [`abl_fabric_faults`] is exactly this with the
-/// standard grid.
+/// Sweeps an explicit `(flaps_per_link, crashed_switches)` grid over a
+/// fat-tree(`k`) with I/OAT off/on; the `abl-fabric-faults` target runs
+/// the `fig_fabric` fat-tree(16), and the determinism suite a miniature
+/// one (debug builds cannot afford 1024-host sweeps). Every cell runs
+/// with the overload protections armed — a proxy admission budget and
+/// hedged retries — so the table reports not just degradation (TPS/p99
+/// under faults) but the recovery machinery at work: ECMP failover, shed
+/// load, hedge wins. The flap schedules are prefix-supersets (f2's
+/// windows are a prefix of f8's), so blackhole counts are structurally
+/// monotone in flap count.
 pub fn abl_fabric_faults_points(
     k: usize,
     clients: usize,
@@ -1150,44 +1207,40 @@ pub fn abl_fabric_faults_points(
         max_retries: 2,
         backoff: 2.0,
     };
-    let results = sweep::run_jobs(
-        grid.into_iter()
-            .map(|(flaps, crashed)| {
-                move || {
-                    let mut non_cfg =
-                        ScaleConfig::fat_tree(k, 1.0, clients, IoatConfig::disabled());
-                    non_cfg.window = window;
-                    non_cfg.faults = FabricFaultSpec {
+    compare_figure(
+        "Ablation A5: fabric faults, flaps x crashed switches, protection armed",
+        "TPS",
+        grid,
+        jobs,
+        move |(flaps, crashed)| {
+            dc_pair_cell(
+                format!("abl.fabfault/f{flaps}c{crashed}"),
+                paper_pair(),
+                |io| ScaleConfig {
+                    window,
+                    faults: FabricFaultSpec {
                         flaps_per_link: flaps,
                         crashed_switches: crashed,
                         ..FabricFaultSpec::none()
-                    };
-                    non_cfg.admit_budget = Some(32);
-                    non_cfg.hedge = Some(hedge);
-                    let mut ioat_cfg = non_cfg;
-                    ioat_cfg.ioat = IoatConfig::full();
-                    let label = format!("abl.fabfault/f{flaps}c{crashed}");
-                    dc_pair_cell(label, &non_cfg, &ioat_cfg, sim_threads, |non, ioat| {
-                        vec![format!(
-                            "  f{flaps} c{crashed}: p99 {:>7}/{:>7} us  blackholes {:>7}  \
-                             shed {:>6}  hedges {:>6}",
-                            non.latency_p99_us,
-                            ioat.latency_p99_us,
-                            non.route_blackholes + ioat.route_blackholes,
-                            non.shed + ioat.shed,
-                            non.hedges + ioat.hedges,
-                        )]
-                    })
-                }
-            })
-            .collect::<Vec<_>>(),
-        jobs,
-    );
-    cells_figure(
-        "abl-fabric-faults",
-        "Ablation A5: fabric faults, flaps x crashed switches, protection armed",
-        "TPS",
-        results,
+                    },
+                    admit_budget: Some(32),
+                    hedge: Some(hedge),
+                    ..ScaleConfig::fat_tree(k, 1.0, clients, io)
+                },
+                sim_threads,
+                |non, ioat| {
+                    vec![format!(
+                        "  f{flaps} c{crashed}: p99 {:>7}/{:>7} us  blackholes {:>7}  \
+                         shed {:>6}  hedges {:>6}",
+                        non.latency_p99_us,
+                        ioat.latency_p99_us,
+                        non.route_blackholes + ioat.route_blackholes,
+                        non.shed + ioat.shed,
+                        non.hedges + ioat.hedges,
+                    )]
+                },
+            )
+        },
     )
 }
 
@@ -1215,8 +1268,8 @@ pub fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
-/// Builds one figure by target name. Returns `None` for an unknown
-/// name — the `repro` CLI validates names first.
+/// Builds the [`FIGURES`] entry named `name`. Returns `None` for an
+/// unknown name — the `repro` CLI validates names first.
 /// `sim_threads` sets the partitioned-engine worker count for the
 /// figures that run on it (the `fig_fabric` family and the datacenter
 /// cells of `abl-modern`; the paper figures are single simulations and
@@ -1227,35 +1280,10 @@ pub fn run_figure(
     jobs: usize,
     sim_threads: usize,
 ) -> Option<FigureResult> {
-    Some(match name {
-        "fig3a" => fig3a(window, jobs),
-        "fig3b" => fig3b(window, jobs),
-        "fig4" => fig4(window, jobs),
-        "fig5a" => fig5a(window, jobs),
-        "fig5b" => fig5b(window, jobs),
-        "fig6" => fig6(jobs),
-        "fig7" => fig7(window, jobs),
-        "fig8a" => fig8a(window, jobs),
-        "fig8b" => fig8b(window, jobs),
-        "fig9" => fig9(window, jobs),
-        "fig10a" => fig10a(window, jobs),
-        "fig10b" => fig10b(window, jobs),
-        "fig11a" => fig11a(window, jobs),
-        "fig11b" => fig11b(window, jobs),
-        "fig12" => fig12(window, jobs),
-        "ext-pvfs-stripe" => ext_pvfs_stripe(window, jobs),
-        "ext-pvfs-clients" => ext_pvfs_clients(window, jobs),
-        "ext-pvfs-stripesize" => ext_pvfs_stripesize(window, jobs),
-        "ext-pvfs-mixed" => ext_pvfs_mixed(window, jobs),
-        "ext-pvfs-meta" => ext_pvfs_meta(window, jobs),
-        "abl-mq" => ablation_multiqueue(window, jobs),
-        "abl-copy" => ablation_async_memcpy(jobs),
-        "abl-faults" => ablation_faults(window, jobs),
-        "abl-modern" => modern::ablation_modern(window, jobs, sim_threads),
-        "abl-fabric-faults" => abl_fabric_faults(window, jobs, sim_threads),
-        "fig_fabric" => fig_fabric(window, jobs, sim_threads),
-        _ => return None,
-    })
+    let figure = FIGURES.iter().find(|f| f.name == name)?;
+    let mut fig = (figure.build)(window, jobs, sim_threads);
+    fig.name = figure.name.to_string();
+    Some(fig)
 }
 
 /// Options for [`run_figure_supervised`].
@@ -1346,12 +1374,13 @@ pub fn run_figure_supervised(
         ),
     };
     let mut fig = partial.unwrap_or_else(|| {
-        FigureResult::new(
-            name,
+        let mut fig = FigureResult::new(
             &format!("{name} (failed)"),
             "",
             FigureRows::Compare(Vec::new()),
-        )
+        );
+        fig.name = name.to_string();
+        fig
     });
     fig.wall_ms = start.elapsed().as_secs_f64() * 1e3;
     fig.peak_rss_bytes = peak_rss_bytes();
@@ -1518,8 +1547,16 @@ mod tests {
     }
 
     #[test]
+    fn figure_names_are_unique() {
+        let mut names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FIGURES.len(), "a name is listed twice");
+    }
+
+    #[test]
     fn fig6_runner_returns_full_table() {
-        let fig = fig6(2);
+        let fig = run_figure("fig6", ExperimentWindow::quick(), 2, 1).expect("known");
         let FigureRows::Copy(t) = &fig.rows else {
             panic!("fig6 produces the copy table");
         };
@@ -1576,7 +1613,7 @@ mod tests {
     #[test]
     fn quick_windows_run_a_whole_figure() {
         // Smoke: fig3a at quick windows produces 6 ordered rows.
-        let fig = fig3a(ExperimentWindow::quick(), 2);
+        let fig = run_figure("fig3a", ExperimentWindow::quick(), 2, 1).expect("known");
         let rows = fig.compare_rows().expect("fig3a is a compare table");
         assert_eq!(rows.len(), 6);
         for w in rows.windows(2) {
@@ -1590,8 +1627,8 @@ mod tests {
         // a pure function of the configuration, so the sweep-pool worker
         // count must be unobservable.
         let w = ExperimentWindow::quick();
-        let a = ext_pvfs_meta(w, 1);
-        let b = ext_pvfs_meta(w, 8);
+        let a = run_figure("ext-pvfs-meta", w, 1, 1).expect("known");
+        let b = run_figure("ext-pvfs-meta", w, 8, 1).expect("known");
         assert_eq!(a.rows, b.rows);
         assert_eq!(a.notes, b.notes);
         let rows = a.compare_rows().expect("compare table");

@@ -17,7 +17,9 @@
 //! per-workload verdict (does the CPU advantage grow, shrink, vanish or
 //! invert?) lands in [`FigureResult::notes`].
 
-use crate::{cells_figure, dc_pair_cell, sweep, Cell, FigureResult, FigureRows, Row};
+use crate::{
+    compare_figure, dc_pair_cell, is_quick, pair_row, Cell, FigureResult, FigureRows, Row,
+};
 use ioat_core::calibration::NodeProfile;
 use ioat_core::metrics::ExperimentWindow;
 use ioat_core::microbench::multistream::{self, MultiStreamConfig};
@@ -69,17 +71,13 @@ pub fn row_id(wl: ModernWorkload, gbps: u64, mode: RxMode) -> String {
 
 /// The non-I/OAT / I/OAT pair a cell compares: identical modern NIC
 /// features, differing only in the DMA copy engine + split headers.
-fn cell_pair(mode: RxMode) -> (IoatConfig, IoatConfig) {
-    (
+fn cell_pair(mode: RxMode) -> [IoatConfig; 2] {
+    [
         IoatConfig::disabled()
             .with_multi_queue(true)
             .with_rx_mode(mode),
         IoatConfig::full_with_multi_queue().with_rx_mode(mode),
-    )
-}
-
-fn is_quick(window: ExperimentWindow) -> bool {
-    window.measure <= ExperimentWindow::quick().measure
+    ]
 }
 
 /// The "cores you could reclaim" note for a polling cell: occupancy
@@ -101,7 +99,7 @@ fn occupancy_note(label: &str, non: (f64, f64), ioat: (f64, f64)) -> Option<Stri
     ))
 }
 
-fn cell_mstream(window: ExperimentWindow, gbps: u64, mode: RxMode) -> (Row, Vec<String>) {
+fn cell_mstream(window: ExperimentWindow, gbps: u64, mode: RxMode) -> Cell {
     let mut cfg = if is_quick(window) {
         MultiStreamConfig::quick_test(4)
     } else {
@@ -113,46 +111,38 @@ fn cell_mstream(window: ExperimentWindow, gbps: u64, mode: RxMode) -> (Row, Vec<
     cfg.window = window;
     cfg.opts = ioat_netsim::SocketOpts::modern_2026();
     let cfg = cfg.with_link(Bandwidth::from_gbps(gbps), NodeProfile::Modern2026);
-    let (non_io, ioat_io) = cell_pair(mode);
-    let non = multistream::run(&cfg, non_io);
-    let ioat = multistream::run(&cfg, ioat_io);
-    let label = row_id(ModernWorkload::MultiStream, gbps, mode);
+    let (row, [non, ioat]) = pair_row(
+        row_id(ModernWorkload::MultiStream, gbps, mode),
+        cell_pair(mode),
+        |io| multistream::run(&cfg, io),
+        |r| (r.mbps, r.rx_cpu),
+    );
     let notes = occupancy_note(
-        &label,
+        &row.label,
         (non.rx_cpu, non.rx_occupancy),
         (ioat.rx_cpu, ioat.rx_occupancy),
     )
     .into_iter()
     .collect();
-    (
-        Row {
-            label,
-            non_ioat: non.mbps,
-            ioat: ioat.mbps,
-            non_cpu: non.rx_cpu,
-            ioat_cpu: ioat.rx_cpu,
-        },
+    Cell {
         notes,
-    )
+        ..row.into()
+    }
 }
 
 fn cell_pvfs(window: ExperimentWindow, gbps: u64, mode: RxMode) -> Row {
     let clients = if is_quick(window) { 2 } else { 4 };
-    let mk = |io: IoatConfig| {
-        let mut cfg = PvfsConfig::quick_test(2, clients, io);
-        cfg.window = window;
-        cfg.with_link(Bandwidth::from_gbps(gbps), NodeProfile::Modern2026)
-    };
-    let (non_io, ioat_io) = cell_pair(mode);
-    let non = concurrent_read(&mk(non_io));
-    let ioat = concurrent_read(&mk(ioat_io));
-    Row {
-        label: row_id(ModernWorkload::Pvfs, gbps, mode),
-        non_ioat: non.mbytes_per_sec,
-        ioat: ioat.mbytes_per_sec,
-        non_cpu: non.client_cpu,
-        ioat_cpu: ioat.client_cpu,
-    }
+    pair_row(
+        row_id(ModernWorkload::Pvfs, gbps, mode),
+        cell_pair(mode),
+        |io| {
+            let mut cfg = PvfsConfig::quick_test(2, clients, io);
+            cfg.window = window;
+            concurrent_read(&cfg.with_link(Bandwidth::from_gbps(gbps), NodeProfile::Modern2026))
+        },
+        |r| (r.mbytes_per_sec, r.client_cpu),
+    )
+    .0
 }
 
 fn cell_dc(window: ExperimentWindow, gbps: u64, mode: RxMode, sim_threads: usize) -> Cell {
@@ -171,12 +161,11 @@ fn cell_dc(window: ExperimentWindow, gbps: u64, mode: RxMode, sim_threads: usize
         cfg.fabric.link_bandwidth = Bandwidth::from_gbps(gbps);
         cfg
     };
-    let (non_io, ioat_io) = cell_pair(mode);
     let label = row_id(ModernWorkload::DataCenter, gbps, mode);
     dc_pair_cell(
         label.clone(),
-        &mk(non_io),
-        &mk(ioat_io),
+        cell_pair(mode),
+        mk,
         sim_threads,
         |non, ioat| {
             occupancy_note(
@@ -254,8 +243,8 @@ fn verdict(wl: ModernWorkload, rows: &[Row]) -> String {
 
 /// The grid over an explicit `(workload, gbps, rx mode)` cell list. The
 /// determinism suite drives this with a miniature subset (debug builds
-/// cannot afford the full 48-cell grid); [`ablation_modern`] is exactly
-/// this with the standard cells plus verdict notes.
+/// cannot afford the full 48-cell grid); the `abl-modern` target is
+/// exactly this with the standard cells plus verdict notes.
 pub fn ablation_modern_points(
     points: Vec<(ModernWorkload, u64, RxMode)>,
     window: ExperimentWindow,
@@ -263,29 +252,16 @@ pub fn ablation_modern_points(
     sim_threads: usize,
 ) -> FigureResult {
     let sim_threads = sim_threads.max(1);
-    let results = sweep::run_jobs(
-        points
-            .into_iter()
-            .map(|(wl, gbps, mode)| {
-                move || match wl {
-                    ModernWorkload::MultiStream => {
-                        let (row, notes) = cell_mstream(window, gbps, mode);
-                        (row, notes, 0, Vec::new())
-                    }
-                    ModernWorkload::DataCenter => cell_dc(window, gbps, mode, sim_threads),
-                    ModernWorkload::Pvfs => {
-                        (cell_pvfs(window, gbps, mode), Vec::new(), 0, Vec::new())
-                    }
-                }
-            })
-            .collect::<Vec<_>>(),
-        jobs,
-    );
-    let mut fig = cells_figure(
-        "abl-modern",
+    let mut fig = compare_figure(
         "Ablation A4: modern offload grid, rx mode x link rate x I/OAT",
         "mixed",
-        results,
+        points,
+        jobs,
+        move |(wl, gbps, mode)| match wl {
+            ModernWorkload::MultiStream => cell_mstream(window, gbps, mode),
+            ModernWorkload::DataCenter => cell_dc(window, gbps, mode, sim_threads),
+            ModernWorkload::Pvfs => cell_pvfs(window, gbps, mode).into(),
+        },
     );
     fig.notes.push(
         "  every cell: Modern2026 hosts (8 cores, 32 MB LLC, ~3x cheaper \
@@ -297,7 +273,11 @@ pub fn ablation_modern_points(
 }
 
 /// The full modern-offload grid: all three workloads.
-pub fn ablation_modern(window: ExperimentWindow, jobs: usize, sim_threads: usize) -> FigureResult {
+pub(crate) fn ablation_modern(
+    window: ExperimentWindow,
+    jobs: usize,
+    sim_threads: usize,
+) -> FigureResult {
     let mut points: Vec<(ModernWorkload, u64, RxMode)> = Vec::new();
     for wl in ModernWorkload::ALL {
         for gbps in LINK_RATES_GBPS {
@@ -342,7 +322,7 @@ mod tests {
     #[test]
     fn cell_pair_differs_only_in_the_ioat_bundle() {
         for mode in RxMode::ALL {
-            let (non, ioat) = cell_pair(mode);
+            let [non, ioat] = cell_pair(mode);
             assert!(!non.dma_engine && !non.split_header);
             assert!(ioat.dma_engine && ioat.split_header);
             assert!(non.multi_queue && ioat.multi_queue);
@@ -355,14 +335,14 @@ mod tests {
     fn zero_copy_cells_have_no_ioat_delta_by_construction() {
         // Under kernel-bypass rx the engine is unused and split headers
         // are a no-op, so both grid cells are the same simulation.
-        let (row, _) = cell_mstream(ExperimentWindow::quick(), 40, RxMode::ZeroCopy);
+        let row = cell_mstream(ExperimentWindow::quick(), 40, RxMode::ZeroCopy).row;
         assert_eq!(row.non_ioat, row.ioat, "throughput must be identical");
         assert_eq!(row.non_cpu, row.ioat_cpu, "CPU must be identical");
     }
 
     #[test]
     fn mstream_grid_cell_shows_ioat_benefit_at_1g_irq() {
-        let (row, _) = cell_mstream(ExperimentWindow::quick(), 1, RxMode::Interrupt);
+        let row = cell_mstream(ExperimentWindow::quick(), 1, RxMode::Interrupt).row;
         assert!(
             row.cpu_benefit() > 0.0,
             "classic rx at 1 GbE should still favor I/OAT, got {:.3}",
@@ -372,7 +352,7 @@ mod tests {
 
     #[test]
     fn busy_poll_cells_report_the_spin_occupancy_gap() {
-        let (_, notes) = cell_mstream(ExperimentWindow::quick(), 10, RxMode::BusyPoll);
+        let notes = cell_mstream(ExperimentWindow::quick(), 10, RxMode::BusyPoll).notes;
         assert!(
             !notes.is_empty(),
             "a busy-poll cell must note its occupancy/utilization gap"
@@ -381,7 +361,7 @@ mod tests {
             notes[0].contains("occupancy"),
             "note names the gap: {notes:?}"
         );
-        let (_, irq_notes) = cell_mstream(ExperimentWindow::quick(), 10, RxMode::Interrupt);
+        let irq_notes = cell_mstream(ExperimentWindow::quick(), 10, RxMode::Interrupt).notes;
         assert!(
             irq_notes.is_empty(),
             "interrupt rx does not spin, so no gap to report: {irq_notes:?}"

@@ -77,8 +77,14 @@ fn list_prints_targets_and_exits_0() {
     let out = repro(&["--list"]);
     assert_eq!(out.status.code(), Some(0));
     let text = stdout(&out);
-    for target in ["fig3a", "fig12", "abl-faults", "abl-modern"] {
-        assert!(text.contains(target), "--list names {target}");
+    for fig in ioat_bench::FIGURES {
+        assert!(
+            text.lines().any(|l| {
+                l.split_whitespace().next() == Some(fig.name) && l.ends_with(fig.about)
+            }),
+            "--list names {} with its description:\n{text}",
+            fig.name
+        );
     }
 }
 

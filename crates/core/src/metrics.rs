@@ -1,6 +1,5 @@
 //! Experiment measurement: warm-up + window handling and result types.
 
-use ioat_simcore::stats::relative_benefit;
 use ioat_simcore::{SimDuration, SimTime};
 
 /// A warm-up + measurement window pair.
@@ -65,23 +64,6 @@ pub struct ThroughputResult {
     pub rx_occupancy: f64,
 }
 
-/// An I/OAT vs non-I/OAT comparison row, with the paper's derived
-/// metrics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Comparison {
-    /// The non-I/OAT result.
-    pub non_ioat: ThroughputResult,
-    /// The I/OAT result.
-    pub ioat: ThroughputResult,
-}
-
-impl Comparison {
-    /// The paper's "relative CPU benefit": `(b - a) / b` on receiver CPU.
-    pub fn relative_cpu_benefit(&self) -> f64 {
-        relative_benefit(self.ioat.rx_cpu, self.non_ioat.rx_cpu)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,25 +73,5 @@ mod tests {
         let w = ExperimentWindow::standard();
         assert_eq!(w.from(), SimTime::from_millis(30));
         assert_eq!(w.to(), SimTime::from_millis(180));
-    }
-
-    #[test]
-    fn comparison_metrics_match_paper_formulas() {
-        let c = Comparison {
-            non_ioat: ThroughputResult {
-                mbps: 5514.0,
-                rx_cpu: 0.37,
-                tx_cpu: 0.2,
-                rx_occupancy: 0.37,
-            },
-            ioat: ThroughputResult {
-                mbps: 5586.0,
-                rx_cpu: 0.29,
-                tx_cpu: 0.2,
-                rx_occupancy: 0.29,
-            },
-        };
-        // §4.1: 37% vs 29% is "close to 21%" relative benefit.
-        assert!((c.relative_cpu_benefit() - 0.216).abs() < 0.01);
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::calibration;
 use crate::cluster::{Cluster, NodeConfig};
-use crate::metrics::{Comparison, ExperimentWindow, ThroughputResult};
+use crate::metrics::{ExperimentWindow, ThroughputResult};
 use crate::microbench::stream;
 use ioat_faults::FaultPlan;
 use ioat_netsim::{IoatConfig, SocketOpts};
@@ -106,17 +106,10 @@ pub fn run_with_faults(
     }
 }
 
-/// Runs both configurations and pairs them.
-pub fn compare(cfg: &BandwidthConfig) -> Comparison {
-    Comparison {
-        non_ioat: run(cfg, IoatConfig::disabled()),
-        ioat: run(cfg, IoatConfig::full()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ioat_simcore::stats::relative_benefit;
 
     #[test]
     fn single_port_reaches_near_line_rate() {
@@ -147,20 +140,21 @@ mod tests {
     fn ioat_reduces_receiver_cpu() {
         let mut cfg = BandwidthConfig::quick_test();
         cfg.ports = 2;
-        let c = compare(&cfg);
+        let non = run(&cfg, IoatConfig::disabled());
+        let ioat = run(&cfg, IoatConfig::full());
+        let benefit = relative_benefit(ioat.rx_cpu, non.rx_cpu);
         assert!(
-            c.relative_cpu_benefit() > 0.0,
-            "expected positive CPU benefit, got {:.3} ({:.3} vs {:.3})",
-            c.relative_cpu_benefit(),
-            c.ioat.rx_cpu,
-            c.non_ioat.rx_cpu
+            benefit > 0.0,
+            "expected positive CPU benefit, got {benefit:.3} ({:.3} vs {:.3})",
+            ioat.rx_cpu,
+            non.rx_cpu
         );
         // Throughput is genuinely wire-bound at 2 ports for this
         // *micro-benchmark*: the ttcp-style sink processes frames in
         // kernel context across all cores, so CPU never saturates first
         // (re-verified for PR 8 — unlike PVFS, where the serial
         // single-threaded daemons make CPU the binding constraint).
-        assert!((c.ioat.mbps - c.non_ioat.mbps).abs() / c.non_ioat.mbps < 0.1);
+        assert!((ioat.mbps - non.mbps).abs() / non.mbps < 0.1);
     }
 
     #[test]

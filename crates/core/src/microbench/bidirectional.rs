@@ -6,7 +6,7 @@
 //! the bi-directional bandwidth.
 
 use crate::cluster::{Cluster, NodeConfig};
-use crate::metrics::{Comparison, ExperimentWindow, ThroughputResult};
+use crate::metrics::{ExperimentWindow, ThroughputResult};
 use crate::microbench::stream;
 use ioat_netsim::{IoatConfig, SocketOpts};
 
@@ -70,17 +70,10 @@ pub fn run(cfg: &BidirConfig, ioat: IoatConfig) -> ThroughputResult {
     }
 }
 
-/// Runs both configurations and pairs them.
-pub fn compare(cfg: &BidirConfig) -> Comparison {
-    Comparison {
-        non_ioat: run(cfg, IoatConfig::disabled()),
-        ioat: run(cfg, IoatConfig::full()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ioat_simcore::stats::relative_benefit;
 
     #[test]
     fn both_directions_carry_traffic() {
@@ -120,7 +113,8 @@ mod tests {
 
     #[test]
     fn ioat_benefit_appears_bidirectionally() {
-        let c = compare(&BidirConfig::quick_test());
-        assert!(c.relative_cpu_benefit() > 0.0);
+        let non = run(&BidirConfig::quick_test(), IoatConfig::disabled());
+        let ioat = run(&BidirConfig::quick_test(), IoatConfig::full());
+        assert!(relative_benefit(ioat.rx_cpu, non.rx_cpu) > 0.0);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::calibration::{self, NodeProfile};
 use crate::cluster::{Cluster, NodeConfig};
-use crate::metrics::{Comparison, ExperimentWindow, ThroughputResult};
+use crate::metrics::{ExperimentWindow, ThroughputResult};
 use crate::microbench::stream;
 use ioat_netsim::{IoatConfig, SocketOpts};
 use ioat_simcore::time::Bandwidth;
@@ -91,17 +91,10 @@ pub fn run(cfg: &MultiStreamConfig, ioat: IoatConfig) -> ThroughputResult {
     }
 }
 
-/// Runs both configurations and pairs them.
-pub fn compare(cfg: &MultiStreamConfig) -> Comparison {
-    Comparison {
-        non_ioat: run(cfg, IoatConfig::disabled()),
-        ioat: run(cfg, IoatConfig::full()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ioat_simcore::stats::relative_benefit;
 
     #[test]
     fn more_threads_than_ports_share_bandwidth() {
@@ -128,12 +121,10 @@ mod tests {
 
     #[test]
     fn ioat_saves_cpu_under_many_streams() {
-        let c = compare(&MultiStreamConfig::quick_test(8));
-        assert!(
-            c.relative_cpu_benefit() > 0.05,
-            "benefit {:.3}",
-            c.relative_cpu_benefit()
-        );
+        let non = run(&MultiStreamConfig::quick_test(8), IoatConfig::disabled());
+        let ioat = run(&MultiStreamConfig::quick_test(8), IoatConfig::full());
+        let benefit = relative_benefit(ioat.rx_cpu, non.rx_cpu);
+        assert!(benefit > 0.05, "benefit {benefit:.3}");
     }
 
     #[test]
