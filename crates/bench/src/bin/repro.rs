@@ -21,8 +21,9 @@
 //! runs with the telemetry tracer on, prints the per-category CPU
 //! split-up and writes a Perfetto-loadable Chrome trace to `<path>`
 //! (and then exits unless figures were also requested); with a PVFS
-//! figure among the targets it traces the Fig. 10a configuration (the
-//! view that diagnosed the daemon cost model), otherwise Fig. 7.
+//! figure (`fig10a`–`fig12`, `ext-pvfs-*`) among the targets it traces
+//! the Fig. 10a configuration (the view that diagnosed the daemon cost
+//! model), otherwise Fig. 7.
 //! Unknown flags and unknown targets exit with status 2 and
 //! suggest the closest known name.
 //!
@@ -229,16 +230,21 @@ fn main() {
 
     if let Some(path) = &cli.trace_path {
         // Tracing is single-threaded by design; it never uses the pool.
-        // With a PVFS figure among the targets the tracer runs the
-        // Fig. 10a configuration (the per-component CPU split-up that
-        // diagnosed the daemon cost model); otherwise the Fig. 7
-        // split-up, as before.
-        let pvfs = ["fig10a", "fig10b", "fig11a", "fig11b", "fig12"];
-        if cli.targets.iter().any(|t| pvfs.contains(&t.as_str())) {
-            figs::trace_fig10a(window, std::path::Path::new(path));
+        // With a named target that takes the Fig. 10a trace (the PVFS
+        // figures: the per-component CPU split-up that diagnosed the
+        // daemon cost model) the tracer runs that; otherwise the Fig. 7
+        // split-up.
+        let named = |f: &&figs::Figure| cli.targets.iter().any(|t| t == f.name);
+        let traced = if figs::FIGURES
+            .iter()
+            .filter(named)
+            .any(|f| f.trace == figs::Traced::Fig10a)
+        {
+            figs::Traced::Fig10a
         } else {
-            figs::trace_fig7(window, std::path::Path::new(path));
-        }
+            figs::Traced::Fig7
+        };
+        traced.run(window, std::path::Path::new(path));
         if cli.targets.is_empty() && cli.json_path.is_none() {
             return;
         }

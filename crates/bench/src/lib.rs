@@ -286,9 +286,31 @@ pub struct Figure {
     pub name: &'static str,
     /// The one-line description `repro --list` prints.
     pub about: &'static str,
+    /// The configuration `repro --trace` runs when this target is named.
+    pub trace: Traced,
     /// Builds the figure from the measurement window, the sweep worker
     /// count and the partitioned-engine worker count.
     build: fn(ExperimentWindow, usize, usize) -> FigureResult,
+}
+
+/// A configuration `repro --trace` can run with the tracer on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Traced {
+    /// The Fig. 7 split-up ([`trace_fig7`]).
+    Fig7,
+    /// The PVFS Fig. 10a read ([`trace_fig10a`]).
+    Fig10a,
+}
+
+impl Traced {
+    /// Runs this configuration traced and writes its Chrome trace to
+    /// `path`.
+    pub fn run(self, window: ExperimentWindow, path: &std::path::Path) {
+        match self {
+            Traced::Fig7 => trace_fig7(window, path),
+            Traced::Fig10a => trace_fig10a(window, path),
+        }
+    }
 }
 
 /// Every `repro` target, in the order `repro all` runs them — the order
@@ -298,6 +320,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig3a",
         about: "Bandwidth (Mbps) vs 1-6 ports, I/OAT on/off",
+        trace: Traced::Fig7,
         build: |window, jobs, _| {
             compare_figure(
                 "Fig 3a: Bandwidth (Mbps) vs ports",
@@ -321,6 +344,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig3b",
         about: "Bi-directional bandwidth vs 1-6 ports",
+        trace: Traced::Fig7,
         build: |window, jobs, _| {
             compare_figure(
                 "Fig 3b: Bi-directional bandwidth (Mbps) vs ports",
@@ -344,6 +368,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig4",
         about: "Multi-stream bandwidth vs thread count",
+        trace: Traced::Fig7,
         build: |window, jobs, _| {
             compare_figure(
                 "Fig 4: Multi-stream bandwidth (Mbps) vs threads",
@@ -367,6 +392,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig5a",
         about: "Bandwidth under socket-optimization Cases 1-5",
+        trace: Traced::Fig7,
         build: |window, jobs, _| {
             sockopt_fig(
                 "Fig 5a: Bandwidth under optimizations (Mbps)",
@@ -379,6 +405,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig5b",
         about: "Bi-directional bandwidth under Cases 1-5",
+        trace: Traced::Fig7,
         build: |window, jobs, _| {
             sockopt_fig(
                 "Fig 5b: Bi-dir bandwidth under optimizations (Mbps)",
@@ -391,6 +418,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig6",
         about: "CPU-based copy vs DMA-based copy latency table",
+        trace: Traced::Fig7,
         build: |_, jobs, _| {
             let rows = sweep::run_jobs(
                 copybench::paper_sizes()
@@ -409,6 +437,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig7",
         about: "I/OAT feature split-up across message sizes",
+        trace: Traced::Fig7,
         build: |window, jobs, _| {
             let cfg = splitup::SplitupConfig { ports: 4, window };
             let rows = sweep::run_jobs(
@@ -429,6 +458,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig8a",
         about: "Data-center TPS, single-file traces",
+        trace: Traced::Fig7,
         build: |window, jobs, _| {
             compare_figure(
                 "Fig 8a: Data-center TPS, single-file traces",
@@ -454,6 +484,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig8b",
         about: "Data-center TPS, Zipf traces with proxy cache",
+        trace: Traced::Fig7,
         build: |window, jobs, _| {
             compare_figure(
                 "Fig 8b: Data-center TPS, Zipf traces",
@@ -484,6 +515,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig9",
         about: "Emulated clients inside the data-center, 16K file",
+        trace: Traced::Fig7,
         build: |window, jobs, _| {
             compare_figure(
                 "Fig 9: Emulated clients, 16K file (TPS, client CPU)",
@@ -509,6 +541,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig10a",
         about: "PVFS concurrent read, 6 I/O servers",
+        trace: Traced::Fig10a,
         build: |window, jobs, _| {
             pvfs_fig(
                 "Fig 10a: PVFS concurrent read, 6 I/O servers",
@@ -522,6 +555,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig10b",
         about: "PVFS concurrent read, 5 I/O servers",
+        trace: Traced::Fig10a,
         build: |window, jobs, _| {
             pvfs_fig(
                 "Fig 10b: PVFS concurrent read, 5 I/O servers",
@@ -535,6 +569,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig11a",
         about: "PVFS concurrent write, 6 I/O servers",
+        trace: Traced::Fig10a,
         build: |window, jobs, _| {
             pvfs_fig(
                 "Fig 11a: PVFS concurrent write, 6 I/O servers",
@@ -548,6 +583,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig11b",
         about: "PVFS concurrent write, 5 I/O servers",
+        trace: Traced::Fig10a,
         build: |window, jobs, _| {
             pvfs_fig(
                 "Fig 11b: PVFS concurrent write, 5 I/O servers",
@@ -561,6 +597,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig12",
         about: "PVFS multi-stream read, 1-64 emulated clients",
+        trace: Traced::Fig10a,
         build: |window, jobs, _| {
             compare_figure(
                 "Fig 12: PVFS multi-stream read (client CPU)",
@@ -599,6 +636,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "ext-pvfs-stripe",
         about: "Ext: PVFS read vs striping factor, 2-12 servers",
+        trace: Traced::Fig10a,
         build: |window, jobs, _| {
             compare_figure(
                 "Ext: PVFS read vs striping factor (6 clients)",
@@ -626,6 +664,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "ext-pvfs-clients",
         about: "Ext: PVFS read vs client count, 2-16 clients",
+        trace: Traced::Fig10a,
         build: |window, jobs, _| {
             compare_figure(
                 "Ext: PVFS read vs client count (6 servers)",
@@ -655,6 +694,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "ext-pvfs-stripesize",
         about: "Ext: PVFS read vs stripe size, 16-256 KB",
+        trace: Traced::Fig10a,
         build: |window, jobs, _| {
             compare_figure(
                 "Ext: PVFS read vs stripe size (6x6)",
@@ -686,6 +726,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "ext-pvfs-mixed",
         about: "Ext: PVFS mixed read/write streams",
+        trace: Traced::Fig10a,
         build: |window, jobs, _| {
             compare_figure(
                 "Ext: PVFS mixed read/write streams (6x6)",
@@ -717,6 +758,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "ext-pvfs-meta",
         about: "Ext: PVFS metadata-manager contention",
+        trace: Traced::Fig10a,
         build: |window, jobs, _| {
             let mut fig = compare_figure(
                 "Ext: PVFS metadata-manager contention (2 servers)",
@@ -750,6 +792,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "abl-mq",
         about: "Ablation A1: multi-queue receive interrupts",
+        trace: Traced::Fig7,
         build: |window, jobs, _| {
             compare_figure(
                 "Ablation A1: I/OAT vs I/OAT+multi-queue (Mbps)",
@@ -773,21 +816,25 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "abl-copy",
         about: "Ablation A2: async memcpy pinning-cost sensitivity",
+        trace: Traced::Fig7,
         build: |_, jobs, _| ablation_async_memcpy(jobs),
     },
     Figure {
         name: "abl-faults",
         about: "Ablation A3: frame-loss sweep + PVFS daemon crash/failover",
+        trace: Traced::Fig7,
         build: |window, jobs, _| ablation_faults(window, jobs),
     },
     Figure {
         name: "abl-modern",
         about: "Ablation A4: modern grid, rx mode x link rate x I/OAT",
+        trace: Traced::Fig7,
         build: modern::ablation_modern,
     },
     Figure {
         name: "abl-fabric-faults",
         about: "Ablation A5: fabric faults, flaps x crashed switches",
+        trace: Traced::Fig7,
         build: |window, jobs, sim_threads| {
             let clients = if is_quick(window) { 10_240 } else { 102_400 };
             let grid = vec![(0, 0), (2, 0), (8, 0), (0, 2), (2, 2), (8, 2)];
@@ -797,6 +844,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig_fabric",
         about: "Fabric: fat-tree datacenter TPS, hosts x oversubscription",
+        trace: Traced::Fig7,
         build: |window, jobs, sim_threads| {
             let points = if is_quick(window) {
                 vec![(16, 1.0, 10_240), (16, 4.0, 10_240)]
@@ -1431,7 +1479,8 @@ pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
     let cfg = splitup::SplitupConfig { ports: 2, window };
     let msg = 64 * 1024;
     let run = |label: &str, ioat, tracer: &_| {
-        let (res, (from, to)) = splitup::run_one_traced(&cfg, ioat, msg, tracer);
+        let res = splitup::run_one_traced(&cfg, ioat, msg, tracer);
+        let (from, to) = (cfg.window.from(), cfg.window.to());
         let report = tracer.with_events(|evs| cpu_splitup(evs, from, to));
         println!("\n=== Fig 7 CPU split-up ({label}, 64 KB messages) ===");
         print!("{}", report.render_table());

@@ -27,7 +27,6 @@
 //!   exact sequential behaviour, preserved for `--trace`/telemetry
 //!   paths that rely on single-threaded execution.
 
-use std::any::Any;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,31 +40,32 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-type JobResult<T> = Result<T, Box<dyn Any + Send>>;
-
-/// The executor core: runs every job (with per-job panic isolation) and
-/// returns `Result`s **in input order**, the panic payload preserved for
-/// the caller to re-raise. `AssertUnwindSafe` is sound because a
-/// panicking job's partially-mutated state is dropped wholesale and
-/// nothing outside the closure observes it.
+/// Runs every job and returns their results **in input order**.
 ///
 /// `workers` is clamped to `1..=jobs.len()`; `workers <= 1` (or a
 /// single job) degenerates to a plain sequential loop on the calling
 /// thread. Otherwise `workers` scoped threads pull jobs from a shared
 /// cursor — index order, so early rows start first — and write each
-/// outcome into its input slot. Workers themselves never panic (every
-/// job runs under `catch_unwind`), so the pool always drains fully.
-/// Each worker runs under the caller's audit scope
+/// outcome into its input slot. Every job runs under its own
+/// `catch_unwind`, so workers never panic and the pool always drains
+/// fully; `AssertUnwindSafe` is sound because a panicking job's
+/// partially-mutated state is dropped wholesale and nothing outside the
+/// closure observes it. Each worker runs under the caller's audit scope
 /// ([`ioat_guard::current`]), so jobs audit and budget exactly as they
 /// would inline.
 ///
 /// # Panics
 ///
-/// On an empty job list: a figure that sweeps zero points is a harness
-/// bug, and silently returning an empty table would let it masquerade
-/// as a completed run (the config-validation counterpart to the
-/// zero-bandwidth and zero-core-node constructor asserts).
-fn run_jobs_raw<T, F>(jobs: Vec<F>, workers: usize) -> Vec<JobResult<T>>
+/// * On an empty job list: a figure that sweeps zero points is a harness
+///   bug, and silently returning an empty table would let it masquerade
+///   as a completed run (the config-validation counterpart to the
+///   zero-bandwidth and zero-core-node constructor asserts).
+/// * A panic inside any job propagates to the caller after every job
+///   has run, with its original payload and in input order (job 3's
+///   panic is re-raised even if job 7 also panicked earlier in wall
+///   time): no thread is leaked — the other workers finish their queues
+///   first.
+pub fn run_jobs<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
@@ -76,85 +76,54 @@ where
         "sweep invoked with an empty job list — a figure with zero configuration points \
          cannot produce a table and indicates a harness bug"
     );
-    if workers <= 1 || n == 1 {
-        return jobs
-            .into_iter()
+    let outcomes: Vec<std::thread::Result<T>> = if workers <= 1 || n == 1 {
+        jobs.into_iter()
             .map(|job| panic::catch_unwind(AssertUnwindSafe(job)))
-            .collect();
-    }
-    let workers = workers.min(n);
-
-    // Jobs move into per-slot cells so each worker can take ownership of
-    // the closure it claimed; outcomes land in matching slots.
-    let job_cells: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let result_cells: Vec<Mutex<Option<JobResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let audit = ioat_guard::current();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                audit.enter(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        return;
-                    }
-                    let job = job_cells[i]
-                        .lock()
-                        .expect("job mutex never poisoned: taken exactly once")
-                        .take()
-                        .expect("each job index is claimed exactly once");
-                    let out = panic::catch_unwind(AssertUnwindSafe(job));
-                    *result_cells[i]
-                        .lock()
-                        .expect("result mutex never poisoned: written exactly once") = Some(out);
-                })
-            });
-        }
-    });
-
-    result_cells
-        .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .expect("result mutex never poisoned")
-                .expect("every job slot is filled: workers catch all job panics")
-        })
-        .collect()
-}
-
-/// Runs every job and returns their results **in input order**.
-///
-/// See the module docs for the pool mechanics.
-///
-/// # Panics
-///
-/// * On an empty job list: a figure that sweeps zero points is a harness
-///   bug, not a completed run.
-/// * A panic inside any job propagates to the caller after the pool
-///   drains, with its original payload and in input order (job 3's
-///   panic is re-raised even if job 7 also panicked earlier in wall
-///   time): no result is silently dropped, no thread is leaked — the
-///   other workers finish their queues first.
-pub fn run_jobs<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let mut first_panic: Option<Box<dyn Any + Send>> = None;
-    let mut out = Vec::with_capacity(jobs.len());
-    for result in run_jobs_raw(jobs, workers) {
-        match result {
-            Ok(v) => out.push(v),
-            Err(payload) => {
-                first_panic.get_or_insert(payload);
+            .collect()
+    } else {
+        // Jobs move into per-slot cells so each worker can take ownership
+        // of the closure it claimed; outcomes land in matching slots.
+        let job_cells: Vec<Mutex<Option<F>>> =
+            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+        let result_cells: Vec<Mutex<Option<std::thread::Result<T>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
+        let cursor = AtomicUsize::new(0);
+        let audit = ioat_guard::current();
+        std::thread::scope(|scope| {
+            for _ in 0..workers.min(n) {
+                scope.spawn(|| {
+                    audit.enter(|| loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return;
+                        }
+                        let job = job_cells[i]
+                            .lock()
+                            .expect("job mutex never poisoned: taken exactly once")
+                            .take()
+                            .expect("each job index is claimed exactly once");
+                        let out = panic::catch_unwind(AssertUnwindSafe(job));
+                        *result_cells[i]
+                            .lock()
+                            .expect("result mutex never poisoned: written exactly once") =
+                            Some(out);
+                    })
+                });
             }
-        }
-    }
-    if let Some(payload) = first_panic {
-        panic::resume_unwind(payload);
-    }
-    out
+        });
+        result_cells
+            .into_iter()
+            .map(|cell| {
+                cell.into_inner()
+                    .expect("result mutex never poisoned")
+                    .expect("every job slot is filled: workers catch all job panics")
+            })
+            .collect()
+    };
+    outcomes
+        .into_iter()
+        .map(|outcome| outcome.unwrap_or_else(|payload| panic::resume_unwind(payload)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -318,3 +318,23 @@ fn trace_without_target_writes_fig7_trace_and_csv() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn trace_with_an_extended_pvfs_target_takes_the_fig10a_trace() {
+    // Every PVFS target, the `ext-pvfs-*` family included, names the
+    // Fig. 10a configuration in the figure table.
+    let dir = std::env::temp_dir().join(format!("ioat_bench_cli_trace10_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let json = dir.join("t.json");
+    let out = repro(&[
+        "--quick",
+        "--trace",
+        json.to_str().unwrap(),
+        "ext-pvfs-meta",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("Fig 10a CPU split-up"), "stdout: {text}");
+    assert!(!text.contains("Fig 7 CPU split-up"), "stdout: {text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -12,15 +12,12 @@
 
 use crate::calibration;
 use crate::metrics::ExperimentWindow;
-use ioat_fabric::FabricParams;
 use ioat_faults::{FaultInjector, FaultPlan};
 use ioat_netsim::stack::{self, HostStack, StackRef};
-use ioat_netsim::{ConnId, IoatConfig, Link, Socket, SocketOpts, StackParams};
+use ioat_netsim::{ConnId, IoatConfig, Socket, SocketOpts, StackParams};
 use ioat_simcore::time::Bandwidth;
-use ioat_simcore::{Sim, SimDuration, SimTime};
+use ioat_simcore::{Sim, SimTime};
 use ioat_telemetry::Tracer;
-use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Configuration of one node.
 #[derive(Debug, Clone)]
@@ -62,31 +59,34 @@ impl NodeConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeHandle(usize);
 
-/// A set of simulated nodes plus the simulator driving them.
+/// The paper's testbed: simulated nodes joined by dedicated port pairs,
+/// plus the simulator driving them, measured over one window.
+///
+/// Every setting (line rate, fault plan, tracer) is fixed before the
+/// first node is added, so each node is built with all of them.
 ///
 /// ```rust
-/// use ioat_core::{Cluster, NodeConfig};
+/// use ioat_core::{Cluster, ExperimentWindow, NodeConfig};
 /// use ioat_netsim::{IoatConfig, SocketOpts};
 ///
-/// let mut cluster = Cluster::new();
+/// let mut cluster = Cluster::measured(ExperimentWindow::quick());
 /// let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::full()));
 /// let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::full()));
 /// let ports = cluster.connect_ports(a, b, 2, true);
 /// let (sa, _sb) = cluster.open(a, b, ports[0], SocketOpts::tuned());
 /// sa.send(cluster.sim_mut(), 100_000);
-/// cluster.run();
+/// cluster.run_measured();
+/// assert!(cluster.stack(b).borrow().rx_meter().total_bytes() > 0);
 /// ```
 pub struct Cluster {
     sim: Sim,
     nodes: Vec<StackRef>,
-    names: HashMap<String, NodeHandle>,
     next_conn: u64,
     bandwidth: Bandwidth,
-    latency: SimDuration,
     tracer: Tracer,
     faults: FaultPlan,
-    /// The window every node opens when it is added, if measured.
-    window: Option<ExperimentWindow>,
+    /// The window every node opens when it is added.
+    window: ExperimentWindow,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -98,141 +98,98 @@ impl std::fmt::Debug for Cluster {
     }
 }
 
-impl Default for Cluster {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Cluster {
-    /// Creates an empty, unmeasured cluster: reading a node's CPU
-    /// utilization panics. The substrate is deterministic; seeded
-    /// workloads are layered on top.
-    pub fn new() -> Self {
+    /// Creates an empty cluster measured over `window`: each node opens
+    /// the window's `[from, to)` on its meters when it is added, before
+    /// any connection, event or job exists. The substrate is
+    /// deterministic; seeded workloads are layered on top.
+    pub fn measured(window: ExperimentWindow) -> Self {
         let mut sim = Sim::new();
         sim.set_event_limit(ioat_guard::event_limit());
         Cluster {
             sim,
             nodes: Vec::new(),
-            names: HashMap::new(),
             next_conn: 1,
             bandwidth: calibration::port_bandwidth(),
-            latency: calibration::switch_latency(),
             tracer: Tracer::disabled(),
             faults: FaultPlan::none(),
-            window: None,
+            window,
         }
     }
 
-    /// Creates an empty cluster measured over `window`: each node opens
-    /// the window's `[from, to)` on its meters when it is added, before
-    /// any connection, event or job exists.
-    pub fn measured(window: ExperimentWindow) -> Self {
-        let mut cluster = Self::new();
-        cluster.window = Some(window);
-        cluster
+    /// Panics if a node exists: the settings below apply as each node is
+    /// built.
+    fn assert_no_nodes(&self, setting: &str) {
+        assert!(
+            self.nodes.is_empty(),
+            "{setting} must be set before the first node is added"
+        );
     }
 
-    /// Attaches `node` to a [`FrameRouter`](stack::FrameRouter) at
-    /// attachment index `attachment` (its topology host index) with an
-    /// access link cut from the fabric's `params`, as an alternative to the
-    /// point-to-point [`Cluster::connect_ports`]. The router carries the
-    /// node's frames to the fabric — in a parallel run the fabric lives in
-    /// another partition and `router` is this partition's cross-boundary
-    /// proxy. Returns the node's new NIC port index.
-    pub fn attach_router_host(
-        &mut self,
-        node: NodeHandle,
-        router: Rc<dyn stack::FrameRouter>,
-        attachment: usize,
-        params: &FabricParams,
-    ) -> usize {
-        let access = Link::new(params.host_bandwidth, params.switch_latency);
-        stack::attach_router(&self.nodes[node.0], access, router, attachment)
-    }
-
-    /// Opens a connection between two local nodes over already-created
-    /// ports with a caller-chosen [`ConnId`]. Parallel runs use this to
-    /// assign globally deterministic connection ids independent of the
-    /// per-partition open order; the id must not collide with the
-    /// auto-assigned sequence of [`Cluster::open`] on the same cluster.
-    pub fn open_with_id(
-        &mut self,
-        a: NodeHandle,
-        port_a: usize,
-        b: NodeHandle,
-        port_b: usize,
-        opts: SocketOpts,
-        id: ConnId,
-    ) -> (Socket, Socket) {
-        stack::open_connection(&self.nodes[a.0], &self.nodes[b.0], port_a, port_b, opts, id);
-        (
-            Socket::new(&self.nodes[a.0], id),
-            Socket::new(&self.nodes[b.0], id),
-        )
-    }
-
-    /// Installs a fault plan: every node already added (and every node
-    /// added afterwards) gets a [`FaultInjector`] for it, keyed by the
-    /// node's index. Installing [`FaultPlan::none()`] (the default) keeps
-    /// every hook inert and runs bit-identical to a fault-free build. The
-    /// plan's fabric entries (link flaps, switch crashes) belong to the
-    /// fabric itself: install them with `Fabric::set_faults`.
+    /// Installs a fault plan: every node gets a [`FaultInjector`] for it,
+    /// keyed by the node's index. The default, [`FaultPlan::none()`],
+    /// keeps every hook inert and runs bit-identical to a fault-free
+    /// build. The plan's fabric entries (link flaps, switch crashes)
+    /// belong to the fabric itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node was already added.
     pub fn set_faults(&mut self, plan: &FaultPlan) {
-        for (i, node) in self.nodes.iter().enumerate() {
-            node.borrow_mut()
-                .set_fault_injector(FaultInjector::new(plan, i as u32));
-        }
+        self.assert_no_nodes("the fault plan");
         self.faults = plan.clone();
     }
 
-    /// Attaches a tracer to the cluster: every node already added (and
-    /// every node added afterwards) gets it, with the node's index as the
-    /// Chrome-trace pid.
+    /// Attaches a tracer: every node gets it, with the node's index as
+    /// the Chrome-trace pid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node was already added.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        for (i, node) in self.nodes.iter().enumerate() {
-            node.borrow_mut().set_tracer(tracer.clone(), i as u32);
-        }
+        self.assert_no_nodes("the tracer");
         self.tracer = tracer;
     }
 
-    /// The attached tracer (disabled by default).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Overrides the fabric line rate for subsequently wired ports.
+    /// Overrides the line rate of the port pairs (the testbed's GigE by
+    /// default).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node was already added.
     pub fn set_bandwidth(&mut self, bw: Bandwidth) {
+        self.assert_no_nodes("the line rate");
         self.bandwidth = bw;
     }
 
-    /// Adds a node, opening its measurement window on a measured cluster.
+    /// The window the cluster is measured over.
+    pub(crate) fn window(&self) -> ExperimentWindow {
+        self.window
+    }
+
+    /// Adds a node and opens its measurement window.
     ///
     /// # Panics
     ///
     /// Panics on duplicate node names.
     pub fn add_node(&mut self, cfg: NodeConfig) -> NodeHandle {
         assert!(
-            !self.names.contains_key(&cfg.name),
+            self.nodes.iter().all(|n| n.borrow().name() != cfg.name),
             "duplicate node name {}",
             cfg.name
         );
         let stack = HostStack::with_cache(&cfg.name, cfg.cores, cfg.params, cfg.ioat, cfg.cache);
         let h = NodeHandle(self.nodes.len());
-        if let Some(w) = self.window {
-            stack.borrow_mut().begin_measurement(w.from(), w.to());
+        {
+            let mut st = stack.borrow_mut();
+            st.begin_measurement(self.window.from(), self.window.to());
+            if self.tracer.is_enabled() {
+                st.set_tracer(self.tracer.clone(), h.0 as u32);
+            }
+            if self.faults.is_active() {
+                st.set_fault_injector(FaultInjector::new(&self.faults, h.0 as u32));
+            }
         }
-        if self.tracer.is_enabled() {
-            stack
-                .borrow_mut()
-                .set_tracer(self.tracer.clone(), h.0 as u32);
-        }
-        if self.faults.is_active() {
-            stack
-                .borrow_mut()
-                .set_fault_injector(FaultInjector::new(&self.faults, h.0 as u32));
-        }
-        self.names.insert(cfg.name, h);
         self.nodes.push(stack);
         h
     }
@@ -268,7 +225,7 @@ impl Cluster {
                     &self.nodes[a.0],
                     &self.nodes[b.0],
                     self.bandwidth,
-                    self.latency,
+                    calibration::switch_latency(),
                     coalescing,
                 );
                 PortPair { a: pa, b: pb }
@@ -306,16 +263,10 @@ impl Cluster {
         self.sim.run()
     }
 
-    /// Runs a measured cluster to its window's end, runs the audits when
-    /// they are enabled and returns the window `(from, to)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cluster was not built by [`Cluster::measured`].
+    /// Runs the cluster to its window's end, runs the audits when they
+    /// are enabled and returns the window `(from, to)`.
     pub fn run_measured(&mut self) -> (SimTime, SimTime) {
-        let w = self
-            .window
-            .expect("run_measured needs a cluster built by Cluster::measured");
+        let w = self.window;
         self.sim.run_until(w.to());
         // Every figure harness funnels through here, so this one call
         // gives the whole suite end-of-window invariant coverage. Gated:
@@ -372,11 +323,17 @@ pub struct PortPair {
 mod tests {
     use super::*;
     use ioat_netsim::SocketEvent;
+    use ioat_simcore::SimDuration;
     use std::cell::RefCell;
+    use std::rc::Rc;
+
+    fn quick() -> Cluster {
+        Cluster::measured(ExperimentWindow::quick())
+    }
 
     #[test]
     fn cluster_builds_and_transfers() {
-        let mut cluster = Cluster::new();
+        let mut cluster = quick();
         let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
         let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::full()));
         let ports = cluster.connect_ports(a, b, 3, true);
@@ -397,7 +354,7 @@ mod tests {
 
     #[test]
     fn tracer_and_metrics_cover_all_nodes() {
-        let mut cluster = Cluster::new();
+        let mut cluster = quick();
         let tracer = Tracer::enabled();
         cluster.set_tracer(tracer.clone());
         let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
@@ -447,17 +404,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "host stack 'a': CPU time read before begin_measurement")]
-    fn unmeasured_nodes_have_no_cpu_reading() {
-        let mut cluster = Cluster::new();
-        let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::full()));
-        cluster.stack(a).borrow().cpu_utilization();
+    #[should_panic(expected = "the tracer must be set before the first node is added")]
+    fn settings_are_fixed_once_a_node_exists() {
+        let mut cluster = quick();
+        cluster.add_node(NodeConfig::testbed("a", IoatConfig::full()));
+        cluster.set_tracer(Tracer::enabled());
     }
 
     #[test]
     #[should_panic(expected = "duplicate node name")]
     fn duplicate_names_panic() {
-        let mut cluster = Cluster::new();
+        let mut cluster = quick();
         cluster.add_node(NodeConfig::testbed("x", IoatConfig::disabled()));
         cluster.add_node(NodeConfig::testbed("x", IoatConfig::disabled()));
     }
@@ -465,7 +422,7 @@ mod tests {
     #[test]
     fn dropping_a_cluster_during_a_panic_unwind_does_not_abort() {
         let build_and_panic = || {
-            let mut cluster = Cluster::new();
+            let mut cluster = quick();
             let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::full()));
             let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::full()));
             let ports = cluster.connect_ports(a, b, 1, true);
@@ -485,7 +442,7 @@ mod tests {
         assert!(outcome.is_err(), "the scheduled panic must propagate");
         // The unwind dropped the cluster without a second panic, so the
         // process is still here and can build the next simulation.
-        let mut cluster = Cluster::new();
+        let mut cluster = quick();
         let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
         let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::disabled()));
         let ports = cluster.connect_ports(a, b, 1, true);
@@ -497,7 +454,7 @@ mod tests {
 
     #[test]
     fn connections_get_unique_ids() {
-        let mut cluster = Cluster::new();
+        let mut cluster = quick();
         let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
         let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::disabled()));
         let ports = cluster.connect_ports(a, b, 1, true);

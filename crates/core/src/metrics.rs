@@ -1,5 +1,6 @@
 //! Experiment measurement: warm-up + window handling and result types.
 
+use crate::cluster::{Cluster, NodeHandle};
 use ioat_simcore::{SimDuration, SimTime};
 
 /// A warm-up + measurement window pair.
@@ -62,6 +63,24 @@ pub struct ThroughputResult {
     /// the gap times the core count is the cores polling burns — the
     /// cores you could reclaim by switching to interrupts or I/OAT.
     pub rx_occupancy: f64,
+}
+
+impl ThroughputResult {
+    /// Reads a run's result off a cluster that has run its window:
+    /// goodput is the sum of both nodes' receive meters (a one-way
+    /// sender's reads exactly 0), receiver CPU and occupancy come from
+    /// `receiver` and sender CPU from `sender`.
+    pub(crate) fn read(cluster: &Cluster, receiver: NodeHandle, sender: NodeHandle) -> Self {
+        let to = cluster.window().to();
+        let rx = cluster.stack(receiver).borrow();
+        let tx = cluster.stack(sender).borrow();
+        ThroughputResult {
+            mbps: tx.rx_meter().mbps(to) + rx.rx_meter().mbps(to),
+            rx_cpu: rx.cpu_utilization(),
+            tx_cpu: tx.cpu_utilization(),
+            rx_occupancy: rx.cpu_occupancy(),
+        }
+    }
 }
 
 #[cfg(test)]

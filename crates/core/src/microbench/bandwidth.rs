@@ -88,17 +88,11 @@ pub fn run_with_faults(
         stream(&s_tx, cluster.sim_mut(), hint, 1_000.0);
     }
 
-    let (_, to) = cluster.run_measured();
-    let rxs = cluster.stack(rx).borrow();
-    let txs = cluster.stack(tx).borrow();
-    let (st, sr) = (txs.stats(), rxs.stats());
+    cluster.run_measured();
+    let st = cluster.stack(tx).borrow().stats();
+    let sr = cluster.stack(rx).borrow().stats();
     FaultedThroughputResult {
-        throughput: ThroughputResult {
-            mbps: rxs.rx_meter().mbps(to),
-            rx_cpu: rxs.cpu_utilization(),
-            tx_cpu: txs.cpu_utilization(),
-            rx_occupancy: rxs.cpu_occupancy(),
-        },
+        throughput: ThroughputResult::read(&cluster, rx, tx),
         frames_dropped: st.frames_dropped + sr.frames_dropped,
         retransmits: st.retransmits + sr.retransmits,
         retransmitted_bytes: st.retransmitted_bytes + sr.retransmitted_bytes,

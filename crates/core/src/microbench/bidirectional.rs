@@ -59,15 +59,8 @@ pub fn run(cfg: &BidirConfig, ioat: IoatConfig) -> ThroughputResult {
         stream(&sb, cluster.sim_mut(), hint, 1_000.0);
     }
 
-    let (_, to) = cluster.run_measured();
-    let sa = cluster.stack(a).borrow();
-    let sb = cluster.stack(b).borrow();
-    ThroughputResult {
-        mbps: sa.rx_meter().mbps(to) + sb.rx_meter().mbps(to),
-        rx_cpu: sb.cpu_utilization(),
-        tx_cpu: sa.cpu_utilization(),
-        rx_occupancy: sb.cpu_occupancy(),
-    }
+    cluster.run_measured();
+    ThroughputResult::read(&cluster, b, a)
 }
 
 #[cfg(test)]

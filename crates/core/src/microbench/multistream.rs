@@ -80,15 +80,8 @@ pub fn run(cfg: &MultiStreamConfig, ioat: IoatConfig) -> ThroughputResult {
         stream(&s_tx, cluster.sim_mut(), hint, rate_mbps);
     }
 
-    let (_, to) = cluster.run_measured();
-    let rxs = cluster.stack(server).borrow();
-    let txs = cluster.stack(client).borrow();
-    ThroughputResult {
-        mbps: rxs.rx_meter().mbps(to),
-        rx_cpu: rxs.cpu_utilization(),
-        tx_cpu: txs.cpu_utilization(),
-        rx_occupancy: rxs.cpu_occupancy(),
-    }
+    cluster.run_measured();
+    ThroughputResult::read(&cluster, server, client)
 }
 
 #[cfg(test)]

@@ -104,21 +104,18 @@ pub const SERVER_PROCESS_NS_PER_BYTE: f64 = 5.5;
 
 /// Runs one configuration at one message size.
 pub fn run_one(cfg: &SplitupConfig, ioat: IoatConfig, msg_size: u64) -> ThroughputResult {
-    run_one_traced(cfg, ioat, msg_size, &ioat_telemetry::Tracer::disabled()).0
+    run_one_traced(cfg, ioat, msg_size, &ioat_telemetry::Tracer::disabled())
 }
 
-/// [`run_one`] with a tracer attached to every node; also returns the
-/// measurement window so callers can build a
-/// [`ioat_telemetry::SplitupReport`] over exactly the measured interval.
+/// [`run_one`] with a tracer attached to every node. Build a
+/// [`ioat_telemetry::SplitupReport`] over `cfg.window` to cover exactly
+/// the measured interval.
 pub fn run_one_traced(
     cfg: &SplitupConfig,
     ioat: IoatConfig,
     msg_size: u64,
     tracer: &ioat_telemetry::Tracer,
-) -> (
-    ThroughputResult,
-    (ioat_simcore::SimTime, ioat_simcore::SimTime),
-) {
+) -> ThroughputResult {
     let opts = opts_for(msg_size);
     let mut cluster = Cluster::measured(cfg.window);
     cluster.set_tracer(tracer.clone());
@@ -151,16 +148,8 @@ pub fn run_one_traced(
         });
     }
     let (from, to) = cluster.run_measured();
-    let rxs = cluster.stack(server).borrow();
-    let txs = cluster.stack(clients).borrow();
-    audit_cycle_sum(&rxs, tracer, from, to);
-    let result = ThroughputResult {
-        mbps: rxs.rx_meter().mbps(to),
-        rx_cpu: rxs.cpu_utilization(),
-        tx_cpu: txs.cpu_utilization(),
-        rx_occupancy: rxs.cpu_occupancy(),
-    };
-    (result, (from, to))
+    audit_cycle_sum(&cluster.stack(server).borrow(), tracer, from, to);
+    ThroughputResult::read(&cluster, server, clients)
 }
 
 /// Fig. 7 accounting audit: the per-category CPU spans the tracer recorded
@@ -274,13 +263,12 @@ mod tests {
     fn traced_run_passes_the_cycle_sum_audit_exactly() {
         let (r, v) = ioat_guard::with_audit(|| {
             let tracer = ioat_telemetry::Tracer::enabled();
-            let (res, _) = run_one_traced(
+            run_one_traced(
                 &SplitupConfig::quick_test(),
                 IoatConfig::full(),
                 64 * 1024,
                 &tracer,
-            );
-            res
+            )
         });
         assert!(r.unwrap().mbps > 0.0);
         assert!(v.is_empty(), "cycle-sum audit must hold exactly: {v:?}");

@@ -8,6 +8,7 @@ mod common;
 
 use common::Loopback;
 use ioat_core::cluster::{Cluster, NodeConfig};
+use ioat_core::ExperimentWindow;
 use ioat_fabric::{Fabric, FabricParams, TopologySpec};
 use ioat_netsim::{ConnId, IoatConfig, Socket, SocketEvent, SocketOpts};
 use std::cell::RefCell;
@@ -15,7 +16,7 @@ use std::rc::Rc;
 
 #[test]
 fn fabric_backed_cluster_transfers_and_audits() {
-    let mut cluster = Cluster::new();
+    let mut cluster = Cluster::measured(ExperimentWindow::quick());
     let fabric = Fabric::new(TopologySpec::FatTree { k: 4 }, FabricParams::gige());
     let lb = Loopback::new(&fabric);
     let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));

@@ -60,7 +60,7 @@ use ioat_fabric::{Fabric, FabricRef, Topology};
 use ioat_faults::RetryPolicy;
 use ioat_netsim::msg::{self, MsgSender};
 use ioat_netsim::stack::{self, ClusterFrameTotals, FrameRouter};
-use ioat_netsim::{ConnId, Frame, Socket};
+use ioat_netsim::{ConnId, Frame, Link, Socket};
 use ioat_parsim::{Outbox, ParsimReport, Partition};
 use ioat_simcore::{Histogram, Sim, SimDuration, SimRng, SimTime, Summary};
 use std::cell::{Cell, RefCell};
@@ -322,6 +322,10 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
         topo: Topology::new(cfg.spec),
         switch_latency: cfg.fabric.switch_latency,
     });
+    // Each host reaches the router over its own access link cut from the
+    // fabric's parameters; the router carries its frames to the fabric
+    // partition.
+    let access = || Link::new(cfg.fabric.host_bandwidth, cfg.fabric.switch_latency);
 
     // Proxies {g, g+G, …} and webs [g·f, (g+1)·f): the closed set of the
     // subset rule `w = (p·f + j) mod n_webs`.
@@ -334,11 +338,11 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
                 cfg.ioat,
                 cfg.profile,
             ));
-            let port = cluster.attach_router_host(
-                h,
+            let port = stack::attach_router(
+                cluster.stack(h),
+                access(),
                 Rc::clone(&router) as Rc<dyn FrameRouter>,
                 p,
-                &cfg.fabric,
             );
             host_ports.push((p, h, port));
             (p, h, port)
@@ -352,11 +356,11 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
                 cfg.ioat,
                 cfg.profile,
             ));
-            let port = cluster.attach_router_host(
-                h,
+            let port = stack::attach_router(
+                cluster.stack(h),
+                access(),
                 Rc::clone(&router) as Rc<dyn FrameRouter>,
                 lay.n_proxies + w,
-                &cfg.fabric,
             );
             host_ports.push((lay.n_proxies + w, h, port));
             (w, h, port)
@@ -408,7 +412,9 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
     for (q, &(p, ph, p_port)) in proxies.iter().enumerate() {
         for (j, &(_, wh, w_port)) in webs.iter().enumerate() {
             let id = ConnId(1 + (p * lay.f + j) as u64);
-            let (p_sock, w_sock) = cluster.open_with_id(ph, p_port, wh, w_port, opts, id);
+            let (p_stack, w_stack) = (cluster.stack(ph), cluster.stack(wh));
+            stack::open_connection(p_stack, w_stack, p_port, w_port, opts, id);
+            let (p_sock, w_sock) = (Socket::new(p_stack, id), Socket::new(w_stack, id));
 
             // Responses web → proxy → (after the access delay) client:
             // relay on the proxy, complete the transaction, think, fire

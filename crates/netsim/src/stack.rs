@@ -170,6 +170,9 @@ pub struct StackStats {
     /// drops — the NIC still transmitted them). Feeds the cluster-level
     /// frame-conservation audit.
     pub frames_sent: u64,
+    /// Payload bytes this stack put on the wire, retransmissions and
+    /// dropped frames included. Feeds the cluster-level byte audit.
+    pub payload_bytes_sent: u64,
     /// Frames that reached this stack's NIC and were accepted into a port's
     /// pending ring. At any event boundary `frames_arrived ==
     /// frames_processed + Σ pending_frames.len()`.
@@ -204,7 +207,6 @@ pub struct HostStack {
     /// L2.
     queued_bytes: u64,
     rx_meter: RateMeter,
-    tx_meter: RateMeter,
     /// The measurement window, once [`HostStack::begin_measurement`] has
     /// opened it.
     window: Option<(SimTime, SimTime)>,
@@ -271,7 +273,6 @@ impl HostStack {
             active_rx: 0,
             queued_bytes: 0,
             rx_meter: RateMeter::new(),
-            tx_meter: RateMeter::new(),
             window: None,
             stats: StackStats::default(),
             tracer: Tracer::disabled(),
@@ -473,11 +474,6 @@ impl HostStack {
         &self.rx_meter
     }
 
-    /// Transmitted-payload meter.
-    pub fn tx_meter(&self) -> &RateMeter {
-        &self.tx_meter
-    }
-
     /// Opens the measurement window `[from, to)` on every meter: the byte
     /// meters count from `from` and the core meters count busy time
     /// inside the window. Call it before the node runs any job — when it
@@ -485,7 +481,6 @@ impl HostStack {
     /// panics.
     pub fn begin_measurement(&mut self, from: SimTime, to: SimTime) {
         self.rx_meter.begin_window(from);
-        self.tx_meter.begin_window(from);
         self.cores.open_window(from, to);
         self.window = Some((from, to));
     }
@@ -1016,8 +1011,8 @@ fn pump_frames(s: &StackRef, sim: &mut Sim, conn: ConnId) {
             seq_end: c.send.next_seq,
         };
         st.stats.peak_window = st.stats.peak_window.max(c.send.peer_window);
-        st.tx_meter.record(now, payload);
         st.stats.frames_sent += 1;
+        st.stats.payload_bytes_sent += payload;
         if st.faults.frame_lost(port_idx) {
             st.stats.frames_dropped += 1;
             st.tracer.instant(
@@ -1543,7 +1538,7 @@ pub fn frame_totals(stacks: &[StackRef]) -> ClusterFrameTotals {
         t.sent += stats.frames_sent;
         t.arrived += stats.frames_arrived;
         t.lost += stats.frames_dropped;
-        t.tx_bytes += st.tx_meter().total_bytes();
+        t.tx_bytes += stats.payload_bytes_sent;
         t.rx_bytes += st.rx_meter().total_bytes();
     }
     t
@@ -1597,7 +1592,7 @@ pub fn audit_cluster_conservation(
         "delivered bytes ≤ injected bytes",
         now,
         rx_bytes <= tx_bytes,
-        || format!("rx meters total {rx_bytes} B but tx meters injected only {tx_bytes} B"),
+        || format!("rx meters total {rx_bytes} B but senders injected only {tx_bytes} B"),
     );
 }
 
@@ -1644,7 +1639,7 @@ mod tests {
         sim.run();
         assert_eq!(*got.borrow(), total);
         assert_eq!(b.borrow().rx_meter().total_bytes(), total);
-        assert_eq!(a.borrow().tx_meter().total_bytes(), total);
+        assert_eq!(a.borrow().stats().payload_bytes_sent, total);
     }
 
     #[test]

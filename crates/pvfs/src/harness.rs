@@ -154,19 +154,9 @@ pub struct PvfsResult {
     pub last_open_us: f64,
 }
 
-fn run(cfg: &PvfsConfig, mode: IoMode) -> PvfsResult {
-    run_traced(cfg, mode, &Tracer::disabled())
-}
-
-fn run_traced(cfg: &PvfsConfig, mode: IoMode, tracer: &Tracer) -> PvfsResult {
-    run_traced_modes(cfg, &|_| mode, tracer)
-}
-
-fn run_traced_modes(
-    cfg: &PvfsConfig,
-    mode_of: &dyn Fn(usize) -> IoMode,
-    tracer: &Tracer,
-) -> PvfsResult {
+/// The one run body behind every entry point: client `c` runs
+/// `mode_of(c)`.
+fn run(cfg: &PvfsConfig, mode_of: &dyn Fn(usize) -> IoMode, tracer: &Tracer) -> PvfsResult {
     assert!(cfg.io_servers > 0 && cfg.clients > 0);
     let mut cluster = Cluster::measured(cfg.window);
     cluster.set_tracer(tracer.clone());
@@ -319,19 +309,19 @@ fn run_traced_modes(
 
 /// Fig. 10 — concurrent read: servers stream to clients.
 pub fn concurrent_read(cfg: &PvfsConfig) -> PvfsResult {
-    run(cfg, IoMode::Read)
+    run(cfg, &|_| IoMode::Read, &Tracer::disabled())
 }
 
 /// [`concurrent_read`] with a tracer attached: stack-level spans on both
 /// nodes plus per-client I/O-operation lanes (`meta_open` spans,
 /// `io_reply` instants).
 pub fn concurrent_read_traced(cfg: &PvfsConfig, tracer: &Tracer) -> PvfsResult {
-    run_traced(cfg, IoMode::Read, tracer)
+    run(cfg, &|_| IoMode::Read, tracer)
 }
 
 /// Fig. 11 — concurrent write: clients stream to servers.
 pub fn concurrent_write(cfg: &PvfsConfig) -> PvfsResult {
-    run(cfg, IoMode::Write)
+    run(cfg, &|_| IoMode::Write, &Tracer::disabled())
 }
 
 /// Fig. 12 — multi-stream read with `threads` emulated clients on the
@@ -339,7 +329,7 @@ pub fn concurrent_write(cfg: &PvfsConfig) -> PvfsResult {
 pub fn multi_stream_read(cfg: &PvfsConfig, threads: usize) -> PvfsResult {
     let mut cfg = cfg.clone();
     cfg.clients = threads;
-    run(&cfg, IoMode::Read)
+    run(&cfg, &|_| IoMode::Read, &Tracer::disabled())
 }
 
 /// Mixed read/write streams (`fig_pvfs_extended`): the first `readers`
@@ -348,7 +338,7 @@ pub fn multi_stream_read(cfg: &PvfsConfig, threads: usize) -> PvfsResult {
 /// node's receive path, writes the I/O-server node's.
 pub fn mixed_streams(cfg: &PvfsConfig, readers: usize) -> PvfsResult {
     assert!(readers <= cfg.clients, "more readers than clients");
-    run_traced_modes(
+    run(
         cfg,
         &|c| {
             if c < readers {
